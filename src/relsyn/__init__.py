@@ -21,8 +21,11 @@ from .charlib import (
 from .model import (
     Assignment,
     BENCHMARK_NAMES,
+    Bounds,
+    Design,
     Dfg,
     DfgNode,
+    Infeasible,
     OpClass,
     ParseError,
     ResourceLibrary,
@@ -30,19 +33,14 @@ from .model import (
     ValidationError,
     builtin_benchmark,
     builtin_library,
+    evaluate_reliability,
+    nmr_reliability,
     parse_dfg,
     parse_library,
     render_dfg,
 )
 from .oracle import OracleLimit, OracleLimitError, oracle_best, oracle_min_latency
-from .redundancy import (
-    NmrSpec,
-    baseline_nmr_synth,
-    combined_synth,
-    evaluate_reliability,
-    greedy_nmr_upgrade,
-    nmr_reliability,
-)
+from .redundancy import NmrSpec, baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from .scheduler import (
     InfeasibleBoundError,
     MobilityWindow,
@@ -54,6 +52,6 @@ from .scheduler import (
     mobility,
     occupancy_density,
 )
-from .synthesizer import Bounds, Design, Infeasible, find_design, initial_allocation
+from .synthesizer import find_design, initial_allocation
 
 __version__ = "0.1.0"

@@ -35,11 +35,17 @@ class Binding:
     node_to_instance: Mapping[str, int]
     instances: tuple[Instance, ...]
 
-    def instance(self, instance_id: int) -> Instance:
+    def __post_init__(self) -> None:
+        by_id: dict[int, Instance] = {}
         for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        raise KeyError(f"unknown instance id {instance_id}")
+            by_id.setdefault(inst.id, inst)
+        object.__setattr__(self, "_by_id", by_id)
+
+    def instance(self, instance_id: int) -> Instance:
+        try:
+            return self._by_id[instance_id]
+        except KeyError:
+            raise KeyError(f"unknown instance id {instance_id}") from None
 
     def nodes_on(self, instance_id: int) -> tuple[str, ...]:
         return tuple(

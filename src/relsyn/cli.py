@@ -14,16 +14,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import IO, Sequence
 
 from . import charlib, model, oracle, redundancy, synthesizer
-from .binder import Binding, Instance
-from .model import Dfg, ParseError, ResourceLibrary, ValidationError
+from .binder import Binding, Instance, total_area
+from .model import Bounds, Design, Dfg, Infeasible, ParseError, ResourceLibrary, ValidationError
+from .model import evaluate_reliability
 from .scheduler import InfeasibleBoundError, Schedule
-from .synthesizer import Bounds, Design, Infeasible
 
 METHODS = ("ours", "nmr", "combined", "oracle")
+
+# Largest (latency, area) grid `sweep` accepts: a mistyped step fails at once
+# instead of running for days.
+MAX_SWEEP_POINTS = 100_000
+
+# Keys `eval --design` needs; `reliability` is recomputed, never read.
+_DESIGN_KEYS = ("assignment", "schedule", "binding", "instances", "latency", "area")
 
 
 class InputError(Exception):
@@ -102,6 +110,8 @@ def _emit_result(result: Design | Infeasible, fmt: str, out: IO[str]) -> int:
             print(json.dumps({"status": "infeasible", "reason": result.reason}), file=out)
         else:
             print(f"infeasible: {result.reason}", file=out)
+        if result.detail:
+            print(f"infeasible: {result.reason}: {result.detail}", file=sys.stderr)
         return 1
     if fmt == "json":
         print(json.dumps(design_to_json(result), indent=2), file=out)
@@ -130,6 +140,8 @@ def _parse_range(spec: str, what: str, integral: bool = False) -> tuple[float, f
         lo, hi = convert(parts[0]), convert(parts[1])
     except ValueError as exc:
         raise InputError(f"bad {what} range {spec!r}: {exc}") from exc
+    if not integral and not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"{what} range {spec!r} must be finite")
     if hi < lo:
         raise InputError(f"empty {what} range {spec!r}")
     return lo, hi
@@ -161,6 +173,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     a_lo, a_hi = _parse_range(args.area, "area")
     if args.step_l < 1 or args.step_a <= 0:
         raise InputError("steps must be positive")
+    # Sized before any grid is built; `not <=` also refuses a NaN count.
+    l_count = (l_hi - l_lo) // args.step_l + 1
+    a_count = (a_hi - a_lo + 1e-9) // args.step_a + 1
+    if l_count > MAX_SWEEP_POINTS or not l_count * a_count <= MAX_SWEEP_POINTS:
+        raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
+    if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
+        raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
     lines = ["L_d,A_d,method,status,latency,area,reliability"]
     for l_d in _grid(l_lo, l_hi, args.step_l):
         for a_d in _grid(a_lo, a_hi, args.step_a):
@@ -279,27 +298,63 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
     return assignment, Binding(node_to_instance, tuple(instances))
 
 
-def _design_from_json(payload: dict, dfg: Dfg, library: ResourceLibrary) -> Design:
-    assignment = {
-        nid: library.by_name(vname) for nid, vname in payload["assignment"].items()
-    }
-    model.check_assignment(dfg, assignment)
-    instances = tuple(
-        Instance(item["id"], item["version"], item.get("nmr", 1))
-        for item in payload["instances"]
-    )
-    binding = Binding(dict(payload["binding"]), instances)
-    schedule = Schedule(
-        {nid: int(s) for nid, s in payload["schedule"].items()}, int(payload["latency"])
-    )
-    reliability = redundancy.evaluate_reliability(dfg, assignment, binding)
+def _node_table(payload: dict, key: str, dfg: Dfg) -> dict:
+    """payload[key] as a dict over exactly the graph's nodes, in graph order."""
+    table = payload[key]
+    if not isinstance(table, dict) or set(table) != set(dfg.node_ids):
+        raise InputError(f"design {key} must list exactly the graph's nodes")
+    return {nid: table[nid] for nid in dfg.node_ids}
+
+
+def _design_from_json(payload: object, dfg: Dfg, library: ResourceLibrary) -> Design:
+    """Rebuild a design emitted by `synth --format json`; raise InputError
+    unless it is complete and consistent with `dfg` and `library`."""
+    if not isinstance(payload, dict) or any(k not in payload for k in _DESIGN_KEYS):
+        raise InputError(f"design JSON needs the keys {', '.join(_DESIGN_KEYS)}")
+    try:
+        names = _node_table(payload, "assignment", dfg)
+        assignment = {nid: library.by_name(name) for nid, name in names.items()}
+        instances = tuple(
+            Instance(int(it["id"]), library.by_name(it["version"]).name, int(it.get("nmr", 1)))
+            for it in payload["instances"]
+        )
+        ids = _node_table(payload, "binding", dfg)
+        binding = Binding({nid: int(iid) for nid, iid in ids.items()}, instances)
+        bound = {nid: binding.instance(iid) for nid, iid in binding.node_to_instance.items()}
+        starts = {nid: int(s) for nid, s in _node_table(payload, "schedule", dfg).items()}
+        stated_latency, stated_area = int(payload["latency"]), float(payload["area"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad design JSON: {exc}") from exc
+    if len({inst.id for inst in instances}) != len(instances):
+        raise InputError("design instances repeat an id")
+    busy: dict[int, set[int]] = {}
+    for nid, inst in bound.items():
+        version, start = assignment[nid], starts[nid]
+        if inst.version != version.name:
+            raise InputError(f"node {nid!r} is {version.name}, its instance {inst.version}")
+        if start < 1:
+            raise InputError(f"node {nid!r} starts before cycle 1")
+        cycles = set(range(start, start + version.delay))
+        if busy.setdefault(inst.id, set()) & cycles:
+            raise InputError(f"instance {inst.id} is double-booked at node {nid!r}")
+        busy[inst.id] |= cycles
+    for src, dst in dfg.edges:
+        if starts[dst] < starts[src] + assignment[src].delay:
+            raise InputError(f"schedule breaks edge {src} -> {dst}")
+    latency = max(starts[nid] + assignment[nid].delay - 1 for nid in dfg.node_ids)
+    area = total_area(binding, library)
+    if stated_latency != latency or not math.isclose(stated_area, area, rel_tol=1e-9):
+        raise InputError(
+            f"design states latency {stated_latency} and area {stated_area:g}, "
+            f"its schedule and binding give {latency} and {area:g}"
+        )
     return Design(
         assignment=assignment,
-        schedule=schedule,
+        schedule=Schedule(starts, latency),
         binding=binding,
-        latency=int(payload["latency"]),
-        area=float(payload["area"]),
-        reliability=reliability,
+        latency=latency,
+        area=area,
+        reliability=evaluate_reliability(dfg, assignment, binding),
     )
 
 
@@ -311,13 +366,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             payload = json.loads(_read_file(args.design))
         except json.JSONDecodeError as exc:
             raise InputError(f"bad design JSON {args.design}: {exc}") from exc
-        design = _design_from_json(payload, dfg, library)
-        assignment, binding = design.assignment, design.binding
+        reliability = _design_from_json(payload, dfg, library).reliability
     else:
         assignment, binding = _parse_assignment_file(
             _read_file(args.assign), dfg, library
         )
-    reliability = redundancy.evaluate_reliability(dfg, assignment, binding)
+        reliability = evaluate_reliability(dfg, assignment, binding)
     if args.format == "json":
         print(json.dumps({"reliability": reliability}))
     else:

@@ -9,16 +9,26 @@ reliability.  Both come from small line-oriented text formats:
 
     resource <name> <op> <area> <delay> <reliability>
 
+Also holds the synthesis result types shared by every flow (`Bounds`,
+`Design`, `Infeasible`) and the one reliability objective: the product
+of per-node reliabilities, each raised by majority voting when its
+instance is N-modular redundant.
+
 All types are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .binder import Binding
+    from .scheduler import Schedule
 
 
 class ParseError(ValueError):
@@ -163,17 +173,18 @@ class ResourceLibrary:
     versions: tuple[ResourceVersion, ...]
 
     def __post_init__(self) -> None:
-        names: set[str] = set()
+        by_name: dict[str, ResourceVersion] = {}
         for v in self.versions:
-            if v.name in names:
+            if v.name in by_name:
                 raise ValidationError(f"duplicate resource name {v.name!r}")
-            names.add(v.name)
+            by_name[v.name] = v
+        object.__setattr__(self, "_by_name", by_name)
 
     def by_name(self, name: str) -> ResourceVersion:
-        for v in self.versions:
-            if v.name == name:
-                return v
-        raise KeyError(f"unknown resource version {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown resource version {name!r}") from None
 
     def versions_for(self, op_class: OpClass) -> tuple[ResourceVersion, ...]:
         return tuple(v for v in self.versions if v.op_class == op_class)
@@ -200,6 +211,84 @@ def check_assignment(dfg: Dfg, assignment: Assignment) -> None:
                 f"node {node.id!r} ({node.op_class.value}) assigned "
                 f"{version.name!r} ({version.op_class.value})"
             )
+
+
+# -- synthesis results and the reliability objective -------------------
+
+
+@dataclass(frozen=True)
+class Bounds:
+    latency_bound: int
+    area_bound: float
+
+    def __post_init__(self) -> None:
+        if self.latency_bound < 1:
+            raise ValidationError("latency bound must be >= 1")
+        if not self.area_bound > 0:
+            raise ValidationError("area bound must be > 0")
+
+
+@dataclass(frozen=True)
+class Design:
+    """A complete synthesis result."""
+
+    assignment: dict[str, ResourceVersion]
+    schedule: Schedule
+    binding: Binding
+    latency: int
+    area: float
+    reliability: float
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """First-class negative result; reason is 'latency' or 'area'."""
+
+    reason: str
+    detail: str = ""
+
+
+def nmr_reliability(reliability: float, n: int) -> float:
+    """Reliability of N voted copies where a strict majority must agree.
+
+    With k = (n+1)/2, returns sum_{i=k..n} C(n,i) r^i (1-r)^(n-i); for
+    n = 1 that is r itself, returned unchanged.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValidationError("redundancy factor must be odd and >= 1")
+    if not 0 <= reliability <= 1:
+        raise ValidationError("reliability must be in [0, 1]")
+    if n == 1:
+        return reliability
+    k = (n + 1) // 2
+    return sum(
+        math.comb(n, i) * reliability**i * (1 - reliability) ** (n - i)
+        for i in range(k, n + 1)
+    )
+
+
+def evaluate_reliability(
+    dfg: Dfg, assignment: Assignment, binding: Binding | None = None
+) -> float:
+    """Product over nodes of their effective reliability.
+
+    Without a binding every node counts with its bare version
+    reliability.  Accumulated in log space for numerical stability.
+    """
+    check_assignment(dfg, assignment)
+    return _reliability_product(dfg.node_ids, assignment, binding)
+
+
+def _reliability_product(
+    node_ids: Iterable[str], assignment: Assignment, binding: Binding | None
+) -> float:
+    log_total = 0.0
+    for nid in node_ids:
+        r = assignment[nid].reliability
+        if binding is not None:
+            r = nmr_reliability(r, binding.instance(binding.node_to_instance[nid]).nmr_factor)
+        log_total += math.log(r)
+    return math.exp(log_total)
 
 
 # -- parsing ------------------------------------------------------------

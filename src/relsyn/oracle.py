@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .binder import Binding, Instance
-from .model import Assignment, Dfg, ResourceLibrary, ResourceVersion, ValidationError, check_assignment
+from .model import Assignment, Bounds, Design, Dfg, Infeasible, ResourceLibrary, ResourceVersion
+from .model import ValidationError, check_assignment
 from .scheduler import Schedule
-from .synthesizer import Bounds, Design, Infeasible
 
 
 class OracleLimitError(ValueError):

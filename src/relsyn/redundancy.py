@@ -1,71 +1,29 @@
-"""Design reliability evaluation, N-modular-redundancy math, the
-single-version redundancy baseline, and the combined flow.
+"""Redundancy flows on top of version selection: the greedy N-modular
+redundancy (NMR) upgrade, the single-version redundancy baseline, and
+the combined flow.
 
 A design succeeds only if every operation executes correctly, so total
 reliability is the product over nodes of their effective per-node
 reliability; an instance with redundancy factor N raises the effective
-reliability of every node bound to it to the majority-voting value.
+reliability of every node bound to it to the majority-voting value
+(`model.nmr_reliability`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from .binder import Binding, bind, total_area, with_nmr
-from .model import Assignment, Dfg, OpClass, ResourceLibrary, ValidationError, check_assignment
-from .scheduler import InfeasibleBoundError, density_schedule
-
-if TYPE_CHECKING:
-    from .synthesizer import Bounds, Design, Infeasible
+from .binder import with_nmr
+from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, nmr_reliability
+from .model import _reliability_product, evaluate_reliability  # noqa: F401 (re-export)
+from .synthesizer import best_design, find_design, single_version_designs
 
 # Redundancy factors per instance id; all values odd, 1 = no redundancy.
 NmrSpec = Mapping[int, int]
 
 
-def nmr_reliability(reliability: float, n: int) -> float:
-    """Reliability of N voted copies where a strict majority must agree.
-
-    With k = (n+1)/2, returns sum_{i=k..n} C(n,i) r^i (1-r)^(n-i).
-    """
-    if n < 1 or n % 2 == 0:
-        raise ValidationError("redundancy factor must be odd and >= 1")
-    if not 0 <= reliability <= 1:
-        raise ValidationError("reliability must be in [0, 1]")
-    k = (n + 1) // 2
-    return sum(
-        math.comb(n, i) * reliability**i * (1 - reliability) ** (n - i)
-        for i in range(k, n + 1)
-    )
-
-
-def _node_reliability(version_reliability: float, nmr_factor: int) -> float:
-    if nmr_factor == 1:
-        return version_reliability
-    return nmr_reliability(version_reliability, nmr_factor)
-
-
-def evaluate_reliability(
-    dfg: Dfg, assignment: Assignment, binding: Binding | None = None
-) -> float:
-    """Product over nodes of their effective reliability.
-
-    Without a binding every node counts with its bare version
-    reliability.  Accumulated in log space for numerical stability.
-    """
-    check_assignment(dfg, assignment)
-    log_total = 0.0
-    for nid in dfg.node_ids:
-        r = assignment[nid].reliability
-        if binding is not None:
-            inst = binding.instance(binding.node_to_instance[nid])
-            r = _node_reliability(r, inst.nmr_factor)
-        log_total += math.log(r)
-    return math.exp(log_total)
-
-
-def greedy_nmr_upgrade(design: "Design", library: ResourceLibrary, area_bound: float) -> "Design":
+def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: float) -> Design:
     """Spend leftover area on redundancy, instance by instance.
 
     Repeatedly applies the nmr upgrade (N -> N+2) with the best
@@ -73,8 +31,6 @@ def greedy_nmr_upgrade(design: "Design", library: ResourceLibrary, area_bound: f
     `area_bound` (ties: lowest instance id).  Schedule and latency are
     untouched.
     """
-    from .synthesizer import Design
-
     nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in design.binding.instances}
     area = design.area
     nodes_on = {
@@ -88,8 +44,8 @@ def greedy_nmr_upgrade(design: "Design", library: ResourceLibrary, area_bound: f
                 continue
             n = nmr[inst.id]
             gain = sum(
-                math.log(_node_reliability(design.assignment[nid].reliability, n + 2))
-                - math.log(_node_reliability(design.assignment[nid].reliability, n))
+                math.log(nmr_reliability(design.assignment[nid].reliability, n + 2))
+                - math.log(nmr_reliability(design.assignment[nid].reliability, n))
                 for nid in nodes_on[inst.id]
             )
             key = (gain / extra, -inst.id)
@@ -107,21 +63,11 @@ def greedy_nmr_upgrade(design: "Design", library: ResourceLibrary, area_bound: f
         binding=binding,
         latency=design.latency,
         area=area,
-        reliability=_reliability_of(design.assignment, binding),
+        reliability=_reliability_product(binding.node_to_instance, design.assignment, binding),
     )
 
 
-def _reliability_of(assignment: Assignment, binding: Binding) -> float:
-    log_total = 0.0
-    for nid, iid in binding.node_to_instance.items():
-        r = _node_reliability(assignment[nid].reliability, binding.instance(iid).nmr_factor)
-        log_total += math.log(r)
-    return math.exp(log_total)
-
-
-def baseline_nmr_synth(
-    dfg: Dfg, library: ResourceLibrary, bounds: "Bounds"
-) -> "Design | Infeasible":
+def baseline_nmr_synth(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
     """Redundancy-only reference flow: one version per operation class.
 
     Enumerates every single-version-per-class assignment, schedules and
@@ -130,51 +76,21 @@ def baseline_nmr_synth(
     design with the highest reliability (ties: smaller area, then
     smaller latency, then enumeration order).
     """
-    from .synthesizer import Design, Infeasible
-
     library.check_covers(dfg)
-    classes = [cls for cls in OpClass if dfg.class_counts()[cls]]
-    best: Design | None = None
-    any_latency_ok = False
-    for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
-        chosen = dict(zip(classes, combo))
-        assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
-        try:
-            schedule = density_schedule(dfg, assignment, bounds.latency_bound)
-        except InfeasibleBoundError:
-            continue
-        any_latency_ok = True
-        binding = bind(dfg, schedule, assignment)
-        area = total_area(binding, library)
-        if area > bounds.area_bound:
-            continue
-        design = Design(
-            assignment=assignment,
-            schedule=schedule,
-            binding=binding,
-            latency=schedule.latency,
-            area=area,
-            reliability=_reliability_of(assignment, binding),
-        )
-        design = greedy_nmr_upgrade(design, library, bounds.area_bound)
-        if best is None or (
-            design.reliability,
-            -design.area,
-            -design.latency,
-        ) > (best.reliability, -best.area, -best.latency):
-            best = design
+    designs = list(single_version_designs(dfg, library, bounds.latency_bound))
+    best = best_design(
+        greedy_nmr_upgrade(d, library, bounds.area_bound)
+        for d in designs
+        if d.area <= bounds.area_bound
+    )
     if best is None:
-        reason = "area" if any_latency_ok else "latency"
+        reason = "area" if designs else "latency"
         return Infeasible(reason, "no single-version combination meets both bounds")
     return best
 
 
-def combined_synth(
-    dfg: Dfg, library: ResourceLibrary, bounds: "Bounds"
-) -> "Design | Infeasible":
+def combined_synth(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
     """Version selection first, then redundancy on whatever area is left."""
-    from .synthesizer import Infeasible, find_design
-
     result = find_design(dfg, library, bounds)
     if isinstance(result, Infeasible):
         return result

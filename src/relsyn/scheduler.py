@@ -43,9 +43,14 @@ def _delay(assignment: Assignment, node_id: str) -> int:
     return assignment[node_id].delay
 
 
-def _asap_starts(dfg: Dfg, assignment: Assignment) -> dict[str, int]:
-    starts: dict[str, int] = {}
+def _asap_starts(
+    dfg: Dfg, assignment: Assignment, placed: Mapping[str, int] | None = None
+) -> dict[str, int]:
+    """Earliest starts, with the nodes in `placed` pinned at their starts."""
+    starts = dict(placed or {})
     for nid in dfg.topo_order:
+        if nid in starts:
+            continue
         earliest = 1
         for pred in dfg.preds(nid):
             earliest = max(earliest, starts[pred] + _delay(assignment, pred))
@@ -68,9 +73,17 @@ def asap(dfg: Dfg, assignment: Assignment) -> Schedule:
     return _as_schedule(dfg, assignment, _asap_starts(dfg, assignment))
 
 
-def _alap_starts(dfg: Dfg, assignment: Assignment, latency_bound: int) -> dict[str, int]:
-    starts: dict[str, int] = {}
+def _alap_starts(
+    dfg: Dfg,
+    assignment: Assignment,
+    latency_bound: int,
+    placed: Mapping[str, int] | None = None,
+) -> dict[str, int]:
+    """Latest starts, with the nodes in `placed` pinned at their starts."""
+    starts = dict(placed or {})
     for nid in reversed(dfg.topo_order):
+        if nid in starts:
+            continue
         latest = latency_bound - _delay(assignment, nid) + 1
         for succ in dfg.succs(nid):
             latest = min(latest, starts[succ] - _delay(assignment, nid))
@@ -78,14 +91,18 @@ def _alap_starts(dfg: Dfg, assignment: Assignment, latency_bound: int) -> dict[s
     return starts
 
 
-def alap(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
-    """Latest-start schedule under `latency_bound`."""
+def _check_latency_bound(dfg: Dfg, assignment: Assignment, latency_bound: int) -> None:
     check_assignment(dfg, assignment)
     minimum = _latency_of(_asap_starts(dfg, assignment), assignment)
     if latency_bound < minimum:
         raise InfeasibleBoundError(
             f"latency bound {latency_bound} below minimum achievable {minimum}"
         )
+
+
+def alap(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
+    """Latest-start schedule under `latency_bound`."""
+    _check_latency_bound(dfg, assignment, latency_bound)
     return _as_schedule(dfg, assignment, _alap_starts(dfg, assignment, latency_bound))
 
 
@@ -103,24 +120,8 @@ def _constrained_windows(
     placed: Mapping[str, int],
 ) -> dict[str, tuple[int, int]]:
     """Mobility windows with already-placed nodes fixed at their starts."""
-    lo: dict[str, int] = {}
-    for nid in dfg.topo_order:
-        if nid in placed:
-            lo[nid] = placed[nid]
-            continue
-        earliest = 1
-        for pred in dfg.preds(nid):
-            earliest = max(earliest, lo[pred] + _delay(assignment, pred))
-        lo[nid] = earliest
-    hi: dict[str, int] = {}
-    for nid in reversed(dfg.topo_order):
-        if nid in placed:
-            hi[nid] = placed[nid]
-            continue
-        latest = latency_bound - _delay(assignment, nid) + 1
-        for succ in dfg.succs(nid):
-            latest = min(latest, hi[succ] - _delay(assignment, nid))
-        hi[nid] = latest
+    lo = _asap_starts(dfg, assignment, placed)
+    hi = _alap_starts(dfg, assignment, latency_bound, placed)
     return {nid: (lo[nid], hi[nid]) for nid in dfg.node_ids}
 
 
@@ -173,12 +174,7 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     cycle).  Placement fixes the node's contribution to 1 and tightens
     the windows of everything that depends on it.
     """
-    check_assignment(dfg, assignment)
-    minimum = _latency_of(_asap_starts(dfg, assignment), assignment)
-    if latency_bound < minimum:
-        raise InfeasibleBoundError(
-            f"latency bound {latency_bound} below minimum achievable {minimum}"
-        )
+    _check_latency_bound(dfg, assignment, latency_bound)
     placed: dict[str, int] = {}
     remaining = list(dfg.node_ids)
     while remaining:

@@ -17,45 +17,12 @@ most reliable one that fits both bounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .binder import Binding, bind, total_area
-from .model import Assignment, Dfg, OpClass, ResourceLibrary, ResourceVersion, ValidationError
-from .redundancy import evaluate_reliability
+from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary, ResourceVersion
+from .model import evaluate_reliability
 from .scheduler import InfeasibleBoundError, Schedule, asap, critical_path, density_schedule
-
-
-@dataclass(frozen=True)
-class Bounds:
-    latency_bound: int
-    area_bound: float
-
-    def __post_init__(self) -> None:
-        if self.latency_bound < 1:
-            raise ValidationError("latency bound must be >= 1")
-        if not self.area_bound > 0:
-            raise ValidationError("area bound must be > 0")
-
-
-@dataclass(frozen=True)
-class Design:
-    """A complete synthesis result."""
-
-    assignment: dict[str, ResourceVersion]
-    schedule: Schedule
-    binding: Binding
-    latency: int
-    area: float
-    reliability: float
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """First-class negative result; reason is 'latency' or 'area'."""
-
-    reason: str
-    detail: str = ""
 
 
 def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
@@ -71,10 +38,6 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
         for cls in {n.op_class for n in dfg.nodes}
     }
     return {n.id: best[n.op_class] for n in dfg.nodes}
-
-
-def _decl_sorted(dfg: Dfg, node_ids: Sequence[str]) -> list[str]:
-    return sorted(node_ids, key=dfg.declaration_index)
 
 
 def _build_design(
@@ -94,34 +57,27 @@ def _build_design(
     )
 
 
-def _single_version_fallback(
-    dfg: Dfg, library: ResourceLibrary, bounds: Bounds
-) -> Design | None:
-    """Most reliable single-version-per-class design meeting both bounds.
-
-    Ties break toward smaller area, then smaller latency, then
-    enumeration order (class versions in library order).
-    """
+def single_version_designs(
+    dfg: Dfg, library: ResourceLibrary, latency_bound: int
+) -> Iterator[Design]:
+    """Every single-version-per-class design that meets `latency_bound`,
+    density-scheduled and bound, with class versions in library order."""
     classes = [cls for cls in OpClass if dfg.class_counts()[cls]]
-    best: Design | None = None
     for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
         chosen = dict(zip(classes, combo))
         assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
         try:
-            schedule = density_schedule(dfg, assignment, bounds.latency_bound)
+            schedule = density_schedule(dfg, assignment, latency_bound)
         except InfeasibleBoundError:
             continue
         binding = bind(dfg, schedule, assignment)
-        if total_area(binding, library) > bounds.area_bound:
-            continue
-        design = _build_design(dfg, library, assignment, schedule, binding)
-        if best is None or (design.reliability, -design.area, -design.latency) > (
-            best.reliability,
-            -best.area,
-            -best.latency,
-        ):
-            best = design
-    return best
+        yield _build_design(dfg, library, assignment, schedule, binding)
+
+
+def best_design(designs: Iterable[Design]) -> Design | None:
+    """Most reliable design; ties break toward smaller area, then smaller
+    latency, then the earliest one."""
+    return max(designs, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
 
 
 def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
@@ -139,29 +95,21 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
     # Latency repair: speed up the slowest critical-path node until the
     # bound is met or no critical-path node can go any faster.
     while latency > l_d:
-        path = critical_path(dfg, assignment)
         candidates = []
-        for nid in path:
+        for nid in critical_path(dfg, assignment):
             current = assignment[nid]
             faster = [
                 v for v in library.versions_for(current.op_class) if v.delay < current.delay
             ]
             if faster:
-                candidates.append(nid)
+                candidates.append((-current.delay, dfg.declaration_index(nid), nid, faster))
         if not candidates:
             return Infeasible(
                 "latency",
                 f"minimum latency {latency} exceeds bound {l_d} and no "
                 "critical-path node has a faster version",
             )
-        victim = sorted(
-            candidates,
-            key=lambda nid: (-assignment[nid].delay, dfg.declaration_index(nid)),
-        )[0]
-        current = assignment[victim]
-        faster = [
-            v for v in library.versions_for(current.op_class) if v.delay < current.delay
-        ]
+        *_, victim, faster = min(candidates)
         assignment[victim] = prefer_versions(faster)[0]
         latency = asap(dfg, assignment).latency
 
@@ -182,7 +130,7 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
     # node sharing its instance, to a smaller version that is no slower.
     while area > a_d:
         candidates = []
-        for nid in dfg.node_ids:
+        for index, nid in enumerate(dfg.node_ids):
             current = assignment[nid]
             smaller = [
                 v
@@ -190,9 +138,11 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
                 if v.area < current.area and v.delay <= current.delay
             ]
             if smaller:
-                candidates.append(nid)
+                candidates.append((-current.area, index, nid, smaller))
         if not candidates:
-            fallback = _single_version_fallback(dfg, library, bounds)
+            fallback = best_design(
+                d for d in single_version_designs(dfg, library, l_d) if d.area <= a_d
+            )
             if fallback is not None:
                 return fallback
             return Infeasible(
@@ -200,19 +150,9 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
                 f"area {area:g} exceeds bound {a_d:g}; no node has a smaller "
                 "version that is no slower and no single-version design fits",
             )
-        victim = sorted(
-            candidates,
-            key=lambda nid: (-assignment[nid].area, dfg.declaration_index(nid)),
-        )[0]
-        current = assignment[victim]
-        smaller = [
-            v
-            for v in library.versions_for(current.op_class)
-            if v.area < current.area and v.delay <= current.delay
-        ]
+        *_, victim, smaller = min(candidates)
         replacement = prefer_versions(smaller)[0]
-        group = binding.nodes_on(binding.node_to_instance[victim])
-        for nid in _decl_sorted(dfg, group):
+        for nid in binding.nodes_on(binding.node_to_instance[victim]):
             assignment[nid] = replacement
         schedule = density_schedule(dfg, assignment, latency)
         binding = bind(dfg, schedule, assignment)

@@ -44,7 +44,7 @@ def test_synth_feasible_text(workspace, capsys):
 
 
 def test_synth_infeasible_latency_exit_one(workspace, capsys):
-    code, out, _ = _run(
+    code, out, err = _run(
         capsys,
         [
             "synth",
@@ -56,6 +56,10 @@ def test_synth_infeasible_latency_exit_one(workspace, capsys):
     )
     assert code == 1
     assert "infeasible: latency" in out
+    assert err.splitlines() == [
+        "infeasible: latency: minimum latency 4 exceeds bound 1 and no "
+        "critical-path node has a faster version"
+    ]
 
 
 def test_synth_missing_lib_exit_two(workspace, capsys):
@@ -195,6 +199,34 @@ def test_sweep_empty_range_is_input_error(workspace, capsys):
     )
     assert code == 2
     assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "latency, area, step, message",
+    [
+        ("11:11", "6:40", "1e-9", "sweep grid has more than 100000"),
+        ("1:" + "9" * 400, "6:6", "1", "sweep grid has more than 100000"),
+        ("11:11", "1e17:1e17", "1", "below the precision"),  # the step would not advance
+        ("11:11", "6:inf", "1", "must be finite"),
+    ],
+)
+def test_sweep_refuses_unbounded_grid(workspace, capsys, latency, area, step, message):
+    code, out, err = _run(
+        capsys,
+        [
+            "sweep",
+            "--dfg", str(workspace / "fir16.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--latency", latency,
+            "--area", area,
+            "--step-a", step,
+            "--methods", "ours",
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
 
 
 def test_sweep_unwritable_out_path(workspace, capsys):
@@ -402,3 +434,85 @@ def test_design_json_round_trip(workspace, capsys, tmp_path):
     original = json.loads(out)["reliability"]
     reevaluated = json.loads(out2)["reliability"]
     assert reevaluated == pytest.approx(original, rel=1e-10)
+
+
+def _double_book(design):
+    """Start a node with the first node that shares its instance."""
+    first = {}
+    for nid, iid in design["binding"].items():
+        if iid in first:
+            design["schedule"][nid] = design["schedule"][first[iid]]
+            return
+        first[iid] = nid
+    raise AssertionError("no shared instance")
+
+
+def _break_edge(design):
+    """Start m1 with its predecessor a1 (fir16 edge a1 -> m1) on a fresh instance."""
+    iid = max(inst["id"] for inst in design["instances"]) + 1
+    design["instances"].append({"id": iid, "version": design["assignment"]["m1"], "nmr": 1})
+    design["binding"]["m1"] = iid
+    design["schedule"]["m1"] = design["schedule"]["a1"]
+
+
+def _wrong_instance_version(design):
+    nid = next(iter(design["binding"]))
+    other = "Adder1" if design["assignment"][nid] != "Adder1" else "Adder2"
+    for inst in design["instances"]:
+        if inst["id"] == design["binding"][nid]:
+            inst["version"] = other
+
+
+def _shift_before_cycle_one(design):
+    first = min(design["schedule"].values())
+    for nid in design["schedule"]:
+        design["schedule"][nid] -= first
+
+
+BAD_DESIGNS = {
+    "empty": (lambda d: d.clear(), "needs the keys"),
+    "missing-key": (lambda d: d.pop("instances"), "needs the keys"),
+    "unknown-instance": (lambda d: d["binding"].update(m1=99), "unknown instance id 99"),
+    "unknown-version": (lambda d: d["assignment"].update(m1="NoSuch"), "unknown resource version"),
+    "unknown-node": (lambda d: d["schedule"].update(zz=1), "exactly the graph's nodes"),
+    "other-version-instance": (_wrong_instance_version, "its instance"),
+    "double-booked": (_double_book, "double-booked"),
+    "broken-edge": (_break_edge, "breaks edge a1 -> m1"),
+    "before-cycle-one": (_shift_before_cycle_one, "before cycle 1"),
+    "false-latency": (lambda d: d.update(latency=d["latency"] + 1), "states latency"),
+    "false-area": (lambda d: d.update(area=d["area"] + 1), "states latency"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DESIGNS))
+def test_eval_rejects_inconsistent_design(workspace, capsys, tmp_path, case):
+    mutate, message = BAD_DESIGNS[case]
+    code, out, _ = _run(
+        capsys,
+        [
+            "synth",
+            "--dfg", str(workspace / "fir16.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--latency", "11",
+            "--area", "12",
+            "--format", "json",
+        ],
+    )
+    assert code == 0
+    design = json.loads(out)
+    mutate(design)
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps(design))
+    code, out, err = _run(
+        capsys,
+        [
+            "eval",
+            "--dfg", str(workspace / "fir16.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--design", str(design_path),
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err

@@ -1,0 +1,93 @@
+"""The package's runtime import graph is a DAG and no function imports.
+
+Every `src/relsyn/*.py` module is parsed with `ast`; imports under
+`if TYPE_CHECKING:` are type-only and left out of the graph.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relsyn"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _is_type_checking(node: ast.If) -> bool:
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _runtime_imports(tree: ast.AST):
+    """Import statements outside `if TYPE_CHECKING:` blocks."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and _is_type_checking(node):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _targets(node) -> set[str]:
+    """Sibling modules of the package named by one import statement."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("relsyn.")}
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "relsyn":
+            return set()  # standard library
+        module = module.partition(".")[2]
+    if module:
+        return {module.split(".")[0]}
+    # `from . import a, b` names the modules themselves.
+    return {a.name for a in node.names if a.name in MODULES}
+
+
+def _parse(name: str) -> ast.AST:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _graph() -> dict[str, set[str]]:
+    graph = {}
+    for name in MODULES:
+        deps = set()
+        for node in _runtime_imports(_parse(name)):
+            deps |= _targets(node)
+        graph[name] = deps - {name}
+    return graph
+
+
+def test_known_modules_found():
+    assert {"model", "scheduler", "binder", "synthesizer", "redundancy", "cli"} <= set(MODULES)
+
+
+def test_runtime_import_graph_is_acyclic():
+    graph = _graph()
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        if name in path:
+            cycle = path[path.index(name):] + (name,)
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        for dep in sorted(graph.get(name, ())):
+            visit(dep, path + (name,))
+        done.add(name)
+
+    for name in MODULES:
+        visit(name, ())
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_body_imports(name):
+    for func in ast.walk(_parse(name)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nested = [n for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            where = getattr(func, "name", "<lambda>")
+            assert not nested, f"{name}.{where} imports at line {nested[0].lineno}"
