@@ -39,7 +39,11 @@ class Binding:
         by_id: dict[int, Instance] = {}
         for inst in self.instances:
             by_id.setdefault(inst.id, inst)
+        nodes_on: dict[int, list[str]] = {}
+        for nid, iid in self.node_to_instance.items():
+            nodes_on.setdefault(iid, []).append(nid)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_nodes_on", nodes_on)
 
     def instance(self, instance_id: int) -> Instance:
         try:
@@ -48,9 +52,7 @@ class Binding:
             raise KeyError(f"unknown instance id {instance_id}") from None
 
     def nodes_on(self, instance_id: int) -> tuple[str, ...]:
-        return tuple(
-            nid for nid, iid in self.node_to_instance.items() if iid == instance_id
-        )
+        return tuple(self._nodes_on.get(instance_id, ()))
 
 
 def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:

@@ -107,7 +107,8 @@ def _print_design_text(design: Design, out: IO[str]) -> None:
 def _emit_result(result: Design | Infeasible, fmt: str, out: IO[str]) -> int:
     if isinstance(result, Infeasible):
         if fmt == "json":
-            print(json.dumps({"status": "infeasible", "reason": result.reason}), file=out)
+            record = {"status": "infeasible", "reason": result.reason, "detail": result.detail}
+            print(json.dumps(record), file=out)
         else:
             print(f"infeasible: {result.reason}", file=out)
         if result.detail:

@@ -88,6 +88,7 @@ class Dfg:
             succs[src].append(dst)
             preds[dst].append(src)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", tuple(index))
         object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
         object.__setattr__(self, "_succs", {k: tuple(v) for k, v in succs.items()})
         object.__setattr__(self, "_topo", self._toposort())
@@ -128,7 +129,7 @@ class Dfg:
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
+        return self._ids
 
     @property
     def topo_order(self) -> tuple[str, ...]:

@@ -1,6 +1,13 @@
 """ASAP/ALAP scheduling, mobility windows, the partition-density
 scheduler, and critical-path extraction.
 
+The density scheduler is force-directed scheduling (Paulin & Knight,
+1989) in the incremental form of Verhaegh et al.: windows are computed
+once and tightened only where a placement moves them, and each round
+folds the occupancy density of one class over one window instead of
+rebuilding every window and density.  Its schedules equal those of the
+round-by-round form bit for bit, tie-breaks included.
+
 Cycles are 1-based.  A node with start s and delay d occupies the
 execution interval [s, s+d-1]; functional units are non-pipelined, so a
 dependent may start no earlier than s+d.  All tie-breaks resolve by
@@ -10,6 +17,7 @@ routine here deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -91,13 +99,18 @@ def _alap_starts(
     return starts
 
 
-def _check_latency_bound(dfg: Dfg, assignment: Assignment, latency_bound: int) -> None:
+def _check_latency_bound(
+    dfg: Dfg, assignment: Assignment, latency_bound: int
+) -> dict[str, int]:
+    """Validate the assignment and the bound; return the earliest starts."""
     check_assignment(dfg, assignment)
-    minimum = _latency_of(_asap_starts(dfg, assignment), assignment)
+    starts = _asap_starts(dfg, assignment)
+    minimum = _latency_of(starts, assignment)
     if latency_bound < minimum:
         raise InfeasibleBoundError(
             f"latency bound {latency_bound} below minimum achievable {minimum}"
         )
+    return starts
 
 
 def alap(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
@@ -125,6 +138,24 @@ def _constrained_windows(
     return {nid: (lo[nid], hi[nid]) for nid in dfg.node_ids}
 
 
+def _fold(row: list[float], first: int, lo: int, hi: int, d: int) -> None:
+    """Add one node's occupancy to `row`, whose index 0 is cycle `first`.
+
+    Each of the w = hi-lo+1 candidate starts adds 1/w to every cycle of
+    its execution interval, one `+=` per covering start, so each cell
+    sees the same float sequence as a start-by-start accumulation.  A
+    placed node has lo == hi and so adds exactly 1.0.
+    """
+    share = 1.0 / (hi - lo + 1)
+    lo, hi = lo - first, hi - first
+    for i in range(lo if lo > 0 else 0, min(hi + d, len(row))):
+        # Starts max(lo, i-d+1)..min(hi, i) cover cell i.  Conditional
+        # expressions, not min/max calls: this loop dominates scheduling.
+        row[i] += share
+        for _ in range((hi if hi < i else i) - (lo if lo > i - d + 1 else i - d + 1)):
+            row[i] += share
+
+
 def occupancy_density(
     dfg: Dfg,
     assignment: Assignment,
@@ -139,27 +170,22 @@ def occupancy_density(
     returned lists are indexed by cycle-1 and sum (per class) to the
     total delay of that class's nodes.
     """
-    placed = placed or {}
-    windows = _constrained_windows(dfg, assignment, latency_bound, placed)
-    for nid, (lo, hi) in windows.items():
-        if hi < lo:
-            raise InfeasibleBoundError(
-                f"latency bound {latency_bound} leaves no feasible start for {nid!r}"
-            )
+    windows = _constrained_windows(dfg, assignment, latency_bound, placed or {})
+    empty = [nid for nid, (lo, hi) in windows.items() if hi < lo]
+    # Only a placed node can start before cycle 1 or end past the bound.
+    outside = [
+        nid
+        for nid, (lo, hi) in windows.items()
+        if lo < 1 or hi + _delay(assignment, nid) - 1 > latency_bound
+    ]
+    if empty or outside:
+        raise InfeasibleBoundError(
+            f"latency bound {latency_bound} leaves no feasible start for {(empty or outside)[0]!r}"
+        )
     density = {cls: [0.0] * latency_bound for cls in OpClass}
     for node in dfg.nodes:
-        d = _delay(assignment, node.id)
-        row = density[node.op_class]
-        if node.id in placed:
-            s = placed[node.id]
-            for c in range(s, s + d):
-                row[c - 1] += 1.0
-        else:
-            lo, hi = windows[node.id]
-            share = 1.0 / (hi - lo + 1)
-            for s in range(lo, hi + 1):
-                for c in range(s, s + d):
-                    row[c - 1] += share
+        lo, hi = windows[node.id]
+        _fold(density[node.op_class], 1, lo, hi, _delay(assignment, node.id))
     return density
 
 
@@ -167,31 +193,73 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     """Schedule by repeatedly placing the most constrained node into the
     least occupied slot of its class.
 
-    Each round recomputes mobility windows (placed nodes pinned) and the
-    per-class occupancy densities, picks the unplaced node with the
-    smallest window (ties: declaration order), and starts it where its
-    execution interval sees the smallest summed density (ties: earliest
-    cycle).  Placement fixes the node's contribution to 1 and tightens
-    the windows of everything that depends on it.
+    Force-directed scheduling in its incremental form.  Mobility windows
+    are computed once; placing a node pins its window and then raises
+    the earliest start of its unplaced descendants and lowers the latest
+    start of its unplaced ancestors, only as far as those values move.
+    Each round takes the unplaced node with the smallest window (ties:
+    declaration order) from a heap and starts it where its execution
+    interval sees the smallest summed density of its class (ties:
+    earliest cycle).  That density is folded only for the node's class
+    over the cycles its window can reach, node by node in declaration
+    order, so every value equals `occupancy_density` of the same round.
     """
-    _check_latency_bound(dfg, assignment, latency_bound)
-    placed: dict[str, int] = {}
-    remaining = list(dfg.node_ids)
-    while remaining:
-        windows = _constrained_windows(dfg, assignment, latency_bound, placed)
-        remaining.sort(key=lambda nid: (windows[nid][1] - windows[nid][0], dfg.declaration_index(nid)))
-        nid = remaining.pop(0)
-        density = occupancy_density(dfg, assignment, latency_bound, placed)
-        row = density[dfg.op_class_of(nid)]
-        d = _delay(assignment, nid)
-        lo, hi = windows[nid]
-        best_start, best_score = lo, None
-        for s in range(lo, hi + 1):
-            score = sum(row[c - 1] for c in range(s, s + d))
+    lo_of = _check_latency_bound(dfg, assignment, latency_bound)
+    hi_of = _alap_starts(dfg, assignment, latency_bound)
+    ids = dfg.node_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    delay = [_delay(assignment, nid) for nid in ids]
+    preds = [[index[p] for p in dfg.preds(nid)] for nid in ids]
+    succs = [[index[s] for s in dfg.succs(nid)] for nid in ids]
+    of_class = {cls: [i for i, n in enumerate(dfg.nodes) if n.op_class is cls] for cls in OpClass}
+    lo = [lo_of[nid] for nid in ids]
+    hi = [hi_of[nid] for nid in ids]
+    placed = [False] * len(ids)
+    heap = [(hi[i] - lo[i], i) for i in range(len(ids))]
+    heapq.heapify(heap)
+    starts: dict[str, int] = {}
+    while heap:
+        width, v = heapq.heappop(heap)
+        if placed[v] or width != hi[v] - lo[v]:
+            continue  # stale entry: placed already, or its window shrank
+        d = delay[v]
+        first, last = lo[v], hi[v] + d - 1
+        row = [0.0] * (last - first + 1)
+        for u in of_class[dfg.nodes[v].op_class]:
+            if lo[u] <= last and hi[u] + delay[u] > first:
+                _fold(row, first, lo[u], hi[u], delay[u])
+        best_start, best_score = lo[v], None
+        for s in range(lo[v], hi[v] + 1):
+            score = sum(row[s - first : s - first + d])
             if best_score is None or score < best_score:
                 best_start, best_score = s, score
-        placed[nid] = best_start
-    return _as_schedule(dfg, assignment, placed)
+        placed[v] = True
+        starts[ids[v]] = lo[v] = hi[v] = best_start
+        moved = []
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            for u in succs[w]:
+                if not placed[u] and lo[u] < lo[w] + delay[w]:
+                    lo[u] = lo[w] + delay[w]
+                    moved.append(u)
+                    stack.append(u)
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            for u in preds[w]:
+                if not placed[u] and hi[u] > hi[w] - delay[u]:
+                    hi[u] = hi[w] - delay[u]
+                    moved.append(u)
+                    stack.append(u)
+        empty = [u for u in moved if hi[u] < lo[u]]
+        if empty:
+            raise InfeasibleBoundError(
+                f"latency bound {latency_bound} leaves no feasible start for {ids[min(empty)]!r}"
+            )
+        for u in moved:
+            heapq.heappush(heap, (hi[u] - lo[u], u))
+    return _as_schedule(dfg, assignment, starts)
 
 
 def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:

@@ -62,7 +62,8 @@ def single_version_designs(
 ) -> Iterator[Design]:
     """Every single-version-per-class design that meets `latency_bound`,
     density-scheduled and bound, with class versions in library order."""
-    classes = [cls for cls in OpClass if dfg.class_counts()[cls]]
+    counts = dfg.class_counts()
+    classes = [cls for cls in OpClass if counts[cls]]
     for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
         chosen = dict(zip(classes, combo))
         assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}

@@ -62,6 +62,27 @@ def test_synth_infeasible_latency_exit_one(workspace, capsys):
     ]
 
 
+def test_synth_infeasible_json_carries_detail(workspace, capsys):
+    code, out, _ = _run(
+        capsys,
+        [
+            "synth",
+            "--dfg", str(workspace / "diffeq.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--latency", "1",
+            "--area", "1",
+            "--format", "json",
+        ],
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "status": "infeasible",
+        "reason": "latency",
+        "detail": "minimum latency 4 exceeds bound 1 and no "
+        "critical-path node has a faster version",
+    }
+
+
 def test_synth_missing_lib_exit_two(workspace, capsys):
     code = cli.main(
         ["synth", "--dfg", str(workspace / "fir16.dfg"), "--latency", "11", "--area", "8"]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -231,3 +232,62 @@ def test_density_start_within_original_windows():
         for nid in dfg.node_ids:
             lo, hi = windows.windows[nid]
             assert lo <= sched.starts[nid] <= hi
+
+
+def _golden_cases():
+    """Every single-version assignment of the bundled graphs at L from the
+    minimum to the minimum + 6, then a seeded corpus of 40-160 node DAGs
+    (node i gets 0-2 predecessors among the previous 20) with mixed
+    versions at the minimum (tight) and the minimum + n/8 (loose) bound."""
+    for name in ("fir16", "ew", "diffeq"):
+        dfg = builtin_benchmark(name)
+        for add, mul in itertools.product(
+            LIB.versions_for(OpClass.ADD), LIB.versions_for(OpClass.MUL)
+        ):
+            asg = uniform(dfg, add, mul)
+            minimum = asap(dfg, asg).latency
+            for bound in range(minimum, minimum + 7):
+                yield dfg, asg, bound
+    rng = random.Random(41)
+    for n in (40, 57, 74, 91, 108, 125, 142, 160):
+        nodes = tuple(
+            DfgNode(f"v{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
+        )
+        edges = set()
+        for j in range(1, n):
+            for _ in range(rng.randint(0, 2)):
+                edges.add((f"v{rng.randrange(max(0, j - 20), j)}", f"v{j}"))
+        dfg = Dfg(nodes, tuple(sorted(edges)))
+        asg = _random_assignment(dfg, rng)
+        minimum = asap(dfg, asg).latency
+        yield dfg, asg, minimum
+        yield dfg, asg, minimum + n // 8
+
+
+# sha256 of every golden case's (starts, latency), captured from the
+# round-by-round scheduler that recomputed all windows and densities.
+GOLDEN_SCHEDULES_SHA256 = "c56f13b1ecb0e4bf29d4dab40f8ad7991f74360064863cde278e9e4e24328cec"
+
+
+def test_density_schedule_golden_digest():
+    lines = []
+    for dfg, asg, bound in _golden_cases():
+        sched = density_schedule(dfg, asg, bound)
+        lines.append(repr((tuple(sched.starts.items()), sched.latency)))
+    assert len(lines) == 3 * 6 * 7 + 16
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_SCHEDULES_SHA256
+
+
+def test_infeasible_bound_messages():
+    dfg, asg = chain(3, ADDER1)
+    with pytest.raises(InfeasibleBoundError) as exc:
+        density_schedule(dfg, asg, 5)
+    assert str(exc.value) == "latency bound 5 below minimum achievable 6"
+    dfg, asg = chain(3, ADDER2)
+    with pytest.raises(InfeasibleBoundError) as exc:
+        occupancy_density(dfg, asg, 3, {"c1": 1})
+    assert str(exc.value) == "latency bound 3 leaves no feasible start for 'c0'"
+    with pytest.raises(InfeasibleBoundError) as exc:
+        occupancy_density(dfg, asg, 3, {"c2": 4})
+    assert str(exc.value) == "latency bound 3 leaves no feasible start for 'c2'"
