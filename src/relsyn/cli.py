@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from typing import IO, Sequence
 
 from . import charlib, model, oracle, redundancy, synthesizer
@@ -55,14 +56,18 @@ def _load_library(path: str) -> ResourceLibrary:
 
 
 def _run_method(
-    method: str, dfg: Dfg, library: ResourceLibrary, bounds: Bounds
+    method: str,
+    dfg: Dfg,
+    library: ResourceLibrary,
+    bounds: Bounds,
+    memo: synthesizer.Memo | None = None,
 ) -> Design | Infeasible:
     if method == "ours":
-        return synthesizer.find_design(dfg, library, bounds)
+        return synthesizer.find_design(dfg, library, bounds, memo=memo)
     if method == "nmr":
-        return redundancy.baseline_nmr_synth(dfg, library, bounds)
+        return redundancy.baseline_nmr_synth(dfg, library, bounds, memo=memo)
     if method == "combined":
-        return redundancy.combined_synth(dfg, library, bounds)
+        return redundancy.combined_synth(dfg, library, bounds, memo=memo)
     if method == "oracle":
         return oracle.oracle_best(dfg, library, bounds)
     raise InputError(f"unknown method {method!r}")
@@ -148,13 +153,18 @@ def _parse_range(spec: str, what: str, integral: bool = False) -> tuple[float, f
     return lo, hi
 
 
+def _grid_count(lo: float, hi: float, step: float) -> float:
+    """How many of lo, lo + step, ... lie within hi (+1e-9), as a float:
+    huge or NaN for a bad range, which the sweep refuses before `_grid`."""
+    return (hi - lo + 1e-9) // step + 1
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    values = []
-    v = lo
-    while v <= hi + 1e-9:
-        values.append(v)
-        v += step
-    return values
+    """lo, lo + step, ... up to hi, each the float nearest to its exact
+    decimal value: adding `step` repeatedly drifts (10 + 0.1 + 0.1 + 0.1
+    is 10.299999999999999, which a design of area 10.3 exceeds)."""
+    lo_q, step_q = Fraction(repr(lo)), Fraction(repr(step))
+    return [float(lo_q + k * step_q) for k in range(int(_grid_count(lo, hi, step)))]
 
 
 def _fmt_num(x: float) -> str:
@@ -176,16 +186,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError("steps must be positive")
     # Sized before any grid is built; `not <=` also refuses a NaN count.
     l_count = (l_hi - l_lo) // args.step_l + 1
-    a_count = (a_hi - a_lo + 1e-9) // args.step_a + 1
+    a_count = _grid_count(a_lo, a_hi, args.step_a)
     if l_count > MAX_SWEEP_POINTS or not l_count * a_count <= MAX_SWEEP_POINTS:
         raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
+    # Schedules and latency repair depend on the latency bound but not on
+    # the area bound, so every point of this graph and library shares them.
+    memo: synthesizer.Memo = {}
     lines = ["L_d,A_d,method,status,latency,area,reliability"]
-    for l_d in _grid(l_lo, l_hi, args.step_l):
+    for l_d in range(int(l_lo), int(l_hi) + 1, args.step_l):
         for a_d in _grid(a_lo, a_hi, args.step_a):
             for method in methods:
-                result = _run_method(method, dfg, library, Bounds(int(l_d), a_d))
+                result = _run_method(method, dfg, library, Bounds(l_d, a_d), memo)
                 if isinstance(result, Infeasible):
                     row = [
                         _fmt_num(l_d), _fmt_num(a_d), method,

@@ -17,7 +17,7 @@ from typing import Mapping
 from .binder import with_nmr
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, nmr_reliability
 from .model import _reliability_product, evaluate_reliability  # noqa: F401 (re-export)
-from .synthesizer import best_design, find_design, single_version_designs
+from .synthesizer import Memo, best_design, find_design, single_version_designs
 
 # Redundancy factors per instance id; all values odd, 1 = no redundancy.
 NmrSpec = Mapping[int, int]
@@ -32,30 +32,30 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     untouched.
     """
     nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in design.binding.instances}
+    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in design.binding.instances}
+
+    def gain_per_area(iid: int) -> float:
+        n = nmr[iid]
+        gain = sum(
+            math.log(nmr_reliability(design.assignment[nid].reliability, n + 2))
+            - math.log(nmr_reliability(design.assignment[nid].reliability, n))
+            for nid in design.binding.nodes_on(iid)
+        )
+        return gain / extra[iid]
+
+    # Only an upgraded instance's gain changes.  The area only grows, so an
+    # instance that no longer fits never fits again.
+    ratio = {iid: gain_per_area(iid) for iid in nmr}
     area = design.area
-    nodes_on = {
-        inst.id: design.binding.nodes_on(inst.id) for inst in design.binding.instances
-    }
     while True:
-        best = None  # (metric, -instance_id) maximized
-        for inst in design.binding.instances:
-            extra = 2 * library.by_name(inst.version).area
-            if area + extra > area_bound:
-                continue
-            n = nmr[inst.id]
-            gain = sum(
-                math.log(nmr_reliability(design.assignment[nid].reliability, n + 2))
-                - math.log(nmr_reliability(design.assignment[nid].reliability, n))
-                for nid in nodes_on[inst.id]
-            )
-            key = (gain / extra, -inst.id)
-            if best is None or key > best[0]:
-                best = (key, inst.id, extra)
-        if best is None:
+        for iid in [iid for iid in ratio if area + extra[iid] > area_bound]:
+            del ratio[iid]
+        if not ratio:
             break
-        _, iid, extra = best
+        iid = max(ratio, key=lambda i: (ratio[i], -i))
         nmr[iid] += 2
-        area += extra
+        area += extra[iid]
+        ratio[iid] = gain_per_area(iid)
     binding = with_nmr(design.binding, nmr)
     return Design(
         assignment=dict(design.assignment),
@@ -67,17 +67,20 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     )
 
 
-def baseline_nmr_synth(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
+def baseline_nmr_synth(
+    dfg: Dfg, library: ResourceLibrary, bounds: Bounds, *, memo: Memo | None = None
+) -> Design | Infeasible:
     """Redundancy-only reference flow: one version per operation class.
 
     Enumerates every single-version-per-class assignment, schedules and
     binds each against the latency bound, discards bound violators, and
     spends any leftover area on redundancy.  Returns the surviving
     design with the highest reliability (ties: smaller area, then
-    smaller latency, then enumeration order).
+    smaller latency, then enumeration order).  `memo` is as for
+    `find_design`.
     """
     library.check_covers(dfg)
-    designs = list(single_version_designs(dfg, library, bounds.latency_bound))
+    designs = list(single_version_designs(dfg, library, bounds.latency_bound, memo=memo))
     best = best_design(
         greedy_nmr_upgrade(d, library, bounds.area_bound)
         for d in designs
@@ -89,9 +92,12 @@ def baseline_nmr_synth(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> De
     return best
 
 
-def combined_synth(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
-    """Version selection first, then redundancy on whatever area is left."""
-    result = find_design(dfg, library, bounds)
+def combined_synth(
+    dfg: Dfg, library: ResourceLibrary, bounds: Bounds, *, memo: Memo | None = None
+) -> Design | Infeasible:
+    """Version selection first, then redundancy on whatever area is left.
+    `memo` is as for `find_design`."""
+    result = find_design(dfg, library, bounds, memo=memo)
     if isinstance(result, Infeasible):
         return result
     return greedy_nmr_upgrade(result, library, bounds.area_bound)

@@ -12,12 +12,19 @@ shared *larger* version (e.g. serializing every multiplication onto one
 fast multiplier).  When area repair dead-ends, a final fallback
 enumerates the single-version-per-class assignments and returns the
 most reliable one that fits both bounds.
+
+A caller that solves many bound pairs on one graph and library (a
+sweep) may pass the same `memo` dict to every call.  Schedules, their
+bindings and the latency-repaired assignment depend only on the
+assignment and the latency bound, never on the area bound, so the memo
+keeps them per (assignment, latency bound) and per latency bound.
+Without a memo every call computes from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, MutableMapping
 
 from .binder import Binding, bind, total_area
 from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary, ResourceVersion
@@ -57,8 +64,37 @@ def _build_design(
     )
 
 
+# Shared by the flows of one graph and library: (assignment as version
+# names in node order, latency bound) -> (Schedule, Binding) or the
+# InfeasibleBoundError, and latency bound -> latency-repair outcome.
+Memo = MutableMapping[object, object]
+
+
+def _schedule_and_bind(
+    dfg: Dfg, assignment: dict[str, ResourceVersion], latency_bound: int, memo: Memo | None
+) -> tuple[Schedule, Binding]:
+    """density_schedule then bind; raises InfeasibleBoundError as the
+    scheduler does.  With a memo each (assignment, bound) is computed once."""
+    if memo is None:
+        schedule = density_schedule(dfg, assignment, latency_bound)
+        return schedule, bind(dfg, schedule, assignment)
+    key = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
+    outcome = memo.get(key)
+    if outcome is None:
+        try:
+            schedule = density_schedule(dfg, assignment, latency_bound)
+            outcome = (schedule, bind(dfg, schedule, assignment))
+        except InfeasibleBoundError as exc:
+            outcome = exc.with_traceback(None)  # a traceback would pin its frames
+        memo[key] = outcome
+    if isinstance(outcome, InfeasibleBoundError):
+        # Raise a copy: raising the stored error again would lengthen its traceback.
+        raise InfeasibleBoundError(*outcome.args)
+    return outcome
+
+
 def single_version_designs(
-    dfg: Dfg, library: ResourceLibrary, latency_bound: int
+    dfg: Dfg, library: ResourceLibrary, latency_bound: int, *, memo: Memo | None = None
 ) -> Iterator[Design]:
     """Every single-version-per-class design that meets `latency_bound`,
     density-scheduled and bound, with class versions in library order."""
@@ -68,10 +104,9 @@ def single_version_designs(
         chosen = dict(zip(classes, combo))
         assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
         try:
-            schedule = density_schedule(dfg, assignment, latency_bound)
+            schedule, binding = _schedule_and_bind(dfg, assignment, latency_bound, memo)
         except InfeasibleBoundError:
             continue
-        binding = bind(dfg, schedule, assignment)
         yield _build_design(dfg, library, assignment, schedule, binding)
 
 
@@ -81,20 +116,14 @@ def best_design(designs: Iterable[Design]) -> Design | None:
     return max(designs, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
 
 
-def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | Infeasible:
-    """Synthesize the most reliable design meeting both bounds.
-
-    Any returned Design satisfies latency <= latency_bound and
-    area <= area_bound as recomputed from its schedule and binding;
-    otherwise an Infeasible with the blocking dimension is returned.
-    """
-    library.check_covers(dfg)
-    l_d, a_d = bounds.latency_bound, bounds.area_bound
+def _repair_latency(
+    dfg: Dfg, library: ResourceLibrary, l_d: int
+) -> tuple[dict[str, ResourceVersion], int] | Infeasible:
+    """Speed up the slowest critical-path node of the initial allocation
+    until the latency bound is met; the assignment and its asap latency,
+    or Infeasible once no critical-path node can go any faster."""
     assignment = initial_allocation(dfg, library)
     latency = asap(dfg, assignment).latency
-
-    # Latency repair: speed up the slowest critical-path node until the
-    # bound is met or no critical-path node can go any faster.
     while latency > l_d:
         candidates = []
         for nid in critical_path(dfg, assignment):
@@ -113,18 +142,39 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
         *_, victim, faster = min(candidates)
         assignment[victim] = prefer_versions(faster)[0]
         latency = asap(dfg, assignment).latency
+    return assignment, latency
+
+
+def find_design(
+    dfg: Dfg, library: ResourceLibrary, bounds: Bounds, *, memo: Memo | None = None
+) -> Design | Infeasible:
+    """Synthesize the most reliable design meeting both bounds.
+
+    Any returned Design satisfies latency <= latency_bound and
+    area <= area_bound as recomputed from its schedule and binding;
+    otherwise an Infeasible with the blocking dimension is returned.
+    """
+    library.check_covers(dfg)
+    l_d, a_d = bounds.latency_bound, bounds.area_bound
+    if memo is None:
+        repaired = _repair_latency(dfg, library, l_d)
+    else:
+        repaired = memo.get(l_d)
+        if repaired is None:
+            repaired = memo[l_d] = _repair_latency(dfg, library, l_d)
+    if isinstance(repaired, Infeasible):
+        return repaired
+    assignment, latency = dict(repaired[0]), repaired[1]  # area repair edits the copy
 
     # Schedule against the achieved latency; then share hardware.
-    schedule = density_schedule(dfg, assignment, latency)
-    binding = bind(dfg, schedule, assignment)
+    schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
     area = total_area(binding, library)
 
     # Latency slack: relaxing the schedule one cycle at a time lets the
     # binder serialize more operations onto fewer instances.
     while area > a_d and latency < l_d:
         latency += 1
-        schedule = density_schedule(dfg, assignment, latency)
-        binding = bind(dfg, schedule, assignment)
+        schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
         area = total_area(binding, library)
 
     # Area repair: move the largest-version node, together with every
@@ -142,7 +192,9 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
                 candidates.append((-current.area, index, nid, smaller))
         if not candidates:
             fallback = best_design(
-                d for d in single_version_designs(dfg, library, l_d) if d.area <= a_d
+                d
+                for d in single_version_designs(dfg, library, l_d, memo=memo)
+                if d.area <= a_d
             )
             if fallback is not None:
                 return fallback
@@ -155,8 +207,7 @@ def find_design(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> Design | 
         replacement = prefer_versions(smaller)[0]
         for nid in binding.nodes_on(binding.node_to_instance[victim]):
             assignment[nid] = replacement
-        schedule = density_schedule(dfg, assignment, latency)
-        binding = bind(dfg, schedule, assignment)
+        schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
         area = total_area(binding, library)
 
     if schedule.latency > l_d:

@@ -250,6 +250,36 @@ def test_sweep_refuses_unbounded_grid(workspace, capsys, latency, area, step, me
     assert message in err
 
 
+def test_sweep_area_grid_has_exact_decimal_values(workspace, capsys):
+    # One adder of area exactly 10.3: feasible from the fourth grid value on,
+    # which must be 10.3 itself, not 10 + 0.1 + 0.1 + 0.1 = 10.299999999999999.
+    (workspace / "one.dfg").write_text("node a add\n")
+    (workspace / "one.lib").write_text("resource A103 add 10.3 1 0.99\n")
+    code, out, _ = _run(
+        capsys,
+        [
+            "sweep",
+            "--dfg", str(workspace / "one.dfg"),
+            "--lib", str(workspace / "one.lib"),
+            "--latency", "1:1",
+            "--area", "10:11",
+            "--step-a", "0.1",
+            "--methods", "ours",
+        ],
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows] == [
+        "10", "10.1", "10.2", "10.3", "10.4", "10.5", "10.6", "10.7", "10.8", "10.9", "11",
+    ]
+    assert [row[3] for row in rows] == ["infeasible:area"] * 3 + ["feasible"] * 8
+    assert rows[3][5] == "10.3"
+    # The grid holds as many values as the sweep's size check counts.
+    assert cli._grid(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
+    assert cli._grid_count(0.0, 0.3, 0.1) == 4
+    assert cli._grid(8.0, 40.0, 4.0) == [8.0 + 4 * k for k in range(9)]
+
+
 def test_sweep_unwritable_out_path(workspace, capsys):
     code, _, err = _run(
         capsys,

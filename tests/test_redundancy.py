@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -24,7 +25,7 @@ from relsyn.redundancy import (
     nmr_reliability,
 )
 from relsyn.scheduler import Schedule, asap, density_schedule
-from relsyn.synthesizer import Bounds, Design, Infeasible, find_design
+from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, single_version_designs
 
 LIB = builtin_library()
 ADDER1 = LIB.by_name("Adder1")
@@ -275,3 +276,28 @@ def test_combined_beats_baseline_where_versions_dominate():
             compared += 1
             assert comb.reliability >= base.reliability - 1e-12
     assert compared > 5
+
+
+# sha256 of greedy_nmr_upgrade's (nmr factors, area, repr(reliability)) for
+# every single-version design of the bundled graphs at their sweep latency
+# bounds, under each of GREEDY_AREAS; captured from the upgrade that
+# recomputed every instance's gain on each move.
+GREEDY_AREAS = (4, 7.5, 10, 13, 16.5, 20, 26, 33, 40, 52, 64)
+GREEDY_GOLDEN_SHA256 = "d947743b82f2e74f26d18f533c22fc569d55a0ae8a7745cb1628af6ae7828c04"
+
+
+def test_greedy_upgrade_golden_digest():
+    lines = []
+    for name, latencies in (
+        ("fir16", range(9, 17)), ("ew", range(14, 22)), ("diffeq", range(4, 12))
+    ):
+        dfg = builtin_benchmark(name)
+        for bound in latencies:
+            for design in single_version_designs(dfg, LIB, bound):
+                for area in GREEDY_AREAS:
+                    up = greedy_nmr_upgrade(design, LIB, area)
+                    nmr = tuple(inst.nmr_factor for inst in up.binding.instances)
+                    lines.append(repr((nmr, up.area, repr(up.reliability))))
+    assert len(lines) == 94 * len(GREEDY_AREAS)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GREEDY_GOLDEN_SHA256
