@@ -11,6 +11,7 @@ of each operation bound to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 from .model import Assignment, Dfg, ResourceLibrary, ValidationError, check_assignment
@@ -35,15 +36,22 @@ class Binding:
     node_to_instance: Mapping[str, int]
     instances: tuple[Instance, ...]
 
-    def __post_init__(self) -> None:
+    # Lookup indexes, built on first use (many bindings are never queried).
+    # cached_property writes the instance __dict__ directly, so it works on
+    # this frozen, unslotted dataclass; fields, equality and repr ignore it.
+    @cached_property
+    def _by_id(self) -> dict[int, Instance]:
         by_id: dict[int, Instance] = {}
         for inst in self.instances:
             by_id.setdefault(inst.id, inst)
+        return by_id
+
+    @cached_property
+    def _nodes_on(self) -> dict[int, list[str]]:
         nodes_on: dict[int, list[str]] = {}
         for nid, iid in self.node_to_instance.items():
             nodes_on.setdefault(iid, []).append(nid)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_nodes_on", nodes_on)
+        return nodes_on
 
     def instance(self, instance_id: int) -> Instance:
         try:

@@ -284,10 +284,14 @@ def _reliability_product(
     node_ids: Iterable[str], assignment: Assignment, binding: Binding | None
 ) -> float:
     log_total = 0.0
+    voted: dict[tuple[float, int], float] = {}  # nodes on one instance share (r, N)
     for nid in node_ids:
         r = assignment[nid].reliability
         if binding is not None:
-            r = nmr_reliability(r, binding.instance(binding.node_to_instance[nid]).nmr_factor)
+            n = binding.instance(binding.node_to_instance[nid]).nmr_factor
+            if (r, n) not in voted:
+                voted[r, n] = nmr_reliability(r, n)
+            r = voted[r, n]
         log_total += math.log(r)
     return math.exp(log_total)
 

@@ -6,6 +6,16 @@ each, searches all precedence-feasible start vectors under the latency
 bound for one whose shared-hardware area fits.  Scheduling, longest
 paths, and instance packing are reimplemented here on purpose so the
 check does not share code paths with the production scheduler/binder.
+
+The enumeration runs on per-graph tables built node by node in
+`itertools.product` order: each combination's log-reliability sum (the
+sort key), its delay vector as one integer code and its set of used
+versions as a bitmask.  Longest paths are computed once per delay code
+and the area prefilter once per mask; only the combinations that pass
+both are sorted and decoded into versions for the start-vector search.
+Version areas are always summed in library declaration order, so the
+result does not depend on hash order and a returned design's area never
+exceeds the area bound.
 """
 
 from __future__ import annotations
@@ -56,12 +66,20 @@ def oracle_min_latency(dfg: Dfg, assignment: Assignment, limit: OracleLimit | No
     return best
 
 
-def _longest_path(dfg: Dfg, assignment: Assignment) -> int:
-    dist: dict[str, int] = {}
+def _longest_paths(dfg: Dfg, delay_menus: list[list[int]]) -> list[int]:
+    """Critical path length of every per-node delay vector, in the order
+    itertools.product(*delay_menus) yields them (menus in declaration
+    order); one pass over the graph with a list per node."""
+    columns = list(zip(*itertools.product(*delay_menus)))
+    dist: dict[str, list[int]] = {}
     for nid in dfg.topo_order:
-        incoming = max((dist[p] for p in dfg.preds(nid)), default=0)
-        dist[nid] = incoming + assignment[nid].delay
-    return max(dist.values())
+        own = columns[dfg.declaration_index(nid)]
+        incoming = list(zip(*(dist[p] for p in dfg.preds(nid))))
+        if incoming:
+            dist[nid] = [max(ins) + d for ins, d in zip(incoming, own)]
+        else:
+            dist[nid] = list(own)
+    return [max(ends) for ends in zip(*(dist[nid] for nid in dfg.sink_ids))]
 
 
 def _left_edge_pack(
@@ -91,31 +109,32 @@ def _left_edge_pack(
 
 
 def _area_of_starts(
-    dfg: Dfg, assignment: Assignment, starts: dict[str, int], horizon: int
+    assignment: Assignment, used: list[ResourceVersion], starts: dict[str, int], horizon: int
 ) -> float:
     # Shared-hardware area equals, per version, the peak number of
-    # concurrently executing operations times the version area.
-    usage: dict[str, list[int]] = {}
+    # concurrently executing operations times the version area; summed
+    # over `used` (library order), as `_feasible_starts` bounds it.
+    usage = {v.name: [0] * horizon for v in used}
     for nid, s in starts.items():
         v = assignment[nid]
-        row = usage.setdefault(v.name, [0] * horizon)
+        row = usage[v.name]
         for c in range(s, s + v.delay):
             row[c - 1] += 1
     area = 0.0
-    per_version = {v.name: v.area for v in assignment.values()}
-    for vname, row in usage.items():
-        area += per_version[vname] * max(row)
+    for v in used:
+        area += v.area * max(usage[v.name])
     return area
 
 
 def _feasible_starts(
-    dfg: Dfg, assignment: Assignment, bounds: Bounds
+    dfg: Dfg, assignment: Assignment, used: list[ResourceVersion], bounds: Bounds
 ) -> dict[str, int] | None:
     """Search start vectors in topological order; None if nothing fits.
 
     Prunes on an area lower bound: placed operations determine current
     per-version concurrency peaks, and every version still awaiting
-    placement needs at least one instance.
+    placement needs at least one instance.  `used` lists the assigned
+    versions in library order, the order the bound sums their areas in.
     """
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     order = dfg.topo_order
@@ -128,7 +147,7 @@ def _feasible_starts(
         if cap < 1:
             return None
         latest[nid] = cap
-    areas = {v.name: v.area for v in assignment.values()}
+    areas = {v.name: v.area for v in used}
     remaining_versions: list[set[str]] = []
     seen: set[str] = set()
     for nid in reversed(order):
@@ -176,6 +195,16 @@ def _feasible_starts(
     return None
 
 
+def _combination(index: int, choices: list[tuple[ResourceVersion, ...]]) -> list[ResourceVersion]:
+    """The `index`-th tuple that itertools.product(*choices) yields."""
+    combo: list[ResourceVersion] = []
+    for versions in reversed(choices):
+        index, k = divmod(index, len(versions))
+        combo.append(versions[k])
+    combo.reverse()
+    return combo
+
+
 def oracle_best(
     dfg: Dfg,
     library: ResourceLibrary,
@@ -198,34 +227,55 @@ def oracle_best(
         )
 
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
-    assignments: list[tuple[ResourceVersion, ...]] = list(itertools.product(*choices))
-    assignments.sort(
-        key=lambda combo: -sum(math.log(v.reliability) for v in combo)
-    )  # ascending -log == descending reliability; stable, so ties keep enumeration order
+    position = {v.name: k for k, v in enumerate(library.versions)}
+    # Tables over all combinations, indexed in itertools.product order.
+    # `keys` adds the logs left to right from 0, as sum() does.
+    keys: list[float] = [0]
+    codes = [0]  # delay vector; one mixed-radix digit per node
+    masks = [0]  # used versions; bit k is library.versions[k]
+    delay_menus: list[list[int]] = []
+    for versions in choices:
+        logs = [math.log(v.reliability) for v in versions]
+        menu = sorted({v.delay for v in versions})
+        digits = [menu.index(v.delay) for v in versions]
+        bits = [1 << position[v.name] for v in versions]
+        radix = len(menu)
+        keys = [k + g for k in keys for g in logs]
+        codes = [c * radix + d for c in codes for d in digits]
+        masks = [m | b for m in masks for b in bits]
+        delay_menus.append(menu)
 
-    any_latency_ok = False
-    for combo in assignments:
-        assignment = {n.id: v for n, v in zip(dfg.nodes, combo)}
-        if _longest_path(dfg, assignment) > bounds.latency_bound:
-            continue
-        any_latency_ok = True
-        if sum(v.area for v in set(combo)) > bounds.area_bound:
-            continue
-        starts = _feasible_starts(dfg, assignment, bounds)
+    # Codes count up in the order itertools.product yields delay vectors.
+    latency_ok = [span <= bounds.latency_bound for span in _longest_paths(dfg, delay_menus)]
+    # One instance per used version at least; areas summed in library order.
+    area_ok = {
+        mask: sum(v.area for k, v in enumerate(library.versions) if mask >> k & 1)
+        <= bounds.area_bound
+        for mask in set(masks)
+    }
+    in_time = [i for i, code in enumerate(codes) if latency_ok[code]]
+    survivors = [i for i in in_time if area_ok[masks[i]]]
+    # Descending reliability; the sort is stable, so ties keep product order.
+    survivors.sort(key=keys.__getitem__, reverse=True)
+
+    for i in survivors:
+        assignment = {n.id: v for n, v in zip(dfg.nodes, _combination(i, choices))}
+        used = [v for k, v in enumerate(library.versions) if masks[i] >> k & 1]
+        starts = _feasible_starts(dfg, assignment, used, bounds)
         if starts is None:
             continue
         node_to_instance, instances = _left_edge_pack(dfg, assignment, starts)
         binding = Binding(node_to_instance, instances)
         latency = max(starts[nid] + assignment[nid].delay - 1 for nid in starts)
-        area = _area_of_starts(dfg, assignment, starts, bounds.latency_bound)
-        reliability = math.exp(sum(math.log(v.reliability) for v in combo))
+        area = _area_of_starts(assignment, used, starts, bounds.latency_bound)
         return Design(
             assignment=assignment,
             schedule=Schedule({nid: starts[nid] for nid in dfg.node_ids}, latency),
             binding=binding,
             latency=latency,
             area=area,
-            reliability=reliability,
+            reliability=math.exp(keys[i]),
         )
-    reason = "area" if any_latency_ok else "latency"
+    reason = "area" if in_time else "latency"
     return Infeasible(reason, "exhaustive search found no design meeting both bounds")
+

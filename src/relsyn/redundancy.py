@@ -34,11 +34,18 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in design.binding.instances}
     extra = {inst.id: 2 * library.by_name(inst.version).area for inst in design.binding.instances}
 
+    log_voted: dict[tuple[float, int], float] = {}  # (r, N) -> log of its voted reliability
+
+    def log_nmr(r: float, n: int) -> float:
+        if (r, n) not in log_voted:
+            log_voted[r, n] = math.log(nmr_reliability(r, n))
+        return log_voted[r, n]
+
     def gain_per_area(iid: int) -> float:
         n = nmr[iid]
         gain = sum(
-            math.log(nmr_reliability(design.assignment[nid].reliability, n + 2))
-            - math.log(nmr_reliability(design.assignment[nid].reliability, n))
+            log_nmr(design.assignment[nid].reliability, n + 2)
+            - log_nmr(design.assignment[nid].reliability, n)
             for nid in design.binding.nodes_on(iid)
         )
         return gain / extra[iid]

@@ -91,3 +91,21 @@ def test_no_function_body_imports(name):
             nested = [n for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
             where = getattr(func, "name", "<lambda>")
             assert not nested, f"{name}.{where} imports at line {nested[0].lineno}"
+
+
+# The oracle is the independent ground truth: from the production modules it
+# may take result types only, never scheduling, binding or synthesis code.
+ORACLE_ALLOWED = {"scheduler": {"Schedule"}, "binder": {"Binding", "Instance"}}
+
+
+def test_oracle_imports_only_result_types_from_production_modules():
+    for node in _runtime_imports(_parse("oracle")):
+        for target in _targets(node) - {"model"}:
+            assert target in ORACLE_ALLOWED, f"oracle imports {target}"
+            assert isinstance(node, ast.ImportFrom) and node.module, (
+                f"oracle imports the module {target} itself (line {node.lineno})"
+            )
+            names = {alias.name for alias in node.names}
+            assert names <= ORACLE_ALLOWED[target], (
+                f"oracle imports {sorted(names - ORACLE_ALLOWED[target])} from {target}"
+            )

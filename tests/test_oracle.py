@@ -1,12 +1,21 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relsyn
 from checks import validate_design
 from relsyn.model import (
     Dfg,
     DfgNode,
     OpClass,
+    ResourceLibrary,
+    ResourceVersion,
     builtin_benchmark,
     builtin_library,
     parse_dfg,
@@ -124,3 +133,114 @@ def test_oracle_best_deterministic():
         dfg = _random_dfg(rng)
         bounds = Bounds(rng.randint(2, 10), rng.choice([4, 8, 12]))
         assert oracle_best(dfg, LIB, bounds) == oracle_best(dfg, LIB, bounds)
+
+
+# -- golden digest ----------------------------------------------------------
+
+
+def _oracle_dag(rng: random.Random) -> Dfg:
+    """2-8 nodes with edges from `ni` to `nj` only for i < j; about half the
+    graphs declare their nodes shuffled, out of topological order."""
+    n = rng.randint(2, 8)
+    classes = [rng.choice((OpClass.ADD, OpClass.MUL)) for _ in range(n)]
+    edges = [
+        (f"n{i}", f"n{j}") for j in range(1, n) for i in range(j) if rng.random() < 0.35
+    ]
+    order = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(order)
+    return Dfg(tuple(DfgNode(f"n{i}", classes[i]) for i in order), tuple(edges))
+
+
+def _oracle_library(rng: random.Random) -> ResourceLibrary:
+    """Three adder and three multiplier versions; two adders tie on
+    reliability and one multiplier has reliability 1.0.  Areas are multiples
+    of 0.5, so every area sum is exact whatever order it is taken in."""
+    tie, other = rng.sample((0.95, 0.97, 0.98, 0.99, 0.995), 2)
+    rels = {OpClass.ADD: [tie, tie, other], OpClass.MUL: [1.0] + rng.sample((0.96, 0.98, 0.999), 2)}
+    versions = []
+    for cls, prefix in ((OpClass.ADD, "a"), (OpClass.MUL, "m")):
+        rng.shuffle(rels[cls])
+        for k, r in enumerate(rels[cls]):
+            area = rng.choice((0.5, 1, 1.5, 2, 3, 4))
+            versions.append(ResourceVersion(f"{prefix}{k}", cls, area, rng.randint(1, 3), r))
+    rng.shuffle(versions)
+    return ResourceLibrary(tuple(versions))
+
+
+def _oracle_cases(seed: int, graphs: int):
+    """(dfg, library, bounds) with latency bounds from one under the
+    fastest critical path up to the oracle's limit of 12."""
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        dfg = _oracle_dag(rng)
+        for lib in (LIB, _oracle_library(rng)):
+            fastest = {
+                n.id: min(lib.versions_for(n.op_class), key=lambda v: v.delay) for n in dfg.nodes
+            }
+            lo = asap(dfg, fastest).latency
+            latencies = {max(1, lo - 1), lo, lo + 1, rng.randint(min(lo, 12), 12), 12}
+            for latency in sorted(x for x in latencies if x <= 12):
+                for area in rng.sample((1.5, 3, 4.5, 6, 8, 11, 16), 2):
+                    yield dfg, lib, Bounds(latency, area)
+
+
+def _oracle_line(dfg: Dfg, result) -> str:
+    if isinstance(result, Infeasible):
+        return repr(("infeasible", result.reason, result.detail))
+    ids = dfg.node_ids
+    return repr((
+        tuple(result.assignment[nid].name for nid in ids),
+        tuple(result.schedule.starts[nid] for nid in ids),
+        result.schedule.latency,
+        tuple(result.binding.node_to_instance[nid] for nid in ids),
+        tuple((i.id, i.version, i.nmr_factor) for i in result.binding.instances),
+        result.latency,
+        repr(result.area),
+        repr(result.reliability),
+    ))
+
+
+# sha256 over oracle_best's results for _oracle_cases(83, 40); captured from
+# the oracle that sorted every version combination and ran one longest path
+# per combination.
+ORACLE_GOLDEN_SHA256 = "2df32db3211417910383fd104931db5e0e8072bb9609f06c2db84eb748c44145"
+
+
+def test_oracle_best_golden_digest():
+    lines = [_oracle_line(dfg, oracle_best(dfg, lib, b)) for dfg, lib, b in _oracle_cases(83, 40)]
+    assert any(line.startswith("('infeasible', 'latency'") for line in lines)
+    assert any(line.startswith("('infeasible', 'area'") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (730, ORACLE_GOLDEN_SHA256)
+
+
+# Areas 0.1 + 0.2 + 0.3 round to 0.6000000000000001 in some orders and to
+# 0.6 in others; string hashes (and so set order) change with the process.
+HASH_ORDER_CASE = """
+import json
+from relsyn.model import Bounds, parse_dfg, parse_library
+from relsyn.oracle import oracle_best
+lib = parse_library(
+    "resource A1 add 0.1 2 0.99\\nresource A2 add 0.2 1 0.98\\nresource M1 mul 0.3 1 0.97\\n"
+)
+dfg = parse_dfg("node x add\\nnode m mul\\nnode y add\\nedge x y\\nedge y m\\n")
+d = oracle_best(dfg, lib, Bounds(4, 0.6))
+print(json.dumps([{n: v.name for n, v in d.assignment.items()}, d.area]))
+"""
+
+
+def test_oracle_best_independent_of_hash_seed():
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = str(Path(relsyn.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_ORDER_CASE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+    assignment, area = json.loads(outputs.pop())
+    assert area <= 0.6
+    assert assignment == {"x": "A2", "m": "M1", "y": "A2"}
