@@ -261,11 +261,12 @@ def nmr_reliability(reliability: float, n: int) -> float:
         raise ValidationError("reliability must be in [0, 1]")
     if n == 1:
         return reliability
-    k = (n + 1) // 2
-    return sum(
-        math.comb(n, i) * reliability**i * (1 - reliability) ** (n - i)
-        for i in range(k, n + 1)
-    )
+    # Added left to right from 0.0; sum() of floats is compensated on
+    # Python >= 3.12 and would change the last bits.
+    total = 0.0
+    for i in range((n + 1) // 2, n + 1):
+        total += math.comb(n, i) * reliability**i * (1 - reliability) ** (n - i)
+    return total
 
 
 def evaluate_reliability(

@@ -161,10 +161,10 @@ def _feasible_starts(
 
     def area_lower_bound(pos: int) -> float:
         pending = remaining_versions[pos] if pos < len(order) else set()
-        return sum(
-            areas[name] * max(peak, 1 if name in pending else 0)
-            for name, peak in peaks.items()
-        )
+        area = 0.0  # left to right: sum() of floats is compensated on Python >= 3.12
+        for name, peak in peaks.items():
+            area += areas[name] * max(peak, 1 if name in pending else 0)
+        return area
 
     def place(pos: int) -> bool:
         if pos == len(order):
@@ -229,7 +229,7 @@ def oracle_best(
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
     position = {v.name: k for k, v in enumerate(library.versions)}
     # Tables over all combinations, indexed in itertools.product order.
-    # `keys` adds the logs left to right from 0, as sum() does.
+    # `keys` adds the logs left to right from 0.
     keys: list[float] = [0]
     codes = [0]  # delay vector; one mixed-radix digit per node
     masks = [0]  # used versions; bit k is library.versions[k]
@@ -248,11 +248,13 @@ def oracle_best(
     # Codes count up in the order itertools.product yields delay vectors.
     latency_ok = [span <= bounds.latency_bound for span in _longest_paths(dfg, delay_menus)]
     # One instance per used version at least; areas summed in library order.
-    area_ok = {
-        mask: sum(v.area for k, v in enumerate(library.versions) if mask >> k & 1)
-        <= bounds.area_bound
-        for mask in set(masks)
-    }
+    area_ok = {}
+    for mask in set(masks):
+        area = 0.0  # left to right, not sum(): see area_lower_bound
+        for k, v in enumerate(library.versions):
+            if mask >> k & 1:
+                area += v.area
+        area_ok[mask] = area <= bounds.area_bound
     in_time = [i for i, code in enumerate(codes) if latency_ok[code]]
     survivors = [i for i in in_time if area_ok[masks[i]]]
     # Descending reliability; the sort is stable, so ties keep product order.

@@ -43,11 +43,10 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
 
     def gain_per_area(iid: int) -> float:
         n = nmr[iid]
-        gain = sum(
-            log_nmr(design.assignment[nid].reliability, n + 2)
-            - log_nmr(design.assignment[nid].reliability, n)
-            for nid in design.binding.nodes_on(iid)
-        )
+        gain = 0.0  # left to right, not sum(): see model.nmr_reliability
+        for nid in design.binding.nodes_on(iid):
+            r = design.assignment[nid].reliability
+            gain += log_nmr(r, n + 2) - log_nmr(r, n)
         return gain / extra[iid]
 
     # Only an upgraded instance's gain changes.  The area only grows, so an

@@ -5,8 +5,11 @@ The density scheduler is force-directed scheduling (Paulin & Knight,
 1989) in the incremental form of Verhaegh et al.: windows are computed
 once and tightened only where a placement moves them, and each round
 folds the occupancy density of one class over one window instead of
-rebuilding every window and density.  Its schedules equal those of the
-round-by-round form bit for bit, tie-breaks included.
+rebuilding every window and density; it adds a node's share to whole
+slices of cells, with the same float additions per cell as a
+start-by-start sum.  Its schedules equal those of the round-by-round
+form bit for bit, tie-breaks included.  It reads each node's delay and
+class, never its version name.
 
 Cycles are 1-based.  A node with start s and delay d occupies the
 execution interval [s, s+d-1]; functional units are non-pipelined, so a
@@ -126,34 +129,42 @@ def mobility(dfg: Dfg, assignment: Assignment, latency_bound: int) -> MobilityWi
     return MobilityWindow({nid: (lo[nid], hi[nid]) for nid in dfg.node_ids})
 
 
-def _constrained_windows(
-    dfg: Dfg,
-    assignment: Assignment,
-    latency_bound: int,
-    placed: Mapping[str, int],
-) -> dict[str, tuple[int, int]]:
-    """Mobility windows with already-placed nodes fixed at their starts."""
-    lo = _asap_starts(dfg, assignment, placed)
-    hi = _alap_starts(dfg, assignment, latency_bound, placed)
-    return {nid: (lo[nid], hi[nid]) for nid in dfg.node_ids}
+def _fold(
+    row: list[float], first: int, nodes: list[int],
+    lo: list[int], hi: list[int], delay: list[int], share: list[float],
+) -> None:
+    """Add the occupancy of `nodes`, in order, to `row`, whose index 0 is
+    cycle `first`; `lo`, `hi` and `delay` are indexed by node.
 
-
-def _fold(row: list[float], first: int, lo: int, hi: int, d: int) -> None:
-    """Add one node's occupancy to `row`, whose index 0 is cycle `first`.
-
-    Each of the w = hi-lo+1 candidate starts adds 1/w to every cycle of
-    its execution interval, one `+=` per covering start, so each cell
-    sees the same float sequence as a start-by-start accumulation.  A
-    placed node has lo == hi and so adds exactly 1.0.
+    Each of a node's w = hi-lo+1 candidate starts adds share[w-1] = 1/w
+    to every cycle of its execution interval.  Pass j adds it, one slice
+    at a time, to the cells the starts reach at offset j, so each cell
+    gets one `+ share` per covering start, in a row, node after node:
+    the same float sequence as a start-by-start accumulation.  A single
+    start adds its 1.0 by index.  Nodes that miss the row add nothing.
     """
-    share = 1.0 / (hi - lo + 1)
-    lo, hi = lo - first, hi - first
-    for i in range(lo if lo > 0 else 0, min(hi + d, len(row))):
-        # Starts max(lo, i-d+1)..min(hi, i) cover cell i.  Conditional
-        # expressions, not min/max calls: this loop dominates scheduling.
-        row[i] += share
-        for _ in range((hi if hi < i else i) - (lo if lo > i - d + 1 else i - d + 1)):
-            row[i] += share
+    n = len(row)
+    for u in nodes:
+        a, b, d = lo[u] - first, hi[u] - first, delay[u]
+        if a >= n or b + d <= 0:
+            continue
+        s = share[b - a]
+        if a == b:
+            for i in range(a if a > 0 else 0, a + d if a + d < n else n):
+                row[i] += s
+        elif d == 2:
+            # Cells a and b+1 see one start each, cells a+1..b see two.
+            if a >= 0:
+                row[a] += s
+            if b + 1 < n:
+                row[b + 1] += s
+            a = a + 1 if a >= 0 else 0
+            row[a : b + 1] = [c + s + s for c in row[a : b + 1]]
+        else:
+            for j in range(d):
+                i = a + j if a + j > 0 else 0
+                if i <= b + j:
+                    row[i : b + j + 1] = [c + s for c in row[i : b + j + 1]]
 
 
 def occupancy_density(
@@ -170,22 +181,25 @@ def occupancy_density(
     returned lists are indexed by cycle-1 and sum (per class) to the
     total delay of that class's nodes.
     """
-    windows = _constrained_windows(dfg, assignment, latency_bound, placed or {})
-    empty = [nid for nid, (lo, hi) in windows.items() if hi < lo]
+    ids = dfg.node_ids
+    lo_of = _asap_starts(dfg, assignment, placed)
+    hi_of = _alap_starts(dfg, assignment, latency_bound, placed)
+    lo, hi = [lo_of[nid] for nid in ids], [hi_of[nid] for nid in ids]
+    delay = [_delay(assignment, nid) for nid in ids]
+    empty = [nid for nid, a, b in zip(ids, lo, hi) if b < a]
     # Only a placed node can start before cycle 1 or end past the bound.
     outside = [
-        nid
-        for nid, (lo, hi) in windows.items()
-        if lo < 1 or hi + _delay(assignment, nid) - 1 > latency_bound
+        nid for nid, a, b, d in zip(ids, lo, hi, delay) if a < 1 or b + d - 1 > latency_bound
     ]
     if empty or outside:
         raise InfeasibleBoundError(
             f"latency bound {latency_bound} leaves no feasible start for {(empty or outside)[0]!r}"
         )
+    share = [1.0 / (width + 1) for width in range(latency_bound)]
     density = {cls: [0.0] * latency_bound for cls in OpClass}
-    for node in dfg.nodes:
-        lo, hi = windows[node.id]
-        _fold(density[node.op_class], 1, lo, hi, _delay(assignment, node.id))
+    for cls, row in density.items():
+        of_class = [i for i, n in enumerate(dfg.nodes) if n.op_class is cls]
+        _fold(row, 1, of_class, lo, hi, delay, share)
     return density
 
 
@@ -202,7 +216,8 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     interval sees the smallest summed density of its class (ties:
     earliest cycle).  That density is folded only for the node's class
     over the cycles its window can reach, node by node in declaration
-    order, so every value equals `occupancy_density` of the same round.
+    order, so every value equals `occupancy_density` of the same round;
+    a node with a single candidate start is placed without a fold.
     """
     lo_of = _check_latency_bound(dfg, assignment, latency_bound)
     hi_of = _alap_starts(dfg, assignment, latency_bound)
@@ -214,6 +229,7 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     of_class = {cls: [i for i, n in enumerate(dfg.nodes) if n.op_class is cls] for cls in OpClass}
     lo = [lo_of[nid] for nid in ids]
     hi = [hi_of[nid] for nid in ids]
+    share = [1.0 / (width + 1) for width in range(latency_bound)]
     placed = [False] * len(ids)
     heap = [(hi[i] - lo[i], i) for i in range(len(ids))]
     heapq.heapify(heap)
@@ -222,17 +238,16 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
         width, v = heapq.heappop(heap)
         if placed[v] or width != hi[v] - lo[v]:
             continue  # stale entry: placed already, or its window shrank
-        d = delay[v]
-        first, last = lo[v], hi[v] + d - 1
-        row = [0.0] * (last - first + 1)
-        for u in of_class[dfg.nodes[v].op_class]:
-            if lo[u] <= last and hi[u] + delay[u] > first:
-                _fold(row, first, lo[u], hi[u], delay[u])
-        best_start, best_score = lo[v], None
-        for s in range(lo[v], hi[v] + 1):
-            score = sum(row[s - first : s - first + d])
-            if best_score is None or score < best_score:
-                best_start, best_score = s, score
+        best_start = lo[v]
+        if width:  # more than one candidate start
+            d = delay[v]
+            row = [0.0] * (width + d)  # cycles lo[v]..hi[v]+d-1
+            _fold(row, lo[v], of_class[dfg.nodes[v].op_class], lo, hi, delay, share)
+            # Each start's score adds its cells left to right, as from 0.0.
+            scores = row[: width + 1]
+            for j in range(1, d):
+                scores = [score + c for score, c in zip(scores, row[j:])]
+            best_start += scores.index(min(scores))  # ties: earliest cycle
         placed[v] = True
         starts[ids[v]] = lo[v] = hi[v] = best_start
         moved = []

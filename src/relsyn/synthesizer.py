@@ -13,12 +13,15 @@ fast multiplier).  When area repair dead-ends, a final fallback
 enumerates the single-version-per-class assignments and returns the
 most reliable one that fits both bounds.
 
-A caller that solves many bound pairs on one graph and library (a
-sweep) may pass the same `memo` dict to every call.  Schedules, their
-bindings and the latency-repaired assignment depend only on the
-assignment and the latency bound, never on the area bound, so the memo
-keeps them per (assignment, latency bound) and per latency bound.
-Without a memo every call computes from scratch.
+Every schedule and binding goes through a `memo` dict.  Schedules
+depend only on the node delays and the latency bound, bindings on the
+assignment and the bound, and the latency-repaired assignment on the
+bound alone, never on the area bound.  So the memo keeps schedules per
+(delays, latency bound), bindings per (assignment, latency bound) and
+repair outcomes per latency bound: a move between versions of equal
+delay re-binds without re-scheduling.  A caller that solves many bound
+pairs on one graph and library (a sweep) may pass the same memo to
+every call; without one, each call uses a memo of its own.
 """
 
 from __future__ import annotations
@@ -64,40 +67,44 @@ def _build_design(
     )
 
 
-# Shared by the flows of one graph and library: (assignment as version
-# names in node order, latency bound) -> (Schedule, Binding) or the
-# InfeasibleBoundError, and latency bound -> latency-repair outcome.
+# Shared by the flows of one graph and library: (node delays, latency
+# bound) -> Schedule or the InfeasibleBoundError, (version names,
+# latency bound) -> (Schedule, Binding), and latency bound ->
+# latency-repair outcome.  Delay keys hold ints and name keys strings.
 Memo = MutableMapping[object, object]
 
 
 def _schedule_and_bind(
-    dfg: Dfg, assignment: dict[str, ResourceVersion], latency_bound: int, memo: Memo | None
+    dfg: Dfg, assignment: dict[str, ResourceVersion], latency_bound: int, memo: Memo
 ) -> tuple[Schedule, Binding]:
-    """density_schedule then bind; raises InfeasibleBoundError as the
-    scheduler does.  With a memo each (assignment, bound) is computed once."""
-    if memo is None:
-        schedule = density_schedule(dfg, assignment, latency_bound)
-        return schedule, bind(dfg, schedule, assignment)
-    key = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
-    outcome = memo.get(key)
-    if outcome is None:
-        try:
-            schedule = density_schedule(dfg, assignment, latency_bound)
-            outcome = (schedule, bind(dfg, schedule, assignment))
-        except InfeasibleBoundError as exc:
-            outcome = exc.with_traceback(None)  # a traceback would pin its frames
-        memo[key] = outcome
-    if isinstance(outcome, InfeasibleBoundError):
-        # Raise a copy: raising the stored error again would lengthen its traceback.
-        raise InfeasibleBoundError(*outcome.args)
-    return outcome
+    """density_schedule then bind, each computed once per memo; raises
+    InfeasibleBoundError as the scheduler does.  The scheduler reads only
+    delays, so assignments with equal delays share one schedule."""
+    names = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
+    pair = memo.get(names)
+    if pair is None:
+        delays = (tuple(assignment[nid].delay for nid in dfg.node_ids), latency_bound)
+        schedule = memo.get(delays)
+        if schedule is None:
+            try:
+                schedule = density_schedule(dfg, assignment, latency_bound)
+            except InfeasibleBoundError as exc:
+                schedule = exc.with_traceback(None)  # a traceback would pin its frames
+            memo[delays] = schedule
+        if isinstance(schedule, InfeasibleBoundError):
+            # Raise a copy: raising the stored error again would lengthen its traceback.
+            raise InfeasibleBoundError(*schedule.args)
+        pair = memo[names] = (schedule, bind(dfg, schedule, assignment))
+    return pair
 
 
 def single_version_designs(
     dfg: Dfg, library: ResourceLibrary, latency_bound: int, *, memo: Memo | None = None
 ) -> Iterator[Design]:
     """Every single-version-per-class design that meets `latency_bound`,
-    density-scheduled and bound, with class versions in library order."""
+    density-scheduled and bound, with class versions in library order.
+    `memo` is as for `find_design`."""
+    memo = {} if memo is None else memo
     counts = dfg.class_counts()
     classes = [cls for cls in OpClass if counts[cls]]
     for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
@@ -156,12 +163,10 @@ def find_design(
     """
     library.check_covers(dfg)
     l_d, a_d = bounds.latency_bound, bounds.area_bound
-    if memo is None:
-        repaired = _repair_latency(dfg, library, l_d)
-    else:
-        repaired = memo.get(l_d)
-        if repaired is None:
-            repaired = memo[l_d] = _repair_latency(dfg, library, l_d)
+    memo = {} if memo is None else memo
+    repaired = memo.get(l_d)
+    if repaired is None:
+        repaired = memo[l_d] = _repair_latency(dfg, library, l_d)
     if isinstance(repaired, Infeasible):
         return repaired
     assignment, latency = dict(repaired[0]), repaired[1]  # area repair edits the copy

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
+from relsyn.model import parse_library
 from relsyn.scheduler import (
     InfeasibleBoundError,
     alap,
@@ -193,9 +194,9 @@ def _random_dfg(rng: random.Random, max_nodes: int = 8) -> Dfg:
     return Dfg(nodes, tuple(edges))
 
 
-def _random_assignment(dfg, rng: random.Random):
+def _random_assignment(dfg, rng: random.Random, library=LIB):
     return {
-        n.id: rng.choice(LIB.versions_for(n.op_class)) for n in dfg.nodes
+        n.id: rng.choice(library.versions_for(n.op_class)) for n in dfg.nodes
     }
 
 
@@ -236,9 +237,7 @@ def test_density_start_within_original_windows():
 
 def _golden_cases():
     """Every single-version assignment of the bundled graphs at L from the
-    minimum to the minimum + 6, then a seeded corpus of 40-160 node DAGs
-    (node i gets 0-2 predecessors among the previous 20) with mixed
-    versions at the minimum (tight) and the minimum + n/8 (loose) bound."""
+    minimum to the minimum + 6, then the seeded random corpus."""
     for name in ("fir16", "ew", "diffeq"):
         dfg = builtin_benchmark(name)
         for add, mul in itertools.product(
@@ -248,7 +247,13 @@ def _golden_cases():
             minimum = asap(dfg, asg).latency
             for bound in range(minimum, minimum + 7):
                 yield dfg, asg, bound
-    rng = random.Random(41)
+    yield from _random_golden_cases(random.Random(41), LIB)
+
+
+def _random_golden_cases(rng, library):
+    """Seeded 40-160 node DAGs (node i gets 0-2 predecessors among the
+    previous 20) with mixed versions of `library` at the minimum (tight)
+    and the minimum + n/8 (loose) bound."""
     for n in (40, 57, 74, 91, 108, 125, 142, 160):
         nodes = tuple(
             DfgNode(f"v{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
@@ -258,7 +263,7 @@ def _golden_cases():
             for _ in range(rng.randint(0, 2)):
                 edges.add((f"v{rng.randrange(max(0, j - 20), j)}", f"v{j}"))
         dfg = Dfg(nodes, tuple(sorted(edges)))
-        asg = _random_assignment(dfg, rng)
+        asg = _random_assignment(dfg, rng, library)
         minimum = asap(dfg, asg).latency
         yield dfg, asg, minimum
         yield dfg, asg, minimum + n // 8
@@ -277,6 +282,35 @@ def test_density_schedule_golden_digest():
     assert len(lines) == 3 * 6 * 7 + 16
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SCHEDULES_SHA256
+
+
+# Versions of 1-4 cycles, so windows fold over multi-cell intervals and
+# starts are scored over up to four cells; the bundled library stops at 2.
+WIDE_LIB = parse_library(
+    """
+    resource A1 add 1 4 0.999
+    resource A2 add 2 3 0.99
+    resource A3 add 3 2 0.98
+    resource A4 add 5 1 0.97
+    resource M1 mul 2 4 0.999
+    resource M2 mul 3 3 0.99
+    resource M3 mul 6 1 0.97
+    """
+)
+
+# sha256 of the wide-delay cases' (starts, latency), captured from the
+# scheduler that folded every covering start with its own `+=`.
+GOLDEN_WIDE_SCHEDULES_SHA256 = "4cdcf4b25c852de44f86d895b8e634469382403ab5e16785dcb9fec5dbc6e4ef"
+
+
+def test_density_schedule_golden_digest_wide_delays():
+    lines = []
+    for dfg, asg, bound in _random_golden_cases(random.Random(43), WIDE_LIB):
+        sched = density_schedule(dfg, asg, bound)
+        lines.append(repr((tuple(sched.starts.items()), sched.latency)))
+    assert len(lines) == 16
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_WIDE_SCHEDULES_SHA256
 
 
 def test_infeasible_bound_messages():

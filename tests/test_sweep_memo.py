@@ -97,13 +97,13 @@ def test_sweep_csv_unchanged(tmp_path, capsys, grid):
     assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_CSV_SHA256[grid]
 
 
-def test_sweep_schedules_each_assignment_and_bound_once(tmp_path, capsys, monkeypatch):
+def test_sweep_schedules_each_delay_vector_and_bound_once(tmp_path, capsys, monkeypatch):
     dfg = builtin_benchmark("ew")
     calls, infeasible = Counter(), set()
     schedule = synthesizer.density_schedule
 
     def counting(graph, assignment, latency_bound):
-        key = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
+        key = (tuple(assignment[nid].delay for nid in dfg.node_ids), latency_bound)
         calls[key] += 1
         try:
             return schedule(graph, assignment, latency_bound)
@@ -114,7 +114,8 @@ def test_sweep_schedules_each_assignment_and_bound_once(tmp_path, capsys, monkey
     monkeypatch.setattr(synthesizer, "density_schedule", counting)
     _sweep(tmp_path, capsys, "ew", "14:18", "6:40", "4")
     assert infeasible and set(calls.values()) == {1}
-    # The same keys as the flows schedule one point at a time, without a memo.
+    # The same keys as the flows schedule one point at a time, each call
+    # with its own memo.
     swept = set(calls)
     calls.clear()
     for l_d in range(14, 19):

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from checks import validate_design
+from relsyn import synthesizer
 from relsyn.model import (
     Dfg,
     DfgNode,
@@ -21,6 +22,7 @@ from relsyn.synthesizer import (
     Infeasible,
     find_design,
     initial_allocation,
+    single_version_designs,
 )
 
 LIB = builtin_library()
@@ -193,3 +195,47 @@ def test_area_fallback_consolidates_onto_shared_version():
     exact = oracle_best(dfg, LIB, bounds)
     assert isinstance(exact, Design)
     assert result.reliability == pytest.approx(exact.reliability, rel=1e-12)
+
+
+def _count_scheduling(monkeypatch):
+    """Count density_schedule calls per (delays in node order, bound) and
+    bind calls per assignment as version names."""
+    schedules, bindings = Counter(), Counter()
+    schedule, bind = synthesizer.density_schedule, synthesizer.bind
+
+    def counting_schedule(dfg, assignment, latency_bound):
+        schedules[tuple(assignment[n].delay for n in dfg.node_ids), latency_bound] += 1
+        return schedule(dfg, assignment, latency_bound)
+
+    def counting_bind(dfg, sched, assignment):
+        bindings[tuple(assignment[n].name for n in dfg.node_ids)] += 1
+        return bind(dfg, sched, assignment)
+
+    monkeypatch.setattr(synthesizer, "density_schedule", counting_schedule)
+    monkeypatch.setattr(synthesizer, "bind", counting_bind)
+    return schedules, bindings
+
+
+def test_area_repair_rebinds_without_rescheduling(monkeypatch):
+    # Latency repair puts Adder3 on the critical path; area repair then
+    # moves its instances to Adder2, also one cycle, so the delays and
+    # the schedule stay and only the binding is recomputed.
+    schedules, bindings = _count_scheduling(monkeypatch)
+    fir = builtin_benchmark("fir16")
+    result = find_design(fir, LIB, Bounds(10, 12))
+    assert isinstance(result, Design)
+    assert "Adder2" in {v.name for v in result.assignment.values()}
+    assert set(schedules.values()) == {1}
+    assert len(schedules) == 1 and len(bindings) == 3
+    assert set(bindings.values()) == {1}
+
+
+def test_single_version_designs_schedule_each_delay_vector_once(monkeypatch):
+    # Six assignments but four delay vectors, as Adder2 and Adder3 are
+    # both one cycle.  Both Adder1 vectors miss L = 12 (minimum 17-18).
+    schedules, bindings = _count_scheduling(monkeypatch)
+    fir = builtin_benchmark("fir16")
+    designs = list(single_version_designs(fir, LIB, 12))
+    assert len(schedules) == 4 and set(schedules.values()) == {1}
+    assert len(designs) == len(bindings) == 4
+    assert set(bindings.values()) == {1}
