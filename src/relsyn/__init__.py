@@ -40,17 +40,14 @@ from .model import (
     render_dfg,
 )
 from .oracle import OracleLimit, OracleLimitError, oracle_best, oracle_min_latency
-from .redundancy import NmrSpec, baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
+from .redundancy import baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from .scheduler import (
     InfeasibleBoundError,
-    MobilityWindow,
     Schedule,
     alap,
     asap,
     critical_path,
     density_schedule,
-    mobility,
-    occupancy_density,
 )
 from .synthesizer import find_design, initial_allocation
 

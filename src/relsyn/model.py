@@ -112,14 +112,8 @@ class Dfg:
 
     # -- lookup helpers -------------------------------------------------
 
-    def node(self, node_id: str) -> DfgNode:
-        return self.nodes[self._index[node_id]]
-
     def declaration_index(self, node_id: str) -> int:
         return self._index[node_id]
-
-    def op_class_of(self, node_id: str) -> OpClass:
-        return self.node(node_id).op_class
 
     def preds(self, node_id: str) -> tuple[str, ...]:
         return self._preds[node_id]

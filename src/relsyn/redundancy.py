@@ -12,15 +12,11 @@ reliability of every node bound to it to the majority-voting value
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 from .binder import with_nmr
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, nmr_reliability
 from .model import _reliability_product, evaluate_reliability  # noqa: F401 (re-export)
 from .synthesizer import Memo, best_design, find_design, single_version_designs
-
-# Redundancy factors per instance id; all values odd, 1 = no redundancy.
-NmrSpec = Mapping[int, int]
 
 
 def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: float) -> Design:

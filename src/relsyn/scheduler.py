@@ -1,5 +1,5 @@
-"""ASAP/ALAP scheduling, mobility windows, the partition-density
-scheduler, and critical-path extraction.
+"""ASAP/ALAP scheduling, the density scheduler, and critical-path
+extraction.
 
 The density scheduler is force-directed scheduling (Paulin & Knight,
 1989) in the incremental form of Verhaegh et al.: windows are computed
@@ -39,38 +39,19 @@ class Schedule:
     latency: int
 
 
-@dataclass(frozen=True)
-class MobilityWindow:
-    """Per-node (asap start, alap start) pairs under a latency bound."""
-
-    windows: Mapping[str, tuple[int, int]]
-
-    def width(self, node_id: str) -> int:
-        lo, hi = self.windows[node_id]
-        return hi - lo + 1
-
-
-def _delay(assignment: Assignment, node_id: str) -> int:
-    return assignment[node_id].delay
-
-
-def _asap_starts(
-    dfg: Dfg, assignment: Assignment, placed: Mapping[str, int] | None = None
-) -> dict[str, int]:
-    """Earliest starts, with the nodes in `placed` pinned at their starts."""
-    starts = dict(placed or {})
+def _asap_starts(dfg: Dfg, assignment: Assignment) -> dict[str, int]:
+    """Earliest starts."""
+    starts: dict[str, int] = {}
     for nid in dfg.topo_order:
-        if nid in starts:
-            continue
         earliest = 1
         for pred in dfg.preds(nid):
-            earliest = max(earliest, starts[pred] + _delay(assignment, pred))
+            earliest = max(earliest, starts[pred] + assignment[pred].delay)
         starts[nid] = earliest
     return starts
 
 
 def _latency_of(starts: Mapping[str, int], assignment: Assignment) -> int:
-    return max(start + _delay(assignment, nid) - 1 for nid, start in starts.items())
+    return max(start + assignment[nid].delay - 1 for nid, start in starts.items())
 
 
 def _as_schedule(dfg: Dfg, assignment: Assignment, starts: Mapping[str, int]) -> Schedule:
@@ -84,20 +65,13 @@ def asap(dfg: Dfg, assignment: Assignment) -> Schedule:
     return _as_schedule(dfg, assignment, _asap_starts(dfg, assignment))
 
 
-def _alap_starts(
-    dfg: Dfg,
-    assignment: Assignment,
-    latency_bound: int,
-    placed: Mapping[str, int] | None = None,
-) -> dict[str, int]:
-    """Latest starts, with the nodes in `placed` pinned at their starts."""
-    starts = dict(placed or {})
+def _alap_starts(dfg: Dfg, assignment: Assignment, latency_bound: int) -> dict[str, int]:
+    """Latest starts under `latency_bound`."""
+    starts: dict[str, int] = {}
     for nid in reversed(dfg.topo_order):
-        if nid in starts:
-            continue
-        latest = latency_bound - _delay(assignment, nid) + 1
+        latest = latency_bound - assignment[nid].delay + 1
         for succ in dfg.succs(nid):
-            latest = min(latest, starts[succ] - _delay(assignment, nid))
+            latest = min(latest, starts[succ] - assignment[nid].delay)
         starts[nid] = latest
     return starts
 
@@ -120,13 +94,6 @@ def alap(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
     """Latest-start schedule under `latency_bound`."""
     _check_latency_bound(dfg, assignment, latency_bound)
     return _as_schedule(dfg, assignment, _alap_starts(dfg, assignment, latency_bound))
-
-
-def mobility(dfg: Dfg, assignment: Assignment, latency_bound: int) -> MobilityWindow:
-    """Feasible start window [asap, alap] for every node."""
-    lo = asap(dfg, assignment).starts
-    hi = alap(dfg, assignment, latency_bound).starts
-    return MobilityWindow({nid: (lo[nid], hi[nid]) for nid in dfg.node_ids})
 
 
 def _fold(
@@ -167,48 +134,12 @@ def _fold(
                     row[i : b + j + 1] = [c + s for c in row[i : b + j + 1]]
 
 
-def occupancy_density(
-    dfg: Dfg,
-    assignment: Assignment,
-    latency_bound: int,
-    placed: Mapping[str, int] | None = None,
-) -> dict[OpClass, list[float]]:
-    """Per-class expected occupancy of each cycle.
-
-    An unplaced node whose window holds w candidate starts contributes
-    1/w to every cycle of each of its w candidate execution intervals;
-    a placed node contributes exactly 1 over its chosen interval.  The
-    returned lists are indexed by cycle-1 and sum (per class) to the
-    total delay of that class's nodes.
-    """
-    ids = dfg.node_ids
-    lo_of = _asap_starts(dfg, assignment, placed)
-    hi_of = _alap_starts(dfg, assignment, latency_bound, placed)
-    lo, hi = [lo_of[nid] for nid in ids], [hi_of[nid] for nid in ids]
-    delay = [_delay(assignment, nid) for nid in ids]
-    empty = [nid for nid, a, b in zip(ids, lo, hi) if b < a]
-    # Only a placed node can start before cycle 1 or end past the bound.
-    outside = [
-        nid for nid, a, b, d in zip(ids, lo, hi, delay) if a < 1 or b + d - 1 > latency_bound
-    ]
-    if empty or outside:
-        raise InfeasibleBoundError(
-            f"latency bound {latency_bound} leaves no feasible start for {(empty or outside)[0]!r}"
-        )
-    share = [1.0 / (width + 1) for width in range(latency_bound)]
-    density = {cls: [0.0] * latency_bound for cls in OpClass}
-    for cls, row in density.items():
-        of_class = [i for i, n in enumerate(dfg.nodes) if n.op_class is cls]
-        _fold(row, 1, of_class, lo, hi, delay, share)
-    return density
-
-
 def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
     """Schedule by repeatedly placing the most constrained node into the
     least occupied slot of its class.
 
-    Force-directed scheduling in its incremental form.  Mobility windows
-    are computed once; placing a node pins its window and then raises
+    Force-directed scheduling in its incremental form.  The [asap, alap]
+    windows are computed once; placing a node pins its window and raises
     the earliest start of its unplaced descendants and lowers the latest
     start of its unplaced ancestors, only as far as those values move.
     Each round takes the unplaced node with the smallest window (ties:
@@ -216,14 +147,16 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     interval sees the smallest summed density of its class (ties:
     earliest cycle).  That density is folded only for the node's class
     over the cycles its window can reach, node by node in declaration
-    order, so every value equals `occupancy_density` of the same round;
-    a node with a single candidate start is placed without a fold.
+    order, with the float additions of a full recomputation; a node with
+    a single candidate start is placed without a fold.  The golden
+    digests in tests/test_scheduler.py pin the schedules to those of the
+    round-by-round form, which rebuilt every window and density.
     """
     lo_of = _check_latency_bound(dfg, assignment, latency_bound)
     hi_of = _alap_starts(dfg, assignment, latency_bound)
     ids = dfg.node_ids
     index = {nid: i for i, nid in enumerate(ids)}
-    delay = [_delay(assignment, nid) for nid in ids]
+    delay = [assignment[nid].delay for nid in ids]
     preds = [[index[p] for p in dfg.preds(nid)] for nid in ids]
     succs = [[index[s] for s in dfg.succs(nid)] for nid in ids]
     of_class = {cls: [i for i, n in enumerate(dfg.nodes) if n.op_class is cls] for cls in OpClass}
@@ -288,7 +221,7 @@ def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
     weight_from: dict[str, int] = {}
     for nid in reversed(dfg.topo_order):
         tail = max((weight_from[s] for s in dfg.succs(nid)), default=0)
-        weight_from[nid] = _delay(assignment, nid) + tail
+        weight_from[nid] = assignment[nid].delay + tail
     sources = sorted(
         dfg.source_ids,
         key=lambda nid: (-weight_from[nid], dfg.declaration_index(nid)),
@@ -296,7 +229,7 @@ def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
     current = sources[0]
     path = [current]
     while dfg.succs(current):
-        target = weight_from[current] - _delay(assignment, current)
+        target = weight_from[current] - assignment[current].delay
         nxt = sorted(
             (s for s in dfg.succs(current) if weight_from[s] == target),
             key=dfg.declaration_index,

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, MutableMapping
 from .binder import Binding, bind, total_area
 from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary, ResourceVersion
 from .model import evaluate_reliability
-from .scheduler import InfeasibleBoundError, Schedule, asap, critical_path, density_schedule
+from .scheduler import InfeasibleBoundError, Schedule, critical_path, density_schedule
 
 
 def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
@@ -128,12 +128,16 @@ def _repair_latency(
 ) -> tuple[dict[str, ResourceVersion], int] | Infeasible:
     """Speed up the slowest critical-path node of the initial allocation
     until the latency bound is met; the assignment and its asap latency,
-    or Infeasible once no critical-path node can go any faster."""
+    or Infeasible once no critical-path node can go any faster.  The
+    asap latency is the total delay of a critical path."""
     assignment = initial_allocation(dfg, library)
-    latency = asap(dfg, assignment).latency
-    while latency > l_d:
+    while True:
+        path = critical_path(dfg, assignment)
+        latency = sum(assignment[nid].delay for nid in path)
+        if latency <= l_d:
+            return assignment, latency
         candidates = []
-        for nid in critical_path(dfg, assignment):
+        for nid in path:
             current = assignment[nid]
             faster = [
                 v for v in library.versions_for(current.op_class) if v.delay < current.delay
@@ -148,8 +152,6 @@ def _repair_latency(
             )
         *_, victim, faster = min(candidates)
         assignment[victim] = prefer_versions(faster)[0]
-        latency = asap(dfg, assignment).latency
-    return assignment, latency
 
 
 def find_design(

@@ -20,19 +20,19 @@ def test_parse_minimal_chain():
     dfg = parse_dfg("node a add\nnode b add\nedge a b\n")
     assert [n.id for n in dfg.nodes] == ["a", "b"]
     assert dfg.edges == (("a", "b"),)
-    assert dfg.op_class_of("a") is OpClass.ADD
+    assert dfg.nodes[0].op_class is OpClass.ADD
 
 
 def test_parse_comments_and_blank_lines():
     dfg = parse_dfg("# header\n\nnode a add  # trailing\n\nnode b mul\nedge a b\n")
     assert len(dfg.nodes) == 2
-    assert dfg.op_class_of("b") is OpClass.MUL
+    assert dfg.nodes[1].op_class is OpClass.MUL
 
 
 def test_sub_and_cmp_alias_to_add_class():
     dfg = parse_dfg("node s sub\nnode c cmp\n")
-    assert dfg.op_class_of("s") is OpClass.ADD
-    assert dfg.op_class_of("c") is OpClass.ADD
+    assert dfg.nodes[0].op_class is OpClass.ADD
+    assert dfg.nodes[1].op_class is OpClass.ADD
 
 
 def test_self_loop_is_a_cycle_error():

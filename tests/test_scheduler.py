@@ -12,8 +12,6 @@ from relsyn.scheduler import (
     asap,
     critical_path,
     density_schedule,
-    mobility,
-    occupancy_density,
 )
 
 LIB = builtin_library()
@@ -84,11 +82,10 @@ def test_density_schedule_respects_windows():
     fir = builtin_benchmark("fir16")
     asg = uniform(fir)
     bound = asap(fir, asg).latency + 2
-    windows = mobility(fir, asg, bound)
+    lo, hi = asap(fir, asg).starts, alap(fir, asg, bound).starts
     sched = density_schedule(fir, asg, bound)
     for nid in fir.node_ids:
-        lo, hi = windows.windows[nid]
-        assert lo <= sched.starts[nid] <= hi
+        assert lo[nid] <= sched.starts[nid] <= hi[nid]
     assert sched.latency <= bound
 
 
@@ -127,20 +124,6 @@ def test_density_infeasible_bound():
     dfg, asg = chain(3, ADDER1)
     with pytest.raises(InfeasibleBoundError):
         density_schedule(dfg, asg, 5)
-
-
-def test_density_mass_conservation():
-    rng = random.Random(23)
-    for _ in range(20):
-        dfg = _random_dfg(rng)
-        asg = _random_assignment(dfg, rng)
-        bound = asap(dfg, asg).latency + rng.randint(0, 3)
-        density = occupancy_density(dfg, asg, bound)
-        for cls in OpClass:
-            expected = sum(
-                asg[n.id].delay for n in dfg.nodes if n.op_class is cls
-            )
-            assert sum(density[cls]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_density_schedule_deterministic():
@@ -228,11 +211,10 @@ def test_density_start_within_original_windows():
         dfg = _random_dfg(rng)
         asg = _random_assignment(dfg, rng)
         bound = asap(dfg, asg).latency + rng.randint(0, 4)
-        windows = mobility(dfg, asg, bound)
+        lo, hi = asap(dfg, asg).starts, alap(dfg, asg, bound).starts
         sched = density_schedule(dfg, asg, bound)
         for nid in dfg.node_ids:
-            lo, hi = windows.windows[nid]
-            assert lo <= sched.starts[nid] <= hi
+            assert lo[nid] <= sched.starts[nid] <= hi[nid]
 
 
 def _golden_cases():
@@ -318,10 +300,3 @@ def test_infeasible_bound_messages():
     with pytest.raises(InfeasibleBoundError) as exc:
         density_schedule(dfg, asg, 5)
     assert str(exc.value) == "latency bound 5 below minimum achievable 6"
-    dfg, asg = chain(3, ADDER2)
-    with pytest.raises(InfeasibleBoundError) as exc:
-        occupancy_density(dfg, asg, 3, {"c1": 1})
-    assert str(exc.value) == "latency bound 3 leaves no feasible start for 'c0'"
-    with pytest.raises(InfeasibleBoundError) as exc:
-        occupancy_density(dfg, asg, 3, {"c2": 4})
-    assert str(exc.value) == "latency bound 3 leaves no feasible start for 'c2'"

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from checks import validate_design
+from test_scheduler import WIDE_LIB
 from relsyn import synthesizer
 from relsyn.model import (
     Dfg,
@@ -16,6 +18,7 @@ from relsyn.model import (
     parse_library,
 )
 from relsyn.redundancy import evaluate_reliability
+from relsyn.scheduler import asap
 from relsyn.synthesizer import (
     Bounds,
     Design,
@@ -239,3 +242,62 @@ def test_single_version_designs_schedule_each_delay_vector_once(monkeypatch):
     assert len(schedules) == 4 and set(schedules.values()) == {1}
     assert len(designs) == len(bindings) == 4
     assert set(bindings.values()) == {1}
+
+
+def _repair_cases():
+    """The bundled graphs with the bundled library, then seeded DAGs of
+    2-8 nodes and of 40-120 nodes (node i gets 0-2 predecessors among the
+    previous 20) with the bundled library and with 1-4-cycle versions,
+    so that repair can speed one node up several times."""
+    for name in ("fir16", "ew", "diffeq"):
+        yield builtin_benchmark(name), LIB
+    rng = random.Random(53)
+    for _ in range(20):
+        yield _random_dfg(rng), rng.choice((LIB, WIDE_LIB))
+    for n in (40, 80, 120):
+        nodes = tuple(
+            DfgNode(f"v{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
+        )
+        edges = set()
+        for j in range(1, n):
+            for _ in range(rng.randint(0, 2)):
+                edges.add((f"v{rng.randrange(max(0, j - 20), j)}", f"v{j}"))
+        dfg = Dfg(nodes, tuple(sorted(edges)))
+        yield dfg, LIB
+        yield dfg, WIDE_LIB
+
+
+# sha256 of every repair outcome below, captured from the repair loop
+# that recomputed the asap schedule after each move.
+GOLDEN_REPAIRS_SHA256 = "62e6314af4986ce56428b18815d54eef8085ad52bd4ebf0f23e5b3ac45a81418"
+
+
+def test_repair_latency_is_the_asap_latency():
+    # Each graph at every L from 1 to one past its initial allocation's
+    # latency: a repaired latency equals the asap latency of the repaired
+    # assignment, and every L below the smallest repaired latency m is
+    # infeasible with m in its detail.
+    lines = []
+    for dfg, library in _repair_cases():
+        top = asap(dfg, initial_allocation(dfg, library)).latency
+        outcomes = {
+            l_d: synthesizer._repair_latency(dfg, library, l_d) for l_d in range(1, top + 2)
+        }
+        repaired = {l_d: o for l_d, o in outcomes.items() if not isinstance(o, Infeasible)}
+        for l_d, (assignment, latency) in repaired.items():
+            assert latency == asap(dfg, assignment).latency <= l_d
+        minimum = min(latency for _, latency in repaired.values())
+        assert min(repaired) == minimum
+        for l_d, outcome in outcomes.items():
+            if l_d < minimum:
+                assert outcome == Infeasible(
+                    "latency",
+                    f"minimum latency {minimum} exceeds bound {l_d} and no "
+                    "critical-path node has a faster version",
+                )
+                lines.append(repr((outcome.reason, outcome.detail)))
+            else:
+                assignment, latency = outcome
+                lines.append(repr(([assignment[nid].name for nid in dfg.node_ids], latency)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_REPAIRS_SHA256
