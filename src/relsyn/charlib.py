@@ -138,7 +138,7 @@ def characterize(inputs: Sequence[CharInput], model: CharModel) -> list[CharReco
         if inp.name == model.reference:
             reliability = model.reference_reliability
         else:
-            reliability = math.exp(-failure_rate * model.t)
+            reliability = reliability_from_failure_rate(failure_rate, model.t)
         records.append(
             CharRecord(inp.name, inp.q_critical, ratio, failure_rate, reliability)
         )

@@ -95,15 +95,11 @@ def _print_design_text(design: Design, out: IO[str]) -> None:
     print(f"latency {design.latency}", file=out)
     print(f"area {design.area:g}", file=out)
     print(f"reliability {design.reliability:.5f}", file=out)
-    print("assignment:", file=out)
-    for nid, version in design.assignment.items():
-        print(f"  {nid} {version.name}", file=out)
-    print("schedule:", file=out)
-    for nid, start in design.schedule.starts.items():
-        print(f"  {nid} {start}", file=out)
-    print("binding:", file=out)
-    for nid, iid in design.binding.node_to_instance.items():
-        print(f"  {nid} {iid}", file=out)
+    record = design_to_json(design)
+    for key in ("assignment", "schedule", "binding"):
+        print(f"{key}:", file=out)
+        for nid, value in record[key].items():
+            print(f"  {nid} {value}", file=out)
     print("instances:", file=out)
     for inst in design.binding.instances:
         print(f"  {inst.id} {inst.version} nmr {inst.nmr_factor}", file=out)

@@ -217,23 +217,11 @@ def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
     first by node declaration order.
     """
     check_assignment(dfg, assignment)
-    # Total delay of the heaviest path starting at each node.
-    weight_from: dict[str, int] = {}
-    for nid in reversed(dfg.topo_order):
-        tail = max((weight_from[s] for s in dfg.succs(nid)), default=0)
-        weight_from[nid] = assignment[nid].delay + tail
-    sources = sorted(
-        dfg.source_ids,
-        key=lambda nid: (-weight_from[nid], dfg.declaration_index(nid)),
-    )
-    current = sources[0]
+    # Under bound 0 a node's latest start is 1 minus its heaviest path to a sink.
+    latest = _alap_starts(dfg, assignment, 0)
+    current = min(dfg.source_ids, key=latest.__getitem__)  # ties: declaration order
     path = [current]
     while dfg.succs(current):
-        target = weight_from[current] - assignment[current].delay
-        nxt = sorted(
-            (s for s in dfg.succs(current) if weight_from[s] == target),
-            key=dfg.declaration_index,
-        )
-        current = nxt[0]
+        current = min(dfg.succs(current), key=lambda s: (latest[s], dfg.declaration_index(s)))
         path.append(current)
     return path

@@ -13,15 +13,15 @@ fast multiplier).  When area repair dead-ends, a final fallback
 enumerates the single-version-per-class assignments and returns the
 most reliable one that fits both bounds.
 
-Every schedule and binding goes through a `memo` dict.  Schedules
-depend only on the node delays and the latency bound, bindings on the
-assignment and the bound, and the latency-repaired assignment on the
-bound alone, never on the area bound.  So the memo keeps schedules per
-(delays, latency bound), bindings per (assignment, latency bound) and
-repair outcomes per latency bound: a move between versions of equal
-delay re-binds without re-scheduling.  A caller that solves many bound
-pairs on one graph and library (a sweep) may pass the same memo to
-every call; without one, each call uses a memo of its own.
+Every design goes through a `memo` dict.  Nothing in it depends on the
+area bound, so the memo keeps (delays, latency bound) -> schedule or the
+scheduler's error, (version names, latency bound) -> the scheduled,
+bound and priced `Design`, and latency bound -> latency-repair outcome:
+a move between versions of equal delay re-binds without re-scheduling,
+and a design met again is not re-built.  A caller that solves many
+bound pairs on one graph and library (a sweep) may pass the same memo
+to every call; without one, each call uses a memo of its own.  Designs
+from a shared memo are shared objects: treat them as read-only.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, MutableMapping
 
-from .binder import Binding, bind, total_area
-from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary, ResourceVersion
-from .model import evaluate_reliability
-from .scheduler import InfeasibleBoundError, Schedule, critical_path, density_schedule
+from .binder import bind, total_area
+from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
+from .model import ResourceVersion, evaluate_reliability
+from .scheduler import InfeasibleBoundError, critical_path, density_schedule
 
 
 def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
@@ -50,39 +50,23 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
     return {n.id: best[n.op_class] for n in dfg.nodes}
 
 
-def _build_design(
-    dfg: Dfg,
-    library: ResourceLibrary,
-    assignment: dict[str, ResourceVersion],
-    schedule: Schedule,
-    binding: Binding,
-) -> Design:
-    return Design(
-        assignment=dict(assignment),
-        schedule=schedule,
-        binding=binding,
-        latency=schedule.latency,
-        area=total_area(binding, library),
-        reliability=evaluate_reliability(dfg, assignment, binding),
-    )
-
-
 # Shared by the flows of one graph and library: (node delays, latency
-# bound) -> Schedule or the InfeasibleBoundError, (version names,
-# latency bound) -> (Schedule, Binding), and latency bound ->
-# latency-repair outcome.  Delay keys hold ints and name keys strings.
+# bound) -> Schedule or the InfeasibleBoundError, (version names, latency
+# bound) -> Design, and latency bound -> latency-repair outcome.  Delay
+# keys hold ints and name keys strings.  Stored designs are read-only.
 Memo = MutableMapping[object, object]
 
 
-def _schedule_and_bind(
-    dfg: Dfg, assignment: dict[str, ResourceVersion], latency_bound: int, memo: Memo
-) -> tuple[Schedule, Binding]:
-    """density_schedule then bind, each computed once per memo; raises
-    InfeasibleBoundError as the scheduler does.  The scheduler reads only
-    delays, so assignments with equal delays share one schedule."""
+def _design_at(
+    dfg: Dfg, library: ResourceLibrary, assignment: Assignment, latency_bound: int, memo: Memo
+) -> Design:
+    """The design of `assignment` density-scheduled at `latency_bound`,
+    bound and priced, built once per memo; raises InfeasibleBoundError as
+    the scheduler does.  The scheduler reads only delays, so assignments
+    with equal delays share one schedule."""
     names = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
-    pair = memo.get(names)
-    if pair is None:
+    design = memo.get(names)
+    if design is None:
         delays = (tuple(assignment[nid].delay for nid in dfg.node_ids), latency_bound)
         schedule = memo.get(delays)
         if schedule is None:
@@ -94,8 +78,16 @@ def _schedule_and_bind(
         if isinstance(schedule, InfeasibleBoundError):
             # Raise a copy: raising the stored error again would lengthen its traceback.
             raise InfeasibleBoundError(*schedule.args)
-        pair = memo[names] = (schedule, bind(dfg, schedule, assignment))
-    return pair
+        binding = bind(dfg, schedule, assignment)
+        design = memo[names] = Design(
+            assignment=dict(assignment),
+            schedule=schedule,
+            binding=binding,
+            latency=schedule.latency,
+            area=total_area(binding, library),
+            reliability=evaluate_reliability(dfg, assignment, binding),
+        )
+    return design
 
 
 def single_version_designs(
@@ -111,10 +103,10 @@ def single_version_designs(
         chosen = dict(zip(classes, combo))
         assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
         try:
-            schedule, binding = _schedule_and_bind(dfg, assignment, latency_bound, memo)
+            design = _design_at(dfg, library, assignment, latency_bound, memo)
         except InfeasibleBoundError:
             continue
-        yield _build_design(dfg, library, assignment, schedule, binding)
+        yield design
 
 
 def best_design(designs: Iterable[Design]) -> Design | None:
@@ -174,19 +166,17 @@ def find_design(
     assignment, latency = dict(repaired[0]), repaired[1]  # area repair edits the copy
 
     # Schedule against the achieved latency; then share hardware.
-    schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
-    area = total_area(binding, library)
+    design = _design_at(dfg, library, assignment, latency, memo)
 
     # Latency slack: relaxing the schedule one cycle at a time lets the
     # binder serialize more operations onto fewer instances.
-    while area > a_d and latency < l_d:
+    while design.area > a_d and latency < l_d:
         latency += 1
-        schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
-        area = total_area(binding, library)
+        design = _design_at(dfg, library, assignment, latency, memo)
 
     # Area repair: move the largest-version node, together with every
     # node sharing its instance, to a smaller version that is no slower.
-    while area > a_d:
+    while design.area > a_d:
         candidates = []
         for index, nid in enumerate(dfg.node_ids):
             current = assignment[nid]
@@ -207,16 +197,15 @@ def find_design(
                 return fallback
             return Infeasible(
                 "area",
-                f"area {area:g} exceeds bound {a_d:g}; no node has a smaller "
+                f"area {design.area:g} exceeds bound {a_d:g}; no node has a smaller "
                 "version that is no slower and no single-version design fits",
             )
         *_, victim, smaller = min(candidates)
         replacement = prefer_versions(smaller)[0]
-        for nid in binding.nodes_on(binding.node_to_instance[victim]):
+        for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
             assignment[nid] = replacement
-        schedule, binding = _schedule_and_bind(dfg, assignment, latency, memo)
-        area = total_area(binding, library)
+        design = _design_at(dfg, library, assignment, latency, memo)
 
-    if schedule.latency > l_d:
-        return Infeasible("latency", f"latency {schedule.latency} exceeds bound {l_d}")
-    return _build_design(dfg, library, assignment, schedule, binding)
+    if design.latency > l_d:
+        return Infeasible("latency", f"latency {design.latency} exceeds bound {l_d}")
+    return design

@@ -164,6 +164,43 @@ def test_critical_path_tie_break_declaration_order():
     assert critical_path(dfg, asg) == ["a", "b", "d"]
 
 
+def test_critical_path_ties_follow_declaration_not_edge_order():
+    # Sources b and c tie as the heaviest, both declared after the lighter
+    # a; b's successors x and y tie, and the edge to y is listed first.
+    dfg = parse_dfg(
+        "node a add\nnode b add\nnode c add\nnode x add\nnode y add\nnode z add\n"
+        "edge c x\nedge b y\nedge a z\nedge b x\n"
+    )
+    asg = {nid: ADDER2 for nid in dfg.node_ids} | {"b": ADDER1, "c": ADDER1}
+    assert critical_path(dfg, asg) == ["b", "x"]
+
+
+def test_critical_path_is_first_heaviest_path_by_enumeration():
+    # Every source-to-sink path of small random DAGs, with edges listed in
+    # shuffled order: the result is the heaviest path whose declaration
+    # indices come first lexicographically.
+    rng = random.Random(37)
+    for _ in range(200):
+        base = _random_dfg(rng)
+        edges = list(base.edges)
+        rng.shuffle(edges)
+        dfg = Dfg(base.nodes, tuple(edges))
+        asg = _random_assignment(dfg, rng, WIDE_LIB)
+        paths = [[nid] for nid in dfg.source_ids]
+        complete = []
+        while paths:
+            path = paths.pop()
+            if dfg.succs(path[-1]):
+                paths += [path + [s] for s in dfg.succs(path[-1])]
+            else:
+                complete.append(path)
+        expected = min(
+            complete,
+            key=lambda p: (-sum(asg[n].delay for n in p), [dfg.declaration_index(n) for n in p]),
+        )
+        assert critical_path(dfg, asg) == expected
+
+
 def _random_dfg(rng: random.Random, max_nodes: int = 8) -> Dfg:
     n = rng.randint(2, max_nodes)
     nodes = tuple(

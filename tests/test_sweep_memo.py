@@ -2,6 +2,7 @@
 through one memo; every result must equal the one computed without it."""
 
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from relsyn.model import builtin_benchmark, builtin_library, data_text
 from relsyn.redundancy import baseline_nmr_synth, combined_synth
 from relsyn.scheduler import InfeasibleBoundError, asap
 from relsyn.synthesizer import find_design
+from test_scheduler import WIDE_LIB
 
 LIB = builtin_library()
 FLOWS = {"ours": find_design, "nmr": baseline_nmr_synth, "combined": combined_synth}
@@ -124,3 +126,78 @@ def test_sweep_schedules_each_delay_vector_and_bound_once(tmp_path, capsys, monk
                 flow(dfg, LIB, Bounds(l_d, a_d))
     assert set(calls) == swept
     assert max(calls.values()) > 1
+
+
+def _flow_cases():
+    """(graph, library, latency bounds, area bounds): the bundled graphs
+    over perfbench's sweep-bundled latency ranges, then seeded 20-80 node
+    DAGs with the bundled and the 1-4-cycle library, from one cycle
+    below their fastest latency (latency-infeasible) to n/6 above it."""
+    yield builtin_benchmark("fir16"), LIB, range(9, 17), (8, 12, 20, 40)
+    yield builtin_benchmark("ew"), LIB, range(14, 22), (6, 10, 18, 40)
+    yield builtin_benchmark("diffeq"), LIB, range(4, 12), (4, 8, 14, 36)
+    rng = random.Random(8)
+    for n in (20, 29, 37, 46, 54, 63, 71, 80):
+        dfg = _random_dag(rng, n)
+        for library in (LIB, WIDE_LIB):
+            fastest = {c: min(library.versions_for(c), key=lambda v: v.delay) for c in OpClass}
+            minimum = asap(dfg, {x.id: fastest[x.op_class] for x in dfg.nodes}).latency
+            areas = (round(0.35 * n, 1), round(0.7 * n, 1), round(1.5 * n, 1))
+            yield dfg, library, (minimum - 1, minimum, minimum + 2, minimum + n // 6), areas
+
+
+def _flow_record(result):
+    if isinstance(result, Infeasible):
+        return f"infeasible {result.reason} {result.detail}"
+    return json.dumps(cli.design_to_json(result))
+
+
+def _flow_digest(memo_for):
+    """sha256 over every flow result of `_flow_cases`, in case order; each
+    graph's points are visited in a shuffled order with `memo_for()`."""
+    rng = random.Random(13)
+    records = []
+    for dfg, library, latencies, areas in _flow_cases():
+        points = [(l_d, a_d, m) for l_d in latencies for a_d in areas for m in FLOWS]
+        visits = points[:]
+        rng.shuffle(visits)
+        memo, results = memo_for(), {}
+        for l_d, a_d, method in visits:
+            result = FLOWS[method](dfg, library, Bounds(l_d, a_d), memo=memo)
+            results[l_d, a_d, method] = _flow_record(result)
+        records += [results[point] for point in points]
+    assert len(records) == 3 * (3 * 8 * 4 + 16 * 4 * 3)
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+# sha256 of every flow's design JSON (or Infeasible reason and detail) over
+# `_flow_cases`, captured from the flow that scheduled and bound in one
+# step and priced the design in another.
+FLOW_DESIGNS_SHA256 = "201001a18c89b31a5d5e668d2463b07a303adbc1f974b4f97a0981e95e5c31dc"
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["no-memo", "shared-memo"])
+def test_flow_designs_unchanged(shared):
+    assert _flow_digest(dict if shared else lambda: None) == FLOW_DESIGNS_SHA256
+
+
+def test_sweep_builds_each_design_once(tmp_path, capsys, monkeypatch):
+    # Each distinct (assignment, L) of the sweep is bound once and priced
+    # once, however many area bounds and flows reach it.
+    bound, priced = [], Counter()
+    bind, evaluate = synthesizer.bind, synthesizer.evaluate_reliability
+
+    def counting_bind(dfg, schedule, assignment):
+        # The memo holds one schedule object per (delays, L): it stands for L.
+        bound.append((tuple(v.name for v in assignment.values()), id(schedule)))
+        return bind(dfg, schedule, assignment)
+
+    def counting_evaluate(*args):
+        priced["calls"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(synthesizer, "bind", counting_bind)
+    monkeypatch.setattr(synthesizer, "evaluate_reliability", counting_evaluate)
+    csv = _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
+    assert csv.count("\n") == 1 + 432
+    assert priced["calls"] == len(bound) == len(set(bound))
