@@ -174,6 +174,8 @@ class ResourceLibrary:
                 raise ValidationError(f"duplicate resource name {v.name!r}")
             by_name[v.name] = v
         object.__setattr__(self, "_by_name", by_name)
+        by_class = {cls: tuple(v for v in self.versions if v.op_class == cls) for cls in OpClass}
+        object.__setattr__(self, "_by_class", by_class)
 
     def by_name(self, name: str) -> ResourceVersion:
         try:
@@ -182,7 +184,7 @@ class ResourceLibrary:
             raise KeyError(f"unknown resource version {name!r}") from None
 
     def versions_for(self, op_class: OpClass) -> tuple[ResourceVersion, ...]:
-        return tuple(v for v in self.versions if v.op_class == op_class)
+        return self._by_class.get(op_class, ())
 
     def check_covers(self, dfg: Dfg) -> None:
         """Every operation class used by the graph needs at least one version."""

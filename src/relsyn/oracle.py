@@ -7,12 +7,14 @@ bound for one whose shared-hardware area fits.  Scheduling, longest
 paths, and instance packing are reimplemented here on purpose so the
 check does not share code paths with the production scheduler/binder.
 
-The enumeration runs on per-graph tables built node by node in
-`itertools.product` order: each combination's log-reliability sum (the
-sort key), its delay vector as one integer code and its set of used
+The enumeration walks prefixes of version combinations node by node in
+`itertools.product` order, each carrying its log-reliability sum (the
+sort key), the delay code of its fastest completion and its set of used
 versions as a bitmask.  Longest paths are computed once per delay code
-and the area prefilter once per mask; only the combinations that pass
-both are sorted and decoded into versions for the start-vector search.
+and the area prefilter once per mask met.  Both bounds are monotone in
+the prefix, so a prefix that already misses one is dropped together with
+all its completions; the survivors, exactly the combinations meeting
+both, are sorted and decoded into versions for the start-vector search.
 Version areas are always summed in library declaration order, so the
 result does not depend on hash order and a returned design's area never
 exceeds the area bound.
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .binder import Binding, Instance
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, ResourceLibrary, ResourceVersion
@@ -71,15 +75,15 @@ def _longest_paths(dfg: Dfg, delay_menus: list[list[int]]) -> list[int]:
     itertools.product(*delay_menus) yields them (menus in declaration
     order); one pass over the graph with a list per node."""
     columns = list(zip(*itertools.product(*delay_menus)))
-    dist: dict[str, list[int]] = {}
+    dist: dict[str, Sequence[int]] = {}
     for nid in dfg.topo_order:
         own = columns[dfg.declaration_index(nid)]
-        incoming = list(zip(*(dist[p] for p in dfg.preds(nid))))
-        if incoming:
-            dist[nid] = [max(ins) + d for ins, d in zip(incoming, own)]
-        else:
-            dist[nid] = list(own)
-    return [max(ends) for ends in zip(*(dist[nid] for nid in dfg.sink_ids))]
+        rows = [dist[p] for p in dfg.preds(nid)]
+        if rows:  # one row is its own maximum: max() of a lone int would fail
+            own = list(map(operator.add, map(max, *rows) if rows[1:] else rows[0], own))
+        dist[nid] = own
+    ends = [dist[nid] for nid in dfg.sink_ids]
+    return list(map(max, *ends) if ends[1:] else ends[0])
 
 
 def _left_edge_pack(
@@ -108,33 +112,18 @@ def _left_edge_pack(
     return {nid: mapping[nid] for nid in dfg.node_ids}, instances
 
 
-def _area_of_starts(
-    assignment: Assignment, used: list[ResourceVersion], starts: dict[str, int], horizon: int
-) -> float:
-    # Shared-hardware area equals, per version, the peak number of
-    # concurrently executing operations times the version area; summed
-    # over `used` (library order), as `_feasible_starts` bounds it.
-    usage = {v.name: [0] * horizon for v in used}
-    for nid, s in starts.items():
-        v = assignment[nid]
-        row = usage[v.name]
-        for c in range(s, s + v.delay):
-            row[c - 1] += 1
-    area = 0.0
-    for v in used:
-        area += v.area * max(usage[v.name])
-    return area
-
-
 def _feasible_starts(
     dfg: Dfg, assignment: Assignment, used: list[ResourceVersion], bounds: Bounds
-) -> dict[str, int] | None:
-    """Search start vectors in topological order; None if nothing fits.
+) -> tuple[dict[str, int], float] | None:
+    """Search start vectors in topological order; the first that fits and
+    its shared-hardware area, or None if nothing fits.
 
     Prunes on an area lower bound: placed operations determine current
     per-version concurrency peaks, and every version still awaiting
-    placement needs at least one instance.  `used` lists the assigned
-    versions in library order, the order the bound sums their areas in.
+    placement needs at least one instance.  Once every node is placed the
+    bound is the area itself: per version, the peak number of concurrently
+    executing operations times the version area.  `used` lists the
+    assigned versions in library order, the order the bound sums them in.
     """
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     order = dfg.topo_order
@@ -191,8 +180,24 @@ def _feasible_starts(
         return False
 
     if place(0):
-        return dict(starts)
+        return dict(starts), area_lower_bound(len(order))
     return None
+
+
+class _AreaFits(dict):
+    """Used-version mask (bit k is versions[k]) -> whether one instance of
+    each used version fits the area bound; computed on first lookup."""
+
+    def __init__(self, versions: tuple[ResourceVersion, ...], area_bound: float) -> None:
+        self.versions, self.area_bound = versions, area_bound
+
+    def __missing__(self, mask: int) -> bool:
+        area = 0.0  # library order, left to right: see area_lower_bound
+        for k, v in enumerate(self.versions):
+            if mask >> k & 1:
+                area += v.area
+        self[mask] = area <= self.area_bound
+        return self[mask]
 
 
 def _combination(index: int, choices: list[tuple[ResourceVersion, ...]]) -> list[ResourceVersion]:
@@ -228,56 +233,50 @@ def oracle_best(
 
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
     position = {v.name: k for k, v in enumerate(library.versions)}
-    # Tables over all combinations, indexed in itertools.product order.
-    # `keys` adds the logs left to right from 0.
-    keys: list[float] = [0]
-    codes = [0]  # delay vector; one mixed-radix digit per node
-    masks = [0]  # used versions; bit k is library.versions[k]
-    delay_menus: list[list[int]] = []
-    for versions in choices:
-        logs = [math.log(v.reliability) for v in versions]
-        menu = sorted({v.delay for v in versions})
-        digits = [menu.index(v.delay) for v in versions]
-        bits = [1 << position[v.name] for v in versions]
-        radix = len(menu)
-        keys = [k + g for k in keys for g in logs]
-        codes = [c * radix + d for c in codes for d in digits]
-        masks = [m | b for m in masks for b in bits]
-        delay_menus.append(menu)
-
+    delay_menus = [sorted({v.delay for v in versions}) for versions in choices]
     # Codes count up in the order itertools.product yields delay vectors.
     latency_ok = [span <= bounds.latency_bound for span in _longest_paths(dfg, delay_menus)]
-    # One instance per used version at least; areas summed in library order.
-    area_ok = {}
-    for mask in set(masks):
-        area = 0.0  # left to right, not sum(): see area_lower_bound
-        for k, v in enumerate(library.versions):
-            if mask >> k & 1:
-                area += v.area
-        area_ok[mask] = area <= bounds.area_bound
-    in_time = [i for i, code in enumerate(codes) if latency_ok[code]]
-    survivors = [i for i in in_time if area_ok[masks[i]]]
+    area_ok = _AreaFits(library.versions, bounds.area_bound)
+    # Prefixes in product order: (logs summed left to right from 0, product
+    # index, delay code, used-version mask); index and code are those of the
+    # first completion (later digits 0, the fastest), so extending adds to
+    # each.  Both bounds are monotone: a prefix whose fastest completion is
+    # late, or whose used versions alone outgrow the area, has no survivor.
+    prefixes: list[tuple[float, int, int, int]] = [(0, 0, 0, 0)]
+    count, rest = math.prod(map(len, choices)), len(latency_ok)
+    for versions, menu in zip(choices, delay_menus):
+        count, rest = count // len(versions), rest // len(menu)
+        extensions = [
+            (math.log(v.reliability), k * count, menu.index(v.delay) * rest, 1 << position[v.name])
+            for k, v in enumerate(versions)
+        ]
+        prefixes = [
+            (key + log, index + step, code + shift, mask | bit)
+            for key, index, code, mask in prefixes
+            for log, step, shift, bit in extensions
+            if latency_ok[code + shift] and area_ok[mask | bit]
+        ]
     # Descending reliability; the sort is stable, so ties keep product order.
-    survivors.sort(key=keys.__getitem__, reverse=True)
+    prefixes.sort(key=operator.itemgetter(0), reverse=True)
 
-    for i in survivors:
-        assignment = {n.id: v for n, v in zip(dfg.nodes, _combination(i, choices))}
-        used = [v for k, v in enumerate(library.versions) if masks[i] >> k & 1]
-        starts = _feasible_starts(dfg, assignment, used, bounds)
-        if starts is None:
+    for key, index, _, mask in prefixes:
+        assignment = {n.id: v for n, v in zip(dfg.nodes, _combination(index, choices))}
+        used = [v for k, v in enumerate(library.versions) if mask >> k & 1]
+        found = _feasible_starts(dfg, assignment, used, bounds)
+        if found is None:
             continue
+        starts, area = found
         node_to_instance, instances = _left_edge_pack(dfg, assignment, starts)
         binding = Binding(node_to_instance, instances)
         latency = max(starts[nid] + assignment[nid].delay - 1 for nid in starts)
-        area = _area_of_starts(assignment, used, starts, bounds.latency_bound)
         return Design(
             assignment=assignment,
             schedule=Schedule({nid: starts[nid] for nid in dfg.node_ids}, latency),
             binding=binding,
             latency=latency,
             area=area,
-            reliability=math.exp(keys[i]),
+            reliability=math.exp(key),
         )
-    reason = "area" if in_time else "latency"
+    reason = "area" if any(latency_ok) else "latency"
     return Infeasible(reason, "exhaustive search found no design meeting both bounds")
 

@@ -210,6 +210,17 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     return _as_schedule(dfg, assignment, starts)
 
 
+def _heaviest_path(dfg: Dfg, tail: Mapping[str, int]) -> list[str]:
+    """The first heaviest source-to-sink path by node declaration order,
+    given each node's tail: the total delay of its heaviest path to a sink."""
+    current = max(dfg.source_ids, key=tail.__getitem__)  # ties: declaration order
+    path = [current]
+    while dfg.succs(current):
+        current = max(dfg.succs(current), key=lambda s: (tail[s], -dfg.declaration_index(s)))
+        path.append(current)
+    return path
+
+
 def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
     """One maximum-total-delay source-to-sink path.
 
@@ -219,9 +230,4 @@ def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
     check_assignment(dfg, assignment)
     # Under bound 0 a node's latest start is 1 minus its heaviest path to a sink.
     latest = _alap_starts(dfg, assignment, 0)
-    current = min(dfg.source_ids, key=latest.__getitem__)  # ties: declaration order
-    path = [current]
-    while dfg.succs(current):
-        current = min(dfg.succs(current), key=lambda s: (latest[s], dfg.declaration_index(s)))
-        path.append(current)
-    return path
+    return _heaviest_path(dfg, {nid: 1 - start for nid, start in latest.items()})

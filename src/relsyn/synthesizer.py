@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, MutableMapping
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
 from .model import ResourceVersion, evaluate_reliability
-from .scheduler import InfeasibleBoundError, critical_path, density_schedule
+from .scheduler import InfeasibleBoundError, _heaviest_path, density_schedule
 
 
 def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
@@ -123,9 +123,16 @@ def _repair_latency(
     or Infeasible once no critical-path node can go any faster.  The
     asap latency is the total delay of a critical path."""
     assignment = initial_allocation(dfg, library)
+    tail: dict[str, int] = {}  # total delay of each node's heaviest path to a sink
+
+    def tail_of(nid: str) -> int:
+        return assignment[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+
+    for nid in reversed(dfg.topo_order):
+        tail[nid] = tail_of(nid)
     while True:
-        path = critical_path(dfg, assignment)
-        latency = sum(assignment[nid].delay for nid in path)
+        path = _heaviest_path(dfg, tail)
+        latency = tail[path[0]]
         if latency <= l_d:
             return assignment, latency
         candidates = []
@@ -144,6 +151,13 @@ def _repair_latency(
             )
         *_, victim, faster = min(candidates)
         assignment[victim] = prefer_versions(faster)[0]
+        # Only the victim's tail and its ancestors' can change; stop where one holds.
+        stack = [victim]
+        while stack:
+            nid = stack.pop()
+            if (new := tail_of(nid)) != tail[nid]:
+                tail[nid] = new
+                stack.extend(dfg.preds(nid))
 
 
 def find_design(

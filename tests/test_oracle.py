@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -21,7 +22,13 @@ from relsyn.model import (
     parse_dfg,
     parse_library,
 )
-from relsyn.oracle import OracleLimit, OracleLimitError, oracle_best, oracle_min_latency
+from relsyn.oracle import (
+    OracleLimit,
+    OracleLimitError,
+    _longest_paths,
+    oracle_best,
+    oracle_min_latency,
+)
 from relsyn.scheduler import asap
 from relsyn.synthesizer import Bounds, Design, Infeasible, initial_allocation
 
@@ -125,6 +132,24 @@ def test_oracle_min_latency_cross_checks_asap():
         dfg = _random_dfg(rng)
         asg = {x.id: rng.choice(LIB.versions_for(x.op_class)) for x in dfg.nodes}
         assert oracle_min_latency(dfg, asg) == asap(dfg, asg).latency
+
+
+def test_longest_paths_match_path_enumeration():
+    # Every entry, in itertools.product order of the per-node delay menus,
+    # is the critical path that path enumeration finds for that delay vector.
+    rng = random.Random(89)
+    for _ in range(30):
+        dfg = _oracle_dag(rng)
+        menus = [sorted(rng.sample(range(1, 5), rng.randint(1, 3))) for _ in dfg.nodes]
+        spans = _longest_paths(dfg, menus)
+        vectors = list(itertools.product(*menus))
+        assert len(spans) == len(vectors)
+        for span, delays in zip(spans, vectors):
+            asg = {
+                n.id: ResourceVersion(f"{n.op_class.value}{d}", n.op_class, 1, d, 0.9)
+                for n, d in zip(dfg.nodes, delays)
+            }
+            assert span == oracle_min_latency(dfg, asg)
 
 
 def test_oracle_best_deterministic():
@@ -244,3 +269,32 @@ def test_oracle_best_independent_of_hash_seed():
     assignment, area = json.loads(outputs.pop())
     assert area <= 0.6
     assert assignment == {"x": "A2", "m": "M1", "y": "A2"}
+
+
+def test_oracle_infeasible_reason_is_fastest_asap():
+    # "latency" exactly when even the all-fastest assignment is late.
+    reasons = set()
+    for dfg, lib, bounds in _oracle_cases(83, 40):
+        result = oracle_best(dfg, lib, bounds)
+        if isinstance(result, Infeasible):
+            fastest = {
+                n.id: min(lib.versions_for(n.op_class), key=lambda v: v.delay) for n in dfg.nodes
+            }
+            late = asap(dfg, fastest).latency > bounds.latency_bound
+            assert result.reason == ("latency" if late else "area")
+            reasons.add(result.reason)
+    assert reasons == {"latency", "area"}
+
+
+def test_oracle_ignores_versions_of_unused_classes():
+    # Twenty multipliers declared ahead of the adders put the adders at mask
+    # bits 20-22; an area table over every subset would need 2**23 entries.
+    adders = LIB.versions_for(OpClass.ADD)
+    multipliers = tuple(
+        ResourceVersion(f"M{i}", OpClass.MUL, 1 + i / 4, 1 + i % 3, 0.9) for i in range(20)
+    )
+    wide = ResourceLibrary(multipliers + adders)
+    narrow = ResourceLibrary(adders)
+    for latency, area in ((4, 2), (5, 4), (8, 3), (12, 10), (7, 2), (5, 0.5)):
+        bounds = Bounds(latency, area)
+        assert oracle_best(FANIN_CHAIN, wide, bounds) == oracle_best(FANIN_CHAIN, narrow, bounds)
