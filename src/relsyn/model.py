@@ -91,13 +91,17 @@ class Dfg:
         object.__setattr__(self, "_ids", tuple(index))
         object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
         object.__setattr__(self, "_succs", {k: tuple(v) for k, v in succs.items()})
+        object.__setattr__(self, "_sources", tuple(k for k, v in preds.items() if not v))
+        object.__setattr__(self, "_sinks", tuple(k for k, v in succs.items() if not v))
         object.__setattr__(self, "_topo", self._toposort())
+        classes = [n.op_class for n in self.nodes]  # list.count skips Enum.__hash__
+        object.__setattr__(self, "_class_counts", {cls: classes.count(cls) for cls in OpClass})
 
     def _toposort(self) -> tuple[str, ...]:
         # Kahn's algorithm with declaration-order tie-break; also the
         # acyclicity check.
         indeg = {n.id: len(self._preds[n.id]) for n in self.nodes}
-        ready = deque(n.id for n in self.nodes if indeg[n.id] == 0)
+        ready = deque(self._sources)
         order: list[str] = []
         while ready:
             nid = ready.popleft()
@@ -131,17 +135,15 @@ class Dfg:
 
     @property
     def source_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if not self._preds[n.id])
+        return self._sources
 
     @property
     def sink_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if not self._succs[n.id])
+        return self._sinks
 
     def class_counts(self) -> dict[OpClass, int]:
-        counts = {cls: 0 for cls in OpClass}
-        for node in self.nodes:
-            counts[node.op_class] += 1
-        return counts
+        """Nodes per operation class, every class in `OpClass` order."""
+        return dict(self._class_counts)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ and the area prefilter once per mask met.  Both bounds are monotone in
 the prefix, so a prefix that already misses one is dropped together with
 all its completions; the survivors, exactly the combinations meeting
 both, are sorted and decoded into versions for the start-vector search.
+That search places nodes in topological order and drops a partial start
+vector once Σ area × max(peak concurrency, 1) over the used versions
+exceeds the area bound; with every node placed, that sum is the area.
 Version areas are always summed in library declaration order, so the
 result does not depend on hash order and a returned design's area never
 exceeds the area bound.
@@ -22,6 +25,7 @@ exceeds the area bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -118,12 +122,12 @@ def _feasible_starts(
     """Search start vectors in topological order; the first that fits and
     its shared-hardware area, or None if nothing fits.
 
-    Prunes on an area lower bound: placed operations determine current
-    per-version concurrency peaks, and every version still awaiting
-    placement needs at least one instance.  Once every node is placed the
-    bound is the area itself: per version, the peak number of concurrently
-    executing operations times the version area.  `used` lists the
-    assigned versions in library order, the order the bound sums them in.
+    Prunes on an area lower bound: per used version, its area times the
+    peak number of concurrently executing placed operations, or times one
+    while none is placed, since every used version needs at least one
+    instance.  Once every node is placed the bound is the area itself.
+    `used` lists the assigned versions in library order, the order the
+    bound sums them in.
     """
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     order = dfg.topo_order
@@ -133,31 +137,19 @@ def _feasible_starts(
         cap = l_d - assignment[nid].delay + 1
         for succ in dfg.succs(nid):
             cap = min(cap, latest[succ] - assignment[nid].delay)
-        if cap < 1:
-            return None
         latest[nid] = cap
-    areas = {v.name: v.area for v in used}
-    remaining_versions: list[set[str]] = []
-    seen: set[str] = set()
-    for nid in reversed(order):
-        seen = seen | {assignment[nid].name}
-        remaining_versions.append(set(seen))
-    remaining_versions.reverse()
-
-    usage: dict[str, list[int]] = {name: [0] * l_d for name in areas}
-    peaks: dict[str, int] = {name: 0 for name in areas}
+    usage: dict[str, list[int]] = {v.name: [0] * l_d for v in used}
+    peaks: dict[str, int] = {v.name: 0 for v in used}
     starts: dict[str, int] = {}
 
-    def area_lower_bound(pos: int) -> float:
-        pending = remaining_versions[pos] if pos < len(order) else set()
+    def area_lower_bound() -> float:
         area = 0.0  # left to right: sum() of floats is compensated on Python >= 3.12
-        for name, peak in peaks.items():
-            area += areas[name] * max(peak, 1 if name in pending else 0)
+        for v in used:
+            area += v.area * max(peaks[v.name], 1)
         return area
 
-    def place(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    def place(pos: int) -> float | None:
+        """The area of the first fitting completion of the placed prefix."""
         nid = order[pos]
         v = assignment[nid]
         earliest = 1
@@ -171,33 +163,19 @@ def _feasible_starts(
                 row[c] += 1
                 peaks[v.name] = max(peaks[v.name], row[c])
             starts[nid] = s
-            if area_lower_bound(pos + 1) <= a_d and place(pos + 1):
-                return True
+            area = area_lower_bound()
+            if area <= a_d:
+                found = area if pos + 1 == len(order) else place(pos + 1)
+                if found is not None:
+                    return found
             del starts[nid]
             for c in cells:
                 row[c] -= 1
             peaks[v.name] = saved_peak
-        return False
+        return None
 
-    if place(0):
-        return dict(starts), area_lower_bound(len(order))
-    return None
-
-
-class _AreaFits(dict):
-    """Used-version mask (bit k is versions[k]) -> whether one instance of
-    each used version fits the area bound; computed on first lookup."""
-
-    def __init__(self, versions: tuple[ResourceVersion, ...], area_bound: float) -> None:
-        self.versions, self.area_bound = versions, area_bound
-
-    def __missing__(self, mask: int) -> bool:
-        area = 0.0  # library order, left to right: see area_lower_bound
-        for k, v in enumerate(self.versions):
-            if mask >> k & 1:
-                area += v.area
-        self[mask] = area <= self.area_bound
-        return self[mask]
+    area = place(0)
+    return None if area is None else (dict(starts), area)
 
 
 def _combination(index: int, choices: list[tuple[ResourceVersion, ...]]) -> list[ResourceVersion]:
@@ -220,8 +198,8 @@ def oracle_best(
     limit = limit or OracleLimit()
     _check_limits(dfg, limit)
     library.check_covers(dfg)
-    for cls in {n.op_class for n in dfg.nodes}:
-        if len(library.versions_for(cls)) > limit.max_versions_per_class:
+    for cls, count in dfg.class_counts().items():
+        if count and len(library.versions_for(cls)) > limit.max_versions_per_class:
             raise OracleLimitError(
                 f"class {cls.value} has more than {limit.max_versions_per_class} versions"
             )
@@ -236,7 +214,17 @@ def oracle_best(
     delay_menus = [sorted({v.delay for v in versions}) for versions in choices]
     # Codes count up in the order itertools.product yields delay vectors.
     latency_ok = [span <= bounds.latency_bound for span in _longest_paths(dfg, delay_menus)]
-    area_ok = _AreaFits(library.versions, bounds.area_bound)
+
+    @functools.cache
+    def area_ok(mask: int) -> bool:
+        """Whether one instance of each used version (bit k is
+        library.versions[k]) fits the area bound."""
+        area = 0.0  # library order, left to right: see _feasible_starts
+        for k, v in enumerate(library.versions):
+            if mask >> k & 1:
+                area += v.area
+        return area <= bounds.area_bound
+
     # Prefixes in product order: (logs summed left to right from 0, product
     # index, delay code, used-version mask); index and code are those of the
     # first completion (later digits 0, the fastest), so extending adds to
@@ -254,7 +242,7 @@ def oracle_best(
             (key + log, index + step, code + shift, mask | bit)
             for key, index, code, mask in prefixes
             for log, step, shift, bit in extensions
-            if latency_ok[code + shift] and area_ok[mask | bit]
+            if latency_ok[code + shift] and area_ok(mask | bit)
         ]
     # Descending reliability; the sort is stable, so ties keep product order.
     prefixes.sort(key=operator.itemgetter(0), reverse=True)

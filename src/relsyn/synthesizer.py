@@ -45,7 +45,7 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
     library.check_covers(dfg)
     best = {
         cls: prefer_versions(library.versions_for(cls))[0]
-        for cls in {n.op_class for n in dfg.nodes}
+        for cls, count in dfg.class_counts().items() if count
     }
     return {n.id: best[n.op_class] for n in dfg.nodes}
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -163,10 +164,11 @@ def test_oracle_best_deterministic():
 # -- golden digest ----------------------------------------------------------
 
 
-def _oracle_dag(rng: random.Random) -> Dfg:
-    """2-8 nodes with edges from `ni` to `nj` only for i < j; about half the
-    graphs declare their nodes shuffled, out of topological order."""
-    n = rng.randint(2, 8)
+def _oracle_dag(rng: random.Random, max_nodes: int = 8) -> Dfg:
+    """2 to `max_nodes` nodes with edges from `ni` to `nj` only for i < j;
+    about half the graphs declare their nodes shuffled, out of topological
+    order."""
+    n = rng.randint(2, max_nodes)
     classes = [rng.choice((OpClass.ADD, OpClass.MUL)) for _ in range(n)]
     edges = [
         (f"n{i}", f"n{j}") for j in range(1, n) for i in range(j) if rng.random() < 0.35
@@ -245,13 +247,21 @@ def test_oracle_best_golden_digest():
 HASH_ORDER_CASE = """
 import json
 from relsyn.model import Bounds, parse_dfg, parse_library
-from relsyn.oracle import oracle_best
+from relsyn.oracle import OracleLimitError, oracle_best
 lib = parse_library(
     "resource A1 add 0.1 2 0.99\\nresource A2 add 0.2 1 0.98\\nresource M1 mul 0.3 1 0.97\\n"
 )
 dfg = parse_dfg("node x add\\nnode m mul\\nnode y add\\nedge x y\\nedge y m\\n")
 d = oracle_best(dfg, lib, Bounds(4, 0.6))
 print(json.dumps([{n: v.name for n, v in d.assignment.items()}, d.area]))
+# Both classes exceed the version limit; the error names the first in OpClass order.
+wide = parse_library(
+    "".join(f"resource A{i} add 1 1 0.9\\nresource M{i} mul 1 1 0.9\\n" for i in range(4))
+)
+try:
+    oracle_best(parse_dfg("node a add\\nnode m mul\\nedge a m\\n"), wide, Bounds(4, 10))
+except OracleLimitError as exc:
+    print(exc)
 """
 
 
@@ -266,9 +276,11 @@ def test_oracle_best_independent_of_hash_seed():
         )
         outputs.add(done.stdout)
     assert len(outputs) == 1, outputs
-    assignment, area = json.loads(outputs.pop())
+    design, limit_error = outputs.pop().splitlines()
+    assignment, area = json.loads(design)
     assert area <= 0.6
     assert assignment == {"x": "A2", "m": "M1", "y": "A2"}
+    assert limit_error == "class add has more than 3 versions"
 
 
 def test_oracle_infeasible_reason_is_fastest_asap():
@@ -298,3 +310,63 @@ def test_oracle_ignores_versions_of_unused_classes():
     for latency, area in ((4, 2), (5, 4), (8, 3), (12, 10), (7, 2), (5, 0.5)):
         bounds = Bounds(latency, area)
         assert oracle_best(FANIN_CHAIN, wide, bounds) == oracle_best(FANIN_CHAIN, narrow, bounds)
+
+
+# -- pruning against an unpruned reference ----------------------------------
+
+
+def _unpruned_best(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> float | str:
+    """The reliability of the most reliable version combination that has a
+    start vector fitting both bounds, or the reason none has: every
+    combination and every precedence-feasible start vector in [1, L],
+    priced as Σ area × peak concurrency per version.  Areas must sum
+    exactly in any order."""
+    latency, area_bound = bounds.latency_bound, bounds.area_bound
+    pos = {n.id: k for k, n in enumerate(dfg.nodes)}
+    edges = [(pos[src], pos[dst]) for src, dst in dfg.edges]
+    combos = itertools.product(*(library.versions_for(n.op_class) for n in dfg.nodes))
+    reliability = {combo: math.prod(v.reliability for v in combo) for combo in combos}
+    meets_latency = False
+    for combo in sorted(reliability, key=reliability.__getitem__, reverse=True):
+        ranges = [range(1, latency - v.delay + 2) for v in combo]
+        for starts in itertools.product(*ranges):
+            if any(starts[src] + combo[src].delay > starts[dst] for src, dst in edges):
+                continue
+            meets_latency = True
+            area = 0.0
+            for version in set(combo):
+                busy = [0] * (latency + 1)
+                for v, s in zip(combo, starts):
+                    if v == version:
+                        for cycle in range(s, s + v.delay):
+                            busy[cycle] += 1
+                area += version.area * max(busy)
+            if area <= area_bound:
+                return reliability[combo]
+    return "area" if meets_latency else "latency"
+
+
+def test_oracle_pruning_keeps_the_optimum():
+    # Each bound prunes the oracle's walk and its start search; neither may
+    # cut the best design that plain enumeration finds.
+    rng = random.Random(97)
+    outcomes = []
+    for _ in range(40):
+        dfg = _oracle_dag(rng, max_nodes=4)
+        for lib in (LIB, _oracle_library(rng)):
+            fastest = {
+                n.id: min(lib.versions_for(n.op_class), key=lambda v: v.delay) for n in dfg.nodes
+            }
+            lo = asap(dfg, fastest).latency
+            for latency in range(max(1, lo - 1), lo + 3):
+                for area in rng.sample((1, 2, 3, 4.5, 6, 8), 2):
+                    expected = _unpruned_best(dfg, lib, Bounds(latency, area))
+                    result = oracle_best(dfg, lib, Bounds(latency, area))
+                    if isinstance(expected, str):
+                        assert isinstance(result, Infeasible) and result.reason == expected
+                    else:
+                        assert isinstance(result, Design)
+                        validate_design(dfg, lib, result, latency_bound=latency, area_bound=area)
+                        assert math.isclose(result.reliability, expected, rel_tol=1e-12)
+                    outcomes.append(expected if isinstance(expected, str) else "design")
+    assert set(outcomes) == {"design", "area", "latency"}
