@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .binder import Binding
@@ -69,6 +69,8 @@ class Dfg:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        if not self.nodes:
+            raise ValidationError("data-flow graph has no nodes")
         index: dict[str, int] = {}
         for pos, node in enumerate(self.nodes):
             if node.id in index:
@@ -276,22 +278,24 @@ def evaluate_reliability(
     reliability.  Accumulated in log space for numerical stability.
     """
     check_assignment(dfg, assignment)
-    return _reliability_product(dfg.node_ids, assignment, binding)
+    if binding is None:
+        return _reliability_product(dfg.node_ids, assignment, None)
+    to_instance = binding.node_to_instance
+    return _reliability_product(
+        dfg.node_ids, assignment, lambda nid: binding.instance(to_instance[nid]).nmr_factor
+    )
 
 
 def _reliability_product(
-    node_ids: Iterable[str], assignment: Assignment, binding: Binding | None
+    node_ids: Iterable[str], assignment: Assignment, nmr_of: Callable[[str], int] | None
 ) -> float:
     log_total = 0.0
-    voted: dict[tuple[float, int], float] = {}  # nodes on one instance share (r, N)
+    logs: dict[tuple[float, int], float] = {}  # nodes on one instance share (r, N)
     for nid in node_ids:
-        r = assignment[nid].reliability
-        if binding is not None:
-            n = binding.instance(binding.node_to_instance[nid]).nmr_factor
-            if (r, n) not in voted:
-                voted[r, n] = nmr_reliability(r, n)
-            r = voted[r, n]
-        log_total += math.log(r)
+        key = (assignment[nid].reliability, 1 if nmr_of is None else nmr_of(nid))
+        if key not in logs:
+            logs[key] = math.log(nmr_reliability(*key))  # n = 1 returns r itself
+        log_total += logs[key]
     return math.exp(log_total)
 
 

@@ -12,11 +12,12 @@ reliability of every node bound to it to the majority-voting value
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .binder import with_nmr
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, nmr_reliability
 from .model import _reliability_product, evaluate_reliability  # noqa: F401 (re-export)
-from .synthesizer import Memo, best_design, find_design, single_version_designs
+from .synthesizer import Memo, find_design, single_version_designs
 
 
 def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: float) -> Design:
@@ -24,25 +25,32 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
 
     Repeatedly applies the nmr upgrade (N -> N+2) with the best
     log-reliability gain per unit area among those that still fit under
-    `area_bound` (ties: lowest instance id).  Schedule and latency are
-    untouched.
+    `area_bound` (ties: lowest instance id).  An instance's gain adds, for
+    each node on it, the step log R(r, N+2) - log R(r, N) of the node's
+    version reliability r, computed once per (r, N).  Schedule and
+    latency are untouched.
     """
-    nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in design.binding.instances}
-    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in design.binding.instances}
+    return _upgraded(design, *_price_upgrade(design, library, area_bound))
 
-    log_voted: dict[tuple[float, int], float] = {}  # (r, N) -> log of its voted reliability
 
-    def log_nmr(r: float, n: int) -> float:
-        if (r, n) not in log_voted:
-            log_voted[r, n] = math.log(nmr_reliability(r, n))
-        return log_voted[r, n]
+def _price_upgrade(
+    design: Design, library: ResourceLibrary, area_bound: float
+) -> tuple[dict[int, int], float, float]:
+    """What `greedy_nmr_upgrade` makes of `design`, without building it:
+    the nmr factor per instance id, the area and the reliability."""
+    assignment, binding = design.assignment, design.binding
+    nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in binding.instances}
+    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
+    step: dict[tuple[float, int], float] = {}  # (r, N) -> log R(r, N+2) - log R(r, N)
 
     def gain_per_area(iid: int) -> float:
         n = nmr[iid]
         gain = 0.0  # left to right, not sum(): see model.nmr_reliability
-        for nid in design.binding.nodes_on(iid):
-            r = design.assignment[nid].reliability
-            gain += log_nmr(r, n + 2) - log_nmr(r, n)
+        for nid in binding.nodes_on(iid):
+            r = assignment[nid].reliability
+            if (r, n) not in step:
+                step[r, n] = math.log(nmr_reliability(r, n + 2)) - math.log(nmr_reliability(r, n))
+            gain += step[r, n]
         return gain / extra[iid]
 
     # Only an upgraded instance's gain changes.  The area only grows, so an
@@ -58,14 +66,15 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
         nmr[iid] += 2
         area += extra[iid]
         ratio[iid] = gain_per_area(iid)
-    binding = with_nmr(design.binding, nmr)
-    return Design(
-        assignment=dict(design.assignment),
-        schedule=design.schedule,
-        binding=binding,
-        latency=design.latency,
-        area=area,
-        reliability=_reliability_product(binding.node_to_instance, design.assignment, binding),
+    to_instance = binding.node_to_instance
+    reliability = _reliability_product(to_instance, assignment, lambda nid: nmr[to_instance[nid]])
+    return nmr, area, reliability
+
+
+def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:
+    return replace(
+        design, assignment=dict(design.assignment), binding=with_nmr(design.binding, nmr),
+        area=area, reliability=reliability,
     )
 
 
@@ -79,19 +88,21 @@ def baseline_nmr_synth(
     spends any leftover area on redundancy.  Returns the surviving
     design with the highest reliability (ties: smaller area, then
     smaller latency, then enumeration order).  `memo` is as for
-    `find_design`.
+    `find_design`.  Candidates are priced, and only the winner is built.
     """
     library.check_covers(dfg)
     designs = list(single_version_designs(dfg, library, bounds.latency_bound, memo=memo))
-    best = best_design(
-        greedy_nmr_upgrade(d, library, bounds.area_bound)
-        for d in designs
-        if d.area <= bounds.area_bound
+    a_d = bounds.area_bound
+    # best_design's order on the upgraded values: the first maximum wins.
+    best = max(
+        ((d, _price_upgrade(d, library, a_d)) for d in designs if d.area <= a_d),
+        key=lambda p: (p[1][2], -p[1][1], -p[0].latency),
+        default=None,
     )
     if best is None:
         reason = "area" if designs else "latency"
         return Infeasible(reason, "no single-version combination meets both bounds")
-    return best
+    return _upgraded(best[0], *best[1])
 
 
 def combined_synth(

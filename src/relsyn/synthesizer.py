@@ -16,12 +16,13 @@ most reliable one that fits both bounds.
 Every design goes through a `memo` dict.  Nothing in it depends on the
 area bound, so the memo keeps (delays, latency bound) -> schedule or the
 scheduler's error, (version names, latency bound) -> the scheduled,
-bound and priced `Design`, and latency bound -> latency-repair outcome:
-a move between versions of equal delay re-binds without re-scheduling,
-and a design met again is not re-built.  A caller that solves many
-bound pairs on one graph and library (a sweep) may pass the same memo
-to every call; without one, each call uses a memo of its own.  Designs
-from a shared memo are shared objects: treat them as read-only.
+bound and priced `Design`, latency bound -> latency-repair outcome, and
+("single-version", latency bound) -> the single-version designs: a move
+between versions of equal delay re-binds without re-scheduling, and a
+design met again is not re-built.  A caller that solves many bound pairs
+on one graph and library (a sweep) may pass the same memo to every call;
+without one, each call uses a memo of its own.  Whatever a shared memo
+holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
     return {n.id: best[n.op_class] for n in dfg.nodes}
 
 
-# Shared by the flows of one graph and library: (node delays, latency
-# bound) -> Schedule or the InfeasibleBoundError, (version names, latency
-# bound) -> Design, and latency bound -> latency-repair outcome.  Delay
-# keys hold ints and name keys strings.  Stored designs are read-only.
+# Shared by the flows of one graph and library: (node delays, L) ->
+# Schedule or the InfeasibleBoundError, (version names, L) -> Design, L ->
+# latency-repair outcome and ("single-version", L) -> tuple of Designs, for
+# a latency bound L.  Delay keys hold ints, name keys strings; all read-only.
 Memo = MutableMapping[object, object]
 
 
@@ -95,18 +96,22 @@ def single_version_designs(
 ) -> Iterator[Design]:
     """Every single-version-per-class design that meets `latency_bound`,
     density-scheduled and bound, with class versions in library order.
-    `memo` is as for `find_design`."""
+    `memo` is as for `find_design`; it keeps these designs per latency bound."""
     memo = {} if memo is None else memo
-    counts = dfg.class_counts()
-    classes = [cls for cls in OpClass if counts[cls]]
-    for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
-        chosen = dict(zip(classes, combo))
-        assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
-        try:
-            design = _design_at(dfg, library, assignment, latency_bound, memo)
-        except InfeasibleBoundError:
-            continue
-        yield design
+    key = ("single-version", latency_bound)
+    if key not in memo:
+        counts = dfg.class_counts()
+        classes = [cls for cls in OpClass if counts[cls]]
+        designs = []
+        for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
+            chosen = dict(zip(classes, combo))
+            assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
+            try:
+                designs.append(_design_at(dfg, library, assignment, latency_bound, memo))
+            except InfeasibleBoundError:
+                continue
+        memo[key] = tuple(designs)
+    return iter(memo[key])
 
 
 def best_design(designs: Iterable[Design]) -> Design | None:

@@ -106,6 +106,22 @@ def test_synth_bad_input_file_exit_two(workspace, capsys):
     assert "error" in err
 
 
+def test_synth_empty_dfg_exit_two(workspace, capsys):
+    (workspace / "empty.dfg").write_text("# no nodes\n")
+    code, _, err = _run(
+        capsys,
+        [
+            "synth",
+            "--dfg", str(workspace / "empty.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--latency", "11",
+            "--area", "8",
+        ],
+    )
+    assert code == 2
+    assert "no nodes declared" in err
+
+
 def test_synth_json_schema(workspace, capsys):
     code, out, _ = _run(
         capsys,

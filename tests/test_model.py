@@ -3,6 +3,7 @@ import random
 import pytest
 
 from relsyn.model import (
+    Bounds,
     Dfg,
     DfgNode,
     OpClass,
@@ -14,6 +15,10 @@ from relsyn.model import (
     parse_library,
     render_dfg,
 )
+from relsyn.oracle import oracle_best
+from relsyn.redundancy import baseline_nmr_synth
+from relsyn.scheduler import density_schedule
+from relsyn.synthesizer import find_design
 
 
 def test_parse_minimal_chain():
@@ -58,6 +63,23 @@ def test_dangling_edge_rejected():
 def test_duplicate_edge_rejected():
     with pytest.raises(ValidationError, match="duplicate edge"):
         parse_dfg("node a add\nnode b add\nedge a b\nedge a b\n")
+
+
+# Each entry point used to fail on an empty graph with an IndexError or
+# ValueError of its own; the constructor now refuses the graph first.
+EMPTY_GRAPH_CALLS = {
+    "Dfg": lambda dfg: dfg,
+    "oracle_best": lambda dfg: oracle_best(dfg, builtin_library(), Bounds(2, 4)),
+    "find_design": lambda dfg: find_design(dfg, builtin_library(), Bounds(2, 4)),
+    "baseline_nmr_synth": lambda dfg: baseline_nmr_synth(dfg, builtin_library(), Bounds(2, 4)),
+    "density_schedule": lambda dfg: density_schedule(dfg, {}, 2),
+}
+
+
+@pytest.mark.parametrize("entry", list(EMPTY_GRAPH_CALLS))
+def test_empty_graph_rejected(entry):
+    with pytest.raises(ValidationError, match="data-flow graph has no nodes"):
+        EMPTY_GRAPH_CALLS[entry](Dfg((), ()))
 
 
 def test_syntax_error_reports_line_number():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from checks import validate_design
-from relsyn.binder import bind, total_area
+from relsyn.binder import Binding, Instance, bind, total_area
 from relsyn.model import (
     Dfg,
     DfgNode,
@@ -16,6 +16,7 @@ from relsyn.model import (
     builtin_benchmark,
     builtin_library,
     parse_dfg,
+    parse_library,
 )
 from relsyn.redundancy import (
     baseline_nmr_synth,
@@ -164,6 +165,101 @@ def test_greedy_upgrade_never_decreases_reliability_or_breaks_bound():
         upgraded = greedy_nmr_upgrade(design, LIB, bound)
         assert upgraded.area <= bound + 1e-9
         assert upgraded.reliability >= design.reliability - 1e-12
+
+
+# Upgrade outcomes (nmr factor per instance, area, repr(reliability)) per
+# area bound, captured from the upgrade that built a binding and a design
+# for every candidate.
+EDGE_LIB = parse_library(
+    "resource Fast add 2 1 0.9\nresource Slow add 1 2 0.95\nresource Tiny add 0.5 1 0.6\n"
+)
+GREEDY_EDGE_CASES = {
+    # Instance 1 has no node: its gain is 0, and it is upgraded when
+    # nothing else fits.
+    "empty-instance": ({"a": 0, "c": 0, "b": 2}, [
+        (3.5, (1, 1, 1), 3.5, "0.7695"),
+        (4, (1, 1, 1), 3.5, "0.7695"),
+        (4.5, (1, 3, 1), 4.5, "0.7695"),
+        (5.5, (1, 1, 3), 5.5, "0.8041275"),
+        (6, (1, 1, 3), 5.5, "0.8041275"),
+        (7.5, (3, 1, 1), 7.5, "0.8975448000000001"),
+        (8, (3, 1, 1), 7.5, "0.8975448000000001"),
+        (9.5, (3, 1, 3), 9.5, "0.9379343160000002"),
+        (12, (3, 1, 5), 11.5, "0.9436898220300001"),
+    ]),
+    # Both used instances hold a node of the other version, and the
+    # binding lists the nodes out of declaration order.
+    "mixed-versions": ({"c": 2, "b": 0, "a": 0}, [
+        (4.5, (1, 3, 1), 4.5, "0.7695"),
+        (5.5, (1, 1, 3), 5.5, "0.83106"),
+        (7.5, (1, 1, 5), 7.5, "0.8476811999999999"),
+        (9.5, (3, 1, 3), 9.5, "0.9379343160000002"),
+        (12, (3, 1, 5), 11.5, "0.95669300232"),
+        (16, (5, 1, 5), 15.5, "0.9818148908400116"),
+    ]),
+}
+
+
+def _outcome(design):
+    nmr = tuple(inst.nmr_factor for inst in design.binding.instances)
+    return nmr, design.area, repr(design.reliability)
+
+
+@pytest.mark.parametrize("case", list(GREEDY_EDGE_CASES))
+def test_greedy_upgrade_hand_built_binding(case):
+    node_to_instance, expected = GREEDY_EDGE_CASES[case]
+    dfg = parse_dfg("node a add\nnode b add\nnode c add\nedge a b\n")
+    fast, slow = EDGE_LIB.by_name("Fast"), EDGE_LIB.by_name("Slow")
+    asg = {"a": fast, "b": slow, "c": fast}
+    instances = (Instance(0, "Fast"), Instance(1, "Tiny"), Instance(2, "Slow"))
+    binding = Binding(node_to_instance, instances)
+    design = Design(
+        asg, Schedule({"a": 1, "b": 2, "c": 2}, 3), binding, 3,
+        total_area(binding, EDGE_LIB), evaluate_reliability(dfg, asg, binding),
+    )
+    for area_bound, *outcome in expected:
+        upgraded = greedy_nmr_upgrade(design, EDGE_LIB, area_bound)
+        assert _outcome(upgraded) == tuple(outcome), area_bound
+        assert upgraded.binding.node_to_instance == node_to_instance
+
+
+def test_baseline_upgrades_below_one_half_lower_reliability():
+    # With r < 0.5 a vote is worse than one copy, yet the greedy still
+    # spends the area: the Mul instance's loss per unit area is the least.
+    lib = parse_library(
+        "resource Weak add 1 1 0.4\nresource Weaker add 2 1 0.3\nresource Mul mul 1 1 0.45\n"
+    )
+    dfg = parse_dfg("node a add\nnode b add\nnode m mul\nedge a b\nedge b m\n")
+    expected = [
+        (3, (1, 1), 2.0, "0.07200000000000002"),
+        (5, (1, 3), 4.0, "0.06804000000000003"),
+        (7, (1, 5), 6.0, "0.06509970000000002"),
+        (9, (1, 7), 8.0, "0.06267395250000003"),
+        (13, (1, 11), 12.0, "0.058700387067384424"),
+    ]
+    for area_bound, *outcome in expected:
+        result = baseline_nmr_synth(dfg, lib, Bounds(3, area_bound))
+        assert _outcome(result) == tuple(outcome), area_bound
+        assert [v.name for v in result.assignment.values()] == ["Weak", "Weak", "Mul"]
+
+
+def test_baseline_ties_break_by_area_then_latency_then_order():
+    # Every version has r = 0.9.  D ties with the rest on upgraded
+    # reliability but is larger; B is slower; C comes before A.
+    lib = parse_library(
+        "resource D add 1.5 1 0.9\nresource B add 1 2 0.9\n"
+        "resource C add 1 1 0.9\nresource A add 1 1 0.9\n"
+    )
+    dfg = parse_dfg("node a add\n")
+    expected = [
+        (1.5, (1,), 1.0, "0.9"),
+        (3, (3,), 3.0, "0.9720000000000001"),
+        (4.5, (3,), 3.0, "0.9720000000000001"),
+    ]
+    for area_bound, *outcome in expected:
+        result = baseline_nmr_synth(dfg, lib, Bounds(2, area_bound))
+        assert _outcome(result) == tuple(outcome), area_bound
+        assert result.assignment["a"].name == "C" and result.latency == 1
 
 
 def test_baseline_fir16_single_version_products():

@@ -4,11 +4,12 @@ through one memo; every result must equal the one computed without it."""
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from relsyn import cli, synthesizer
+from relsyn import cli, redundancy, synthesizer
 from relsyn.model import Bounds, Dfg, DfgNode, Infeasible, OpClass
 from relsyn.model import builtin_benchmark, builtin_library, data_text
 from relsyn.redundancy import baseline_nmr_synth, combined_synth
@@ -201,3 +202,33 @@ def test_sweep_builds_each_design_once(tmp_path, capsys, monkeypatch):
     csv = _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
     assert csv.count("\n") == 1 + 432
     assert priced["calls"] == len(bound) == len(set(bound))
+
+
+def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
+    tmp_path, capsys, monkeypatch
+):
+    # The single-version designs are enumerated once per L, however many
+    # area bounds and flows read them, and the NMR baseline prices its
+    # candidates: only a returned design gets an NMR binding.
+    enumerated, upgraded = Counter(), Counter()
+    design_at, with_nmr = synthesizer._design_at, redundancy.with_nmr
+
+    def counting_design_at(dfg, library, assignment, latency_bound, memo):
+        if sys._getframe(1).f_code.co_name == "single_version_designs":
+            enumerated[tuple(v.name for v in assignment.values()), latency_bound] += 1
+        return design_at(dfg, library, assignment, latency_bound, memo)
+
+    def counting_with_nmr(binding, nmr_spec):
+        upgraded["calls"] += 1
+        return with_nmr(binding, nmr_spec)
+
+    monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
+    monkeypatch.setattr(redundancy, "with_nmr", counting_with_nmr)
+    csv = _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert len(rows) == 432
+    assert {latency for _, latency in enumerated} == set(range(14, 22))
+    assert set(enumerated.values()) == {1}
+    feasible = [r for r in rows if r[2] in ("nmr", "combined") and r[3] == "feasible"]
+    assert len(feasible) > 100
+    assert upgraded["calls"] == len(feasible)
