@@ -112,13 +112,14 @@ def total_area(binding: Binding, library: ResourceLibrary) -> float:
 
 
 def with_nmr(binding: Binding, nmr_spec: Mapping[int, int]) -> Binding:
-    """Return a copy of `binding` with redundancy factors applied (Instance checks each)."""
+    """Return a copy of `binding` with redundancy factors applied (Instance checks each change)."""
     known = {inst.id for inst in binding.instances}
     for iid in nmr_spec:
         if iid not in known:
             raise ValidationError(f"nmr spec references unknown instance {iid}")
     instances = tuple(
-        replace(inst, nmr_factor=nmr_spec.get(inst.id, inst.nmr_factor))
+        inst if nmr_spec.get(inst.id, inst.nmr_factor) == inst.nmr_factor
+        else replace(inst, nmr_factor=nmr_spec[inst.id])
         for inst in binding.instances
     )
     return Binding(binding.node_to_instance, instances)

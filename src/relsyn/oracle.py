@@ -7,30 +7,33 @@ bound for one whose shared-hardware area fits.  Scheduling, longest
 paths, and instance packing are reimplemented here on purpose so the
 check does not share code paths with the production scheduler/binder.
 
-The enumeration walks prefixes of version combinations node by node in
-`itertools.product` order, each carrying its log-reliability sum (the
-sort key), the delay code of its fastest completion and its set of used
-versions as a bitmask.  Longest paths are computed once per delay code
-and the area prefilter once per mask met.  Both bounds are monotone in
-the prefix, so a prefix that already misses one is dropped together with
-all its completions; the survivors, exactly the combinations meeting
-both, are sorted and decoded into versions for the start-vector search.
-That search places nodes in topological order and drops a partial start
-vector once Σ area × max(peak concurrency, 1) over the used versions
-exceeds the area bound; with every node placed, that sum is the area.
-Version areas are always summed in library declaration order, so the
-result does not depend on hash order and a returned design's area never
-exceeds the area bound.
+The enumeration is best-first: a heap holds prefixes of version
+combinations, keyed by an upper bound on the log reliability of their
+completions (the prefix's log sum, then each later node's best log,
+added left to right; float addition is monotone, so no completion's key
+exceeds it) and, on ties, by `itertools.product` order.  Complete
+combinations so pop most reliable first, in the order a stable sort
+gives, and the walk stops at the first that fits.  A prefix is dropped
+with all its completions once its fastest completion misses the latency
+bound (one longest path per delay vector met) or its used versions
+alone miss the area bound (one area sum per bitmask met).
+
+The start-vector search places nodes in topological order and drops a
+partial start vector once Σ area × max(peak concurrency, 1) over the
+used versions exceeds the area bound; with every node placed, that sum
+is the area.  Version areas are always summed in library declaration
+order, so the result does not depend on hash order and a returned
+design's area never exceeds the area bound.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 from .binder import Binding, Instance
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, ResourceLibrary, ResourceVersion
@@ -74,20 +77,25 @@ def oracle_min_latency(dfg: Dfg, assignment: Assignment, limit: OracleLimit | No
     return best
 
 
-def _longest_paths(dfg: Dfg, delay_menus: list[list[int]]) -> list[int]:
-    """Critical path length of every per-node delay vector, in the order
-    itertools.product(*delay_menus) yields them (menus in declaration
-    order); one pass over the graph with a list per node."""
-    columns = list(zip(*itertools.product(*delay_menus)))
-    dist: dict[str, Sequence[int]] = {}
-    for nid in dfg.topo_order:
-        own = columns[dfg.declaration_index(nid)]
-        rows = [dist[p] for p in dfg.preds(nid)]
-        if rows:  # one row is its own maximum: max() of a lone int would fail
-            own = list(map(operator.add, map(max, *rows) if rows[1:] else rows[0], own))
-        dist[nid] = own
-    ends = [dist[nid] for nid in dfg.sink_ids]
-    return list(map(max, *ends) if ends[1:] else ends[0])
+def _critical_paths(dfg: Dfg) -> Callable[[tuple[int, ...]], int]:
+    """A memo of the critical path length per delay vector (node k, in
+    declaration order, takes delays[k] cycles)."""
+    index = dfg.declaration_index
+    steps = [(index(nid), [index(p) for p in dfg.preds(nid)]) for nid in dfg.topo_order]
+    sinks = [index(nid) for nid in dfg.sink_ids]
+
+    @functools.cache
+    def span(delays: tuple[int, ...]) -> int:
+        finish = [0] * len(delays)
+        for k, preds in steps:
+            ready = 0
+            for p in preds:
+                if finish[p] > ready:
+                    ready = finish[p]
+            finish[k] = ready + delays[k]
+        return max([finish[k] for k in sinks])
+
+    return span
 
 
 def _left_edge_pack(
@@ -148,44 +156,38 @@ def _feasible_starts(
             area += v.area * max(peaks[v.name], 1)
         return area
 
-    def place(pos: int) -> float | None:
-        """The area of the first fitting completion of the placed prefix."""
+    def place(pos: int, bound: float) -> float | None:
+        """The area of the first fitting completion of the placed prefix,
+        whose area lower bound is `bound`."""
         nid = order[pos]
         v = assignment[nid]
+        row, saved_peak = usage[v.name], peaks[v.name]
         earliest = 1
         for pred in dfg.preds(nid):
             earliest = max(earliest, starts[pred] + assignment[pred].delay)
         for s in range(earliest, latest[nid] + 1):
             cells = range(s - 1, s + v.delay - 1)
-            row = usage[v.name]
-            saved_peak = peaks[v.name]
+            peak = saved_peak
             for c in cells:
                 row[c] += 1
-                peaks[v.name] = max(peaks[v.name], row[c])
+                if row[c] > peak:
+                    peak = row[c]
+            peaks[v.name] = peak
             starts[nid] = s
-            area = area_lower_bound()
+            # The sum changes only with a term's max(peak, 1).
+            area = area_lower_bound() if peak > max(saved_peak, 1) else bound
             if area <= a_d:
-                found = area if pos + 1 == len(order) else place(pos + 1)
+                found = area if pos + 1 == len(order) else place(pos + 1, area)
                 if found is not None:
                     return found
             del starts[nid]
             for c in cells:
                 row[c] -= 1
-            peaks[v.name] = saved_peak
+        peaks[v.name] = saved_peak
         return None
 
-    area = place(0)
+    area = place(0, area_lower_bound())
     return None if area is None else (dict(starts), area)
-
-
-def _combination(index: int, choices: list[tuple[ResourceVersion, ...]]) -> list[ResourceVersion]:
-    """The `index`-th tuple that itertools.product(*choices) yields."""
-    combo: list[ResourceVersion] = []
-    for versions in reversed(choices):
-        index, k = divmod(index, len(versions))
-        combo.append(versions[k])
-    combo.reverse()
-    return combo
 
 
 def oracle_best(
@@ -210,10 +212,10 @@ def oracle_best(
         )
 
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
-    position = {v.name: k for k, v in enumerate(library.versions)}
-    delay_menus = [sorted({v.delay for v in versions}) for versions in choices]
-    # Codes count up in the order itertools.product yields delay vectors.
-    latency_ok = [span <= bounds.latency_bound for span in _longest_paths(dfg, delay_menus)]
+    fastest = tuple(min(v.delay for v in versions) for versions in choices)
+    span = _critical_paths(dfg)
+    if span(fastest) > bounds.latency_bound:
+        return Infeasible("latency", "exhaustive search found no design meeting both bounds")
 
     @functools.cache
     def area_ok(mask: int) -> bool:
@@ -225,46 +227,46 @@ def oracle_best(
                 area += v.area
         return area <= bounds.area_bound
 
-    # Prefixes in product order: (logs summed left to right from 0, product
-    # index, delay code, used-version mask); index and code are those of the
-    # first completion (later digits 0, the fastest), so extending adds to
-    # each.  Both bounds are monotone: a prefix whose fastest completion is
-    # late, or whose used versions alone outgrow the area, has no survivor.
-    prefixes: list[tuple[float, int, int, int]] = [(0, 0, 0, 0)]
-    count, rest = math.prod(map(len, choices)), len(latency_ok)
-    for versions, menu in zip(choices, delay_menus):
-        count, rest = count // len(versions), rest // len(menu)
-        extensions = [
-            (math.log(v.reliability), k * count, menu.index(v.delay) * rest, 1 << position[v.name])
-            for k, v in enumerate(versions)
-        ]
-        prefixes = [
-            (key + log, index + step, code + shift, mask | bit)
-            for key, index, code, mask in prefixes
-            for log, step, shift, bit in extensions
-            if latency_ok[code + shift] and area_ok(mask | bit)
-        ]
-    # Descending reliability; the sort is stable, so ties keep product order.
-    prefixes.sort(key=operator.itemgetter(0), reverse=True)
-
-    for key, index, _, mask in prefixes:
-        assignment = {n.id: v for n, v in zip(dfg.nodes, _combination(index, choices))}
+    position = {v.name: k for k, v in enumerate(library.versions)}
+    # Per node, per version: (log reliability, used-version mask bit, delay).
+    menus = [
+        [(math.log(v.reliability), 1 << position[v.name], v.delay) for v in versions]
+        for versions in choices
+    ]
+    best = [max(menu)[0] for menu in menus]
+    # Heap entries (-bound, picks, key, delays, mask) for a prefix giving
+    # node j < len(picks) version choices[j][picks[j]]: key sums their logs
+    # left to right from 0, delays is its fastest completion's delay vector
+    # and mask its used versions.  The heap never holds a prefix together
+    # with one of its extensions, so ties on the bound pop in product order.
+    heap = [(-functools.reduce(operator.add, best, 0), (), 0, fastest, 0)]
+    while heap:
+        _, picks, key, delays, mask = heapq.heappop(heap)
+        depth = len(picks)
+        if depth < len(menus):
+            for k, (log, bit, delay) in enumerate(menus[depth]):
+                child_delays = delays
+                if delay != delays[depth]:
+                    child_delays = delays[:depth] + (delay,) + delays[depth + 1:]
+                if area_ok(mask | bit) and span(child_delays) <= bounds.latency_bound:
+                    bound = functools.reduce(operator.add, best[depth + 1:], key + log)
+                    child = (-bound, picks + (k,), key + log, child_delays, mask | bit)
+                    heapq.heappush(heap, child)
+            continue
+        assignment = {n.id: versions[k] for n, versions, k in zip(dfg.nodes, choices, picks)}
         used = [v for k, v in enumerate(library.versions) if mask >> k & 1]
         found = _feasible_starts(dfg, assignment, used, bounds)
         if found is None:
             continue
         starts, area = found
         node_to_instance, instances = _left_edge_pack(dfg, assignment, starts)
-        binding = Binding(node_to_instance, instances)
         latency = max(starts[nid] + assignment[nid].delay - 1 for nid in starts)
         return Design(
             assignment=assignment,
             schedule=Schedule({nid: starts[nid] for nid in dfg.node_ids}, latency),
-            binding=binding,
+            binding=Binding(node_to_instance, instances),
             latency=latency,
             area=area,
             reliability=math.exp(key),
         )
-    reason = "area" if any(latency_ok) else "latency"
-    return Infeasible(reason, "exhaustive search found no design meeting both bounds")
-
+    return Infeasible("area", "exhaustive search found no design meeting both bounds")

@@ -23,10 +23,11 @@ from relsyn.model import (
     parse_dfg,
     parse_library,
 )
+from relsyn import oracle
 from relsyn.oracle import (
     OracleLimit,
     OracleLimitError,
-    _longest_paths,
+    _critical_paths,
     oracle_best,
     oracle_min_latency,
 )
@@ -135,22 +136,21 @@ def test_oracle_min_latency_cross_checks_asap():
         assert oracle_min_latency(dfg, asg) == asap(dfg, asg).latency
 
 
-def test_longest_paths_match_path_enumeration():
-    # Every entry, in itertools.product order of the per-node delay menus,
-    # is the critical path that path enumeration finds for that delay vector.
+def test_critical_paths_match_path_enumeration():
+    # The memo's value for a delay vector (declaration order) is the critical
+    # path that path enumeration finds for it, asked once or again.
     rng = random.Random(89)
     for _ in range(30):
         dfg = _oracle_dag(rng)
         menus = [sorted(rng.sample(range(1, 5), rng.randint(1, 3))) for _ in dfg.nodes]
-        spans = _longest_paths(dfg, menus)
+        span = _critical_paths(dfg)
         vectors = list(itertools.product(*menus))
-        assert len(spans) == len(vectors)
-        for span, delays in zip(spans, vectors):
+        for delays in vectors + rng.sample(vectors, min(len(vectors), 5)):
             asg = {
                 n.id: ResourceVersion(f"{n.op_class.value}{d}", n.op_class, 1, d, 0.9)
                 for n, d in zip(dfg.nodes, delays)
             }
-            assert span == oracle_min_latency(dfg, asg)
+            assert span(delays) == oracle_min_latency(dfg, asg)
 
 
 def test_oracle_best_deterministic():
@@ -296,6 +296,63 @@ def test_oracle_infeasible_reason_is_fastest_asap():
             assert result.reason == ("latency" if late else "area")
             reasons.add(result.reason)
     assert reasons == {"latency", "area"}
+
+
+def _every_combination(dfg: Dfg, lib: ResourceLibrary) -> list[tuple[float, tuple, int, float]]:
+    """(log reliability summed left to right from 0, version names, critical
+    path, area of one instance per used version) per version combination,
+    in itertools.product order."""
+    spans: dict[tuple[int, ...], int] = {}
+    rows = []
+    for combo in itertools.product(*(lib.versions_for(n.op_class) for n in dfg.nodes)):
+        key = 0
+        for v in combo:
+            key += math.log(v.reliability)
+        delays = tuple(v.delay for v in combo)
+        if delays not in spans:
+            spans[delays] = oracle_min_latency(dfg, dict(zip(dfg.node_ids, combo)))
+        area = 0.0
+        for v in lib.versions:
+            if v in combo:
+                area += v.area
+        rows.append((key, tuple(v.name for v in combo), spans[delays], area))
+    return rows
+
+
+def test_oracle_tries_combinations_most_reliable_first(monkeypatch):
+    # The start search sees the combinations whose critical path and single
+    # instances fit, by descending log reliability, ties in product order
+    # (a stable sort), and stops at the first that fits.
+    tried = []
+    feasible_starts = oracle._feasible_starts
+
+    def recording(dfg, assignment, used, bounds):
+        tried.append(tuple(assignment[nid].name for nid in dfg.node_ids))
+        return feasible_starts(dfg, assignment, used, bounds)
+
+    monkeypatch.setattr(oracle, "_feasible_starts", recording)
+    cases = list(_oracle_cases(83, 40))  # holds every graph, so ids stay unique
+    tables: dict[tuple[int, int], list] = {}
+    tied = 0
+    for dfg, lib, bounds in cases:
+        if (id(dfg), id(lib)) not in tables:
+            tables[id(dfg), id(lib)] = _every_combination(dfg, lib)
+        rows = tables[id(dfg), id(lib)]
+        survivors = [
+            (key, names) for key, names, span, area in rows
+            if span <= bounds.latency_bound and area <= bounds.area_bound
+        ]
+        survivors.sort(key=lambda row: row[0], reverse=True)
+        tried.clear()
+        result = oracle.oracle_best(dfg, lib, bounds)
+        assert tried == [names for _, names in survivors[: len(tried)]]
+        if isinstance(result, Design):
+            assert tried[-1] == tuple(result.assignment[nid].name for nid in dfg.node_ids)
+        else:
+            assert len(tried) == len(survivors)
+        tried_keys = [key for key, _ in survivors[: len(tried)]]
+        tied += any(a == b for a, b in zip(tried_keys, tried_keys[1:]))
+    assert tied > 0
 
 
 def test_oracle_ignores_versions_of_unused_classes():
