@@ -39,14 +39,13 @@ from .model import (
     parse_library,
     render_dfg,
 )
-from .oracle import OracleLimit, OracleLimitError, oracle_best, oracle_min_latency
+from .oracle import OracleLimitError, oracle_best, oracle_min_latency
 from .redundancy import baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from .scheduler import (
     InfeasibleBoundError,
     Schedule,
     alap,
     asap,
-    critical_path,
     density_schedule,
 )
 from .synthesizer import find_design, initial_allocation

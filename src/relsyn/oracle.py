@@ -32,7 +32,6 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from .binder import Binding, Instance
@@ -45,23 +44,20 @@ class OracleLimitError(ValueError):
     """Instance too large for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class OracleLimit:
-    max_nodes: int = 8
-    max_versions_per_class: int = 3
-    max_latency_bound: int = 12
+MAX_VERSIONS_PER_CLASS = 3
+MAX_LATENCY_BOUND = 12
 
 
-def _check_limits(dfg: Dfg, limit: OracleLimit) -> None:
-    if len(dfg.nodes) > limit.max_nodes:
+def _check_limits(dfg: Dfg, max_nodes: int) -> None:
+    if len(dfg.nodes) > max_nodes:
         raise OracleLimitError(
-            f"{len(dfg.nodes)} nodes exceeds oracle limit {limit.max_nodes}"
+            f"{len(dfg.nodes)} nodes exceeds oracle limit {max_nodes}"
         )
 
 
-def oracle_min_latency(dfg: Dfg, assignment: Assignment, limit: OracleLimit | None = None) -> int:
+def oracle_min_latency(dfg: Dfg, assignment: Assignment, *, max_nodes: int = 8) -> int:
     """Minimum achievable latency by exhaustive path enumeration."""
-    _check_limits(dfg, limit or OracleLimit())
+    _check_limits(dfg, max_nodes)
     check_assignment(dfg, assignment)
     best = 0
     stack: list[tuple[str, int]] = [
@@ -194,21 +190,21 @@ def oracle_best(
     dfg: Dfg,
     library: ResourceLibrary,
     bounds: Bounds,
-    limit: OracleLimit | None = None,
+    *,
+    max_nodes: int = 8,
 ) -> Design | Infeasible:
     """Exhaustively find the most reliable design meeting both bounds."""
-    limit = limit or OracleLimit()
-    _check_limits(dfg, limit)
+    _check_limits(dfg, max_nodes)
     library.check_covers(dfg)
     for cls, count in dfg.class_counts().items():
-        if count and len(library.versions_for(cls)) > limit.max_versions_per_class:
+        if count and len(library.versions_for(cls)) > MAX_VERSIONS_PER_CLASS:
             raise OracleLimitError(
-                f"class {cls.value} has more than {limit.max_versions_per_class} versions"
+                f"class {cls.value} has more than {MAX_VERSIONS_PER_CLASS} versions"
             )
-    if bounds.latency_bound > limit.max_latency_bound:
+    if bounds.latency_bound > MAX_LATENCY_BOUND:
         raise OracleLimitError(
             f"latency bound {bounds.latency_bound} exceeds oracle limit "
-            f"{limit.max_latency_bound}"
+            f"{MAX_LATENCY_BOUND}"
         )
 
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]

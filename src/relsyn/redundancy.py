@@ -25,10 +25,10 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
 
     Repeatedly applies the nmr upgrade (N -> N+2) with the best
     log-reliability gain per unit area among those that still fit under
-    `area_bound` (ties: lowest instance id).  An instance's gain adds, for
-    each node on it, the step log R(r, N+2) - log R(r, N) of the node's
-    version reliability r, computed once per (r, N).  Schedule and
-    latency are untouched.
+    `area_bound` (ties: lowest instance id), while that gain is positive.
+    An instance's gain adds, for each node on it, the step
+    log R(r, N+2) - log R(r, N) of its version's reliability r, computed
+    once per (r, N).  Schedule and latency are untouched.
     """
     return _upgraded(design, *_price_upgrade(design, library, area_bound))
 
@@ -63,6 +63,8 @@ def _price_upgrade(
         if not ratio:
             break
         iid = max(ratio, key=lambda i: (ratio[i], -i))
+        if ratio[iid] <= 0:
+            break  # no upgrade that fits gains: r < 0.5, no node, or a saturated vote
         nmr[iid] += 2
         area += extra[iid]
         ratio[iid] = gain_per_area(iid)

@@ -1,5 +1,4 @@
-"""ASAP/ALAP scheduling, the density scheduler, and critical-path
-extraction.
+"""ASAP/ALAP scheduling and the density scheduler.
 
 The density scheduler is force-directed scheduling (Paulin & Knight,
 1989) in the incremental form of Verhaegh et al.: windows are computed
@@ -150,7 +149,10 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     order, with the float additions of a full recomputation; a node with
     a single candidate start is placed without a fold.  The golden
     digests in tests/test_scheduler.py pin the schedules to those of the
-    round-by-round form, which rebuilt every window and density.
+    round-by-round form, which rebuilt every window and density.  No
+    window empties once the ASAP check passes: a start in [lo, hi] lifts
+    a descendant's earliest start to at most hi plus the delays between,
+    within its latest start, and lowers an ancestor's latest likewise.
     """
     lo_of = _check_latency_bound(dfg, assignment, latency_bound)
     hi_of = _alap_starts(dfg, assignment, latency_bound)
@@ -200,34 +202,7 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
                     hi[u] = hi[w] - delay[u]
                     moved.append(u)
                     stack.append(u)
-        empty = [u for u in moved if hi[u] < lo[u]]
-        if empty:
-            raise InfeasibleBoundError(
-                f"latency bound {latency_bound} leaves no feasible start for {ids[min(empty)]!r}"
-            )
         for u in moved:
             heapq.heappush(heap, (hi[u] - lo[u], u))
     return _as_schedule(dfg, assignment, starts)
 
-
-def _heaviest_path(dfg: Dfg, tail: Mapping[str, int]) -> list[str]:
-    """The first heaviest source-to-sink path by node declaration order,
-    given each node's tail: the total delay of its heaviest path to a sink."""
-    current = max(dfg.source_ids, key=tail.__getitem__)  # ties: declaration order
-    path = [current]
-    while dfg.succs(current):
-        current = max(dfg.succs(current), key=lambda s: (tail[s], -dfg.declaration_index(s)))
-        path.append(current)
-    return path
-
-
-def critical_path(dfg: Dfg, assignment: Assignment) -> list[str]:
-    """One maximum-total-delay source-to-sink path.
-
-    Among equal-weight paths, returns the one that is lexicographically
-    first by node declaration order.
-    """
-    check_assignment(dfg, assignment)
-    # Under bound 0 a node's latest start is 1 minus its heaviest path to a sink.
-    latest = _alap_starts(dfg, assignment, 0)
-    return _heaviest_path(dfg, {nid: 1 - start for nid, start in latest.items()})

@@ -4,7 +4,10 @@ Starts from the most reliable version everywhere, then repairs latency
 by speeding up critical-path nodes, exploits leftover latency slack to
 share more hardware, and repairs area by moving whole instances to
 smaller versions.  A node may be downgraded repeatedly but is never
-upgraded again within one run, which bounds the repair loops.
+upgraded again within one run, which bounds the repair loops.  Latency
+repair walks the critical path off each node's tail, the total delay of
+its heaviest path to a sink; the rest of latency is the scheduler's,
+whose schedules keep their bound.
 
 The repair loops only ever shrink a node's version area, so they cannot
 discover designs that get cheaper by consolidating operations onto a
@@ -28,12 +31,12 @@ holds is shared: treat it as read-only.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, MutableMapping
+from typing import Iterable, Iterator, Mapping, MutableMapping
 
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
 from .model import ResourceVersion, evaluate_reliability
-from .scheduler import InfeasibleBoundError, _heaviest_path, density_schedule
+from .scheduler import InfeasibleBoundError, density_schedule
 
 
 def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
@@ -86,7 +89,7 @@ def _design_at(
             binding=binding,
             latency=schedule.latency,
             area=total_area(binding, library),
-            reliability=evaluate_reliability(dfg, assignment, binding),
+            reliability=evaluate_reliability(dfg, assignment),  # bind makes every factor 1
         )
     return design
 
@@ -118,6 +121,17 @@ def best_design(designs: Iterable[Design]) -> Design | None:
     """Most reliable design; ties break toward smaller area, then smaller
     latency, then the earliest one."""
     return max(designs, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
+
+
+def _heaviest_path(dfg: Dfg, tail: Mapping[str, int]) -> list[str]:
+    """The first heaviest source-to-sink path by node declaration order,
+    given each node's tail: the total delay of its heaviest path to a sink."""
+    current = max(dfg.source_ids, key=tail.__getitem__)  # ties: declaration order
+    path = [current]
+    while dfg.succs(current):
+        current = max(dfg.succs(current), key=lambda s: (tail[s], -dfg.declaration_index(s)))
+        path.append(current)
+    return path
 
 
 def _repair_latency(
@@ -224,7 +238,4 @@ def find_design(
         for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
             assignment[nid] = replacement
         design = _design_at(dfg, library, assignment, latency, memo)
-
-    if design.latency > l_d:
-        return Infeasible("latency", f"latency {design.latency} exceeds bound {l_d}")
     return design

@@ -25,7 +25,6 @@ from relsyn.model import (
 )
 from relsyn import oracle
 from relsyn.oracle import (
-    OracleLimit,
     OracleLimitError,
     _critical_paths,
     oracle_best,
@@ -104,8 +103,7 @@ def test_oracle_min_latency_single_node():
 def test_oracle_min_latency_fir16_with_slow_versions():
     fir = builtin_benchmark("fir16")
     asg = initial_allocation(fir, LIB)  # Adder1/Mult1 everywhere
-    limit = OracleLimit(max_nodes=34)
-    assert oracle_min_latency(fir, asg, limit) == 18
+    assert oracle_min_latency(fir, asg, max_nodes=34) == 18
 
 
 def test_oracle_min_latency_limit():

@@ -169,17 +169,17 @@ def test_greedy_upgrade_never_decreases_reliability_or_breaks_bound():
 
 # Upgrade outcomes (nmr factor per instance, area, repr(reliability)) per
 # area bound, captured from the upgrade that built a binding and a design
-# for every candidate.
+# for every candidate; the 4.5 rows since the upgrade stops at a gain <= 0.
 EDGE_LIB = parse_library(
     "resource Fast add 2 1 0.9\nresource Slow add 1 2 0.95\nresource Tiny add 0.5 1 0.6\n"
 )
 GREEDY_EDGE_CASES = {
-    # Instance 1 has no node: its gain is 0, and it is upgraded when
-    # nothing else fits.
+    # Instance 1 has no node: its gain is 0, so it is not upgraded even
+    # when nothing else fits.
     "empty-instance": ({"a": 0, "c": 0, "b": 2}, [
         (3.5, (1, 1, 1), 3.5, "0.7695"),
         (4, (1, 1, 1), 3.5, "0.7695"),
-        (4.5, (1, 3, 1), 4.5, "0.7695"),
+        (4.5, (1, 1, 1), 3.5, "0.7695"),
         (5.5, (1, 1, 3), 5.5, "0.8041275"),
         (6, (1, 1, 3), 5.5, "0.8041275"),
         (7.5, (3, 1, 1), 7.5, "0.8975448000000001"),
@@ -190,7 +190,7 @@ GREEDY_EDGE_CASES = {
     # Both used instances hold a node of the other version, and the
     # binding lists the nodes out of declaration order.
     "mixed-versions": ({"c": 2, "b": 0, "a": 0}, [
-        (4.5, (1, 3, 1), 4.5, "0.7695"),
+        (4.5, (1, 1, 1), 3.5, "0.7695"),
         (5.5, (1, 1, 3), 5.5, "0.83106"),
         (7.5, (1, 1, 5), 7.5, "0.8476811999999999"),
         (9.5, (3, 1, 3), 9.5, "0.9379343160000002"),
@@ -224,23 +224,38 @@ def test_greedy_upgrade_hand_built_binding(case):
 
 
 def test_baseline_upgrades_below_one_half_lower_reliability():
-    # With r < 0.5 a vote is worse than one copy, yet the greedy still
-    # spends the area: the Mul instance's loss per unit area is the least.
+    # With r < 0.5 a vote is worse than one copy, so every upgrade loses
+    # reliability and the greedy spends none of the area.
     lib = parse_library(
         "resource Weak add 1 1 0.4\nresource Weaker add 2 1 0.3\nresource Mul mul 1 1 0.45\n"
     )
     dfg = parse_dfg("node a add\nnode b add\nnode m mul\nedge a b\nedge b m\n")
     expected = [
         (3, (1, 1), 2.0, "0.07200000000000002"),
-        (5, (1, 3), 4.0, "0.06804000000000003"),
-        (7, (1, 5), 6.0, "0.06509970000000002"),
-        (9, (1, 7), 8.0, "0.06267395250000003"),
-        (13, (1, 11), 12.0, "0.058700387067384424"),
+        (5, (1, 1), 2.0, "0.07200000000000002"),
+        (7, (1, 1), 2.0, "0.07200000000000002"),
+        (9, (1, 1), 2.0, "0.07200000000000002"),
+        (13, (1, 1), 2.0, "0.07200000000000002"),
     ]
     for area_bound, *outcome in expected:
         result = baseline_nmr_synth(dfg, lib, Bounds(3, area_bound))
         assert _outcome(result) == tuple(outcome), area_bound
         assert [v.name for v in result.assignment.values()] == ["Weak", "Weak", "Mul"]
+
+
+def test_baseline_reliability_never_falls_as_area_grows():
+    # A vote of r = 1 copies gains nothing and one of r < 0.5 copies
+    # loses; neither may be bought with area, whichever of them fits.
+    lib = parse_library(
+        "resource Weak add 1 1 0.4\nresource Sure add 2 1 1.0\nresource Mul mul 1 1 0.45\n"
+    )
+    dfg = parse_dfg("node a add\nnode b add\nnode m mul\nedge a b\nedge b m\n")
+    previous = 0.0
+    for area_bound in [a / 2 for a in range(4, 41)]:
+        result = baseline_nmr_synth(dfg, lib, Bounds(3, area_bound))
+        assert result.area <= area_bound
+        assert result.reliability >= previous, area_bound
+        previous = result.reliability
 
 
 def test_baseline_ties_break_by_area_then_latency_then_order():
@@ -377,9 +392,11 @@ def test_combined_beats_baseline_where_versions_dominate():
 # sha256 of greedy_nmr_upgrade's (nmr factors, area, repr(reliability)) for
 # every single-version design of the bundled graphs at their sweep latency
 # bounds, under each of GREEDY_AREAS; captured from the upgrade that
-# recomputed every instance's gain on each move.
+# recomputed every instance's gain on each move, and re-captured when the
+# upgrade began stopping at a gain <= 0 (one outcome lost an upgrade that
+# bought nothing: its vote's reliability no longer changed in floats).
 GREEDY_AREAS = (4, 7.5, 10, 13, 16.5, 20, 26, 33, 40, 52, 64)
-GREEDY_GOLDEN_SHA256 = "d947743b82f2e74f26d18f533c22fc569d55a0ae8a7745cb1628af6ae7828c04"
+GREEDY_GOLDEN_SHA256 = "6757eec65cf3367bf85061722c973a9cb5e633238a4811b893b6dd8e369b9bc1"
 
 
 def test_greedy_upgrade_golden_digest():

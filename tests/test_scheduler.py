@@ -6,13 +6,8 @@ import pytest
 
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
 from relsyn.model import parse_library
-from relsyn.scheduler import (
-    InfeasibleBoundError,
-    alap,
-    asap,
-    critical_path,
-    density_schedule,
-)
+from relsyn.scheduler import InfeasibleBoundError, alap, asap, density_schedule
+from relsyn.synthesizer import _heaviest_path
 
 LIB = builtin_library()
 ADDER1 = LIB.by_name("Adder1")
@@ -28,6 +23,15 @@ def chain(n, version):
         + "\n".join(f"edge c{i} c{i + 1}" for i in range(n - 1))
     )
     return dfg, {nid: version for nid in dfg.node_ids}
+
+
+def critical_path(dfg, asg):
+    """`_heaviest_path` on tails computed here: each node's delay plus its
+    heaviest successor's tail."""
+    tail = {}
+    for nid in reversed(dfg.topo_order):
+        tail[nid] = asg[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+    return _heaviest_path(dfg, tail)
 
 
 def uniform(dfg, add_version=ADDER2, mul_version=MULT2):
@@ -243,15 +247,20 @@ def test_asap_latency_is_minimal_by_exhaustive_enumeration():
 
 
 def test_density_start_within_original_windows():
+    # Placements never empty a window, so any bound the ASAP check admits
+    # gets a schedule, within the original windows and the bound.
     rng = random.Random(31)
-    for _ in range(20):
-        dfg = _random_dfg(rng)
-        asg = _random_assignment(dfg, rng)
-        bound = asap(dfg, asg).latency + rng.randint(0, 4)
+    for case in range(400):
+        dfg = _random_dfg(rng, max_nodes=12)
+        asg = _random_assignment(dfg, rng, (LIB, WIDE_LIB)[case % 2])
+        bound = asap(dfg, asg).latency + rng.randint(0, 5)
         lo, hi = asap(dfg, asg).starts, alap(dfg, asg, bound).starts
         sched = density_schedule(dfg, asg, bound)
+        assert sched.latency <= bound
         for nid in dfg.node_ids:
             assert lo[nid] <= sched.starts[nid] <= hi[nid]
+        for src, dst in dfg.edges:
+            assert sched.starts[dst] >= sched.starts[src] + asg[src].delay
 
 
 def _golden_cases():
