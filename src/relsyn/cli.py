@@ -23,7 +23,6 @@ from . import charlib, model, oracle, redundancy, synthesizer
 from .binder import Binding, Instance, total_area
 from .model import Bounds, Design, Dfg, Infeasible, ParseError, ResourceLibrary, ValidationError
 from .model import evaluate_reliability
-from .scheduler import InfeasibleBoundError, Schedule
 
 METHODS = ("ours", "nmr", "combined", "oracle")
 
@@ -287,6 +286,10 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
                 f"line {lineno}: expected 'assign <node-id> <version-name> [nmr <odd-int>]'"
             )
         nid, vname = fields[1], fields[2]
+        if nid not in dfg.node_ids:
+            raise ParseError(f"line {lineno}: node {nid!r} is not in the graph")
+        if nid in assignment:
+            raise ParseError(f"line {lineno}: node {nid!r} is assigned twice")
         if len(fields) == 5:
             if fields[3] != "nmr":
                 raise ParseError(f"line {lineno}: expected 'nmr <odd-int>'")
@@ -316,23 +319,30 @@ def _node_table(payload: dict, key: str, dfg: Dfg) -> dict:
     return {nid: table[nid] for nid in dfg.node_ids}
 
 
-def _design_from_json(payload: object, dfg: Dfg, library: ResourceLibrary) -> Design:
-    """Rebuild a design emitted by `synth --format json`; raise InputError
-    unless it is complete and consistent with `dfg` and `library`."""
+def _int(value: object) -> int:
+    """`value` if it is a JSON integer: not a bool, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> float:
+    """The reliability of a design emitted by `synth --format json`; raise
+    InputError unless it is complete and consistent with `dfg` and `library`."""
     if not isinstance(payload, dict) or any(k not in payload for k in _DESIGN_KEYS):
         raise InputError(f"design JSON needs the keys {', '.join(_DESIGN_KEYS)}")
     try:
         names = _node_table(payload, "assignment", dfg)
         assignment = {nid: library.by_name(name) for nid, name in names.items()}
         instances = tuple(
-            Instance(int(it["id"]), library.by_name(it["version"]).name, int(it.get("nmr", 1)))
+            Instance(_int(it["id"]), library.by_name(it["version"]).name, _int(it.get("nmr", 1)))
             for it in payload["instances"]
         )
         ids = _node_table(payload, "binding", dfg)
-        binding = Binding({nid: int(iid) for nid, iid in ids.items()}, instances)
+        binding = Binding({nid: _int(iid) for nid, iid in ids.items()}, instances)
         bound = {nid: binding.instance(iid) for nid, iid in binding.node_to_instance.items()}
-        starts = {nid: int(s) for nid, s in _node_table(payload, "schedule", dfg).items()}
-        stated_latency, stated_area = int(payload["latency"]), float(payload["area"])
+        starts = {nid: _int(s) for nid, s in _node_table(payload, "schedule", dfg).items()}
+        stated_latency, stated_area = _int(payload["latency"]), float(payload["area"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad design JSON: {exc}") from exc
     if len({inst.id for inst in instances}) != len(instances):
@@ -358,14 +368,7 @@ def _design_from_json(payload: object, dfg: Dfg, library: ResourceLibrary) -> De
             f"design states latency {stated_latency} and area {stated_area:g}, "
             f"its schedule and binding give {latency} and {area:g}"
         )
-    return Design(
-        assignment=assignment,
-        schedule=Schedule(starts, latency),
-        binding=binding,
-        latency=latency,
-        area=area,
-        reliability=evaluate_reliability(dfg, assignment, binding),
-    )
+    return evaluate_reliability(dfg, assignment, binding)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -376,7 +379,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             payload = json.loads(_read_file(args.design))
         except json.JSONDecodeError as exc:
             raise InputError(f"bad design JSON {args.design}: {exc}") from exc
-        reliability = _design_from_json(payload, dfg, library).reliability
+        reliability = _design_reliability(payload, dfg, library)
     else:
         assignment, binding = _parse_assignment_file(
             _read_file(args.assign), dfg, library
@@ -453,7 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         InputError,
         ParseError,
         ValidationError,
-        InfeasibleBoundError,
         oracle.OracleLimitError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,8 +75,7 @@ def _price_upgrade(
 
 def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:
     return replace(
-        design, assignment=dict(design.assignment), binding=with_nmr(design.binding, nmr),
-        area=area, reliability=reliability,
+        design, binding=with_nmr(design.binding, nmr), area=area, reliability=reliability
     )
 
 
@@ -93,7 +92,7 @@ def baseline_nmr_synth(
     `find_design`.  Candidates are priced, and only the winner is built.
     """
     library.check_covers(dfg)
-    designs = list(single_version_designs(dfg, library, bounds.latency_bound, memo=memo))
+    designs = single_version_designs(dfg, library, bounds.latency_bound, memo=memo)
     a_d = bounds.area_bound
     # best_design's order on the upgraded values: the first maximum wins.
     best = max(

@@ -17,21 +17,21 @@ enumerates the single-version-per-class assignments and returns the
 most reliable one that fits both bounds.
 
 Every design goes through a `memo` dict.  Nothing in it depends on the
-area bound, so the memo keeps (delays, latency bound) -> schedule or the
-scheduler's error, (version names, latency bound) -> the scheduled,
-bound and priced `Design`, latency bound -> latency-repair outcome, and
-("single-version", latency bound) -> the single-version designs: a move
-between versions of equal delay re-binds without re-scheduling, and a
-design met again is not re-built.  A caller that solves many bound pairs
-on one graph and library (a sweep) may pass the same memo to every call;
-without one, each call uses a memo of its own.  Whatever a shared memo
-holds is shared: treat it as read-only.
+area bound, so the memo keeps (delays, latency bound) -> schedule and
+(version names, latency bound) -> scheduled, bound and priced `Design`,
+each None if the bound is missed, latency bound -> latency-repair
+outcome, and ("single-version", latency bound) -> the tuple of
+single-version designs: a move between versions of equal delay re-binds
+without re-scheduling, and a design met again is not re-built.  A caller
+that solves many bound pairs on one graph and library (a sweep) may pass
+the same memo to every call; without one, each call uses a memo of its
+own.  Whatever a shared memo holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, MutableMapping
+from typing import Iterable, Mapping, MutableMapping
 
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
@@ -55,7 +55,7 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
 
 
 # Shared by the flows of one graph and library: (node delays, L) ->
-# Schedule or the InfeasibleBoundError, (version names, L) -> Design, L ->
+# Schedule and (version names, L) -> Design, each None if L is missed, L ->
 # latency-repair outcome and ("single-version", L) -> tuple of Designs, for
 # a latency bound L.  Delay keys hold ints, name keys strings; all read-only.
 Memo = MutableMapping[object, object]
@@ -63,43 +63,40 @@ Memo = MutableMapping[object, object]
 
 def _design_at(
     dfg: Dfg, library: ResourceLibrary, assignment: Assignment, latency_bound: int, memo: Memo
-) -> Design:
+) -> Design | None:
     """The design of `assignment` density-scheduled at `latency_bound`,
-    bound and priced, built once per memo; raises InfeasibleBoundError as
-    the scheduler does.  The scheduler reads only delays, so assignments
+    bound and priced, or None if the scheduler cannot meet the bound;
+    built once per memo.  The scheduler reads only delays, so assignments
     with equal delays share one schedule."""
     names = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
-    design = memo.get(names)
-    if design is None:
+    if names not in memo:
         delays = (tuple(assignment[nid].delay for nid in dfg.node_ids), latency_bound)
-        schedule = memo.get(delays)
-        if schedule is None:
+        if delays not in memo:
             try:
-                schedule = density_schedule(dfg, assignment, latency_bound)
-            except InfeasibleBoundError as exc:
-                schedule = exc.with_traceback(None)  # a traceback would pin its frames
-            memo[delays] = schedule
-        if isinstance(schedule, InfeasibleBoundError):
-            # Raise a copy: raising the stored error again would lengthen its traceback.
-            raise InfeasibleBoundError(*schedule.args)
-        binding = bind(dfg, schedule, assignment)
-        design = memo[names] = Design(
-            assignment=dict(assignment),
-            schedule=schedule,
-            binding=binding,
-            latency=schedule.latency,
-            area=total_area(binding, library),
-            reliability=evaluate_reliability(dfg, assignment),  # bind makes every factor 1
-        )
-    return design
+                memo[delays] = density_schedule(dfg, assignment, latency_bound)
+            except InfeasibleBoundError:
+                memo[delays] = None
+        schedule = memo[delays]
+        memo[names] = None
+        if schedule is not None:
+            binding = bind(dfg, schedule, assignment)
+            memo[names] = Design(
+                assignment=dict(assignment),
+                schedule=schedule,
+                binding=binding,
+                latency=schedule.latency,
+                area=total_area(binding, library),
+                reliability=evaluate_reliability(dfg, assignment),  # bind makes every factor 1
+            )
+    return memo[names]
 
 
 def single_version_designs(
     dfg: Dfg, library: ResourceLibrary, latency_bound: int, *, memo: Memo | None = None
-) -> Iterator[Design]:
-    """Every single-version-per-class design that meets `latency_bound`,
-    density-scheduled and bound, with class versions in library order.
-    `memo` is as for `find_design`; it keeps these designs per latency bound."""
+) -> tuple[Design, ...]:
+    """The tuple of every single-version-per-class design that meets
+    `latency_bound`, density-scheduled and bound, with class versions in
+    library order.  `memo` is as for `find_design`; it keeps the tuple."""
     memo = {} if memo is None else memo
     key = ("single-version", latency_bound)
     if key not in memo:
@@ -109,12 +106,9 @@ def single_version_designs(
         for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
             chosen = dict(zip(classes, combo))
             assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
-            try:
-                designs.append(_design_at(dfg, library, assignment, latency_bound, memo))
-            except InfeasibleBoundError:
-                continue
-        memo[key] = tuple(designs)
-    return iter(memo[key])
+            designs.append(_design_at(dfg, library, assignment, latency_bound, memo))
+        memo[key] = tuple(d for d in designs if d is not None)
+    return memo[key]
 
 
 def best_design(designs: Iterable[Design]) -> Design | None:

@@ -472,6 +472,34 @@ def test_eval_class_mismatch_is_error(workspace, capsys):
     assert "assigned" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("assign a1 Adder3", "line 12: node 'a1' is assigned twice"),
+        ("assign zzz Adder1", "line 12: node 'zzz' is not in the graph"),
+    ],
+    ids=["assigned-twice", "unknown-node"],
+)
+def test_eval_rejects_bad_assignment_line(workspace, capsys, extra, message):
+    # diffeq on Adder1 and Mult1 everywhere (eleven lines), then `extra`.
+    assign = workspace / "diffeq.assign"
+    lines = [f"assign m{i} Mult1" for i in range(1, 7)]
+    lines += [f"assign {nid} Adder1" for nid in ("a1", "a2", "s1", "s2", "c1")]
+    assign.write_text("\n".join(lines + [extra]) + "\n")
+    code, out, err = _run(
+        capsys,
+        [
+            "eval",
+            "--dfg", str(workspace / "diffeq.dfg"),
+            "--lib", str(workspace / "table1.lib"),
+            "--assign", str(assign),
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_design_json_round_trip(workspace, capsys, tmp_path):
     code, out, _ = _run(
         capsys,
@@ -548,6 +576,11 @@ BAD_DESIGNS = {
     "before-cycle-one": (_shift_before_cycle_one, "before cycle 1"),
     "false-latency": (lambda d: d.update(latency=d["latency"] + 1), "states latency"),
     "false-area": (lambda d: d.update(area=d["area"] + 1), "states latency"),
+    "fractional-latency": (lambda d: d.update(latency=d["latency"] + 0.5), "not an integer"),
+    "fractional-start": (
+        lambda d: d["schedule"].update(m1=d["schedule"]["m1"] + 0.9), "not an integer"
+    ),
+    "fractional-nmr": (lambda d: d["instances"][0].update(nmr=1.5), "not an integer"),
 }
 
 

@@ -232,3 +232,35 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
     feasible = [r for r in rows if r[2] in ("nmr", "combined") and r[3] == "feasible"]
     assert len(feasible) > 100
     assert upgraded["calls"] == len(feasible)
+
+
+def test_design_at_stores_none_for_a_missed_bound(monkeypatch):
+    # An assignment whose ASAP latency exceeds L has no design at L; the
+    # memo keeps that answer, so asking again schedules nothing.
+    dfg = builtin_benchmark("ew")
+    assignment = synthesizer.initial_allocation(dfg, LIB)
+    latency_bound = asap(dfg, assignment).latency - 1
+    calls = Counter()
+    schedule = synthesizer.density_schedule
+
+    def counting(graph, assignment, latency_bound):
+        calls["calls"] += 1
+        return schedule(graph, assignment, latency_bound)
+
+    monkeypatch.setattr(synthesizer, "density_schedule", counting)
+    memo = {}
+    assert synthesizer._design_at(dfg, LIB, assignment, latency_bound, memo) is None
+    assert calls["calls"] == 1
+    assert synthesizer._design_at(dfg, LIB, assignment, latency_bound, memo) is None
+    assert calls["calls"] == 1
+
+
+def test_shared_memo_holds_no_exception():
+    dfg = builtin_benchmark("ew")
+    memo = {}
+    for l_d in range(14, 19):
+        for a_d in (6, 10, 16, 24, 40):
+            for flow in FLOWS.values():
+                flow(dfg, LIB, Bounds(l_d, a_d), memo=memo)
+    assert not any(isinstance(value, BaseException) for value in memo.values())
+    assert None in memo.values()
