@@ -186,8 +186,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
-    # Schedules and latency repair depend on the latency bound but not on
-    # the area bound, so every point of this graph and library shares them.
+    # Schedules, latency repair and the area-repair walk depend on the latency
+    # bound but not on the area bound, so every point of this graph and
+    # library shares them.
     memo: synthesizer.Memo = {}
     lines = ["L_d,A_d,method,status,latency,area,reliability"]
     for l_d in range(int(l_lo), int(l_hi) + 1, args.step_l):
@@ -342,7 +343,9 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         binding = Binding({nid: _int(iid) for nid, iid in ids.items()}, instances)
         bound = {nid: binding.instance(iid) for nid, iid in binding.node_to_instance.items()}
         starts = {nid: _int(s) for nid, s in _node_table(payload, "schedule", dfg).items()}
-        stated_latency, stated_area = _int(payload["latency"]), float(payload["area"])
+        stated_latency, stated_area = _int(payload["latency"]), payload["area"]
+        if type(stated_area) not in (int, float):
+            raise ValueError(f"area {stated_area!r} is not a JSON number")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad design JSON: {exc}") from exc
     if len({inst.id for inst in instances}) != len(instances):

@@ -23,8 +23,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .binder import Binding
@@ -180,6 +181,10 @@ class ResourceLibrary:
         object.__setattr__(self, "_by_name", by_name)
         by_class = {cls: tuple(v for v in self.versions if v.op_class == cls) for cls in OpClass}
         object.__setattr__(self, "_by_class", by_class)
+        object.__setattr__(self, "_hash", hash(self.versions))
+
+    def __hash__(self) -> int:  # hashed once: designs key their NMR pricing by library
+        return self._hash
 
     def by_name(self, name: str) -> ResourceVersion:
         try:
@@ -239,6 +244,12 @@ class Design:
     latency: int
     area: float
     reliability: float
+
+    # The greedy NMR upgrade's state per library (see redundancy), built on
+    # first use like Binding's indexes: fields, equality and repr ignore it.
+    @cached_property
+    def _nmr_pricing(self) -> dict[ResourceLibrary, Any]:
+        return {}
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,15 @@ reliability is the product over nodes of their effective per-node
 reliability; an instance with redundancy factor N raises the effective
 reliability of every node bound to it to the majority-voting value
 (`model.nmr_reliability`).
+
+Each design keeps its greedy upgrade per library (`_Pricing`), so pricing
+it at many area bounds, as a sweep does, runs the greedy once per
+interval of bounds on which the greedy's fit tests all answer the same.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -28,49 +33,90 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     `area_bound` (ties: lowest instance id), while that gain is positive.
     An instance's gain adds, for each node on it, the step
     log R(r, N+2) - log R(r, N) of its version's reliability r, computed
-    once per (r, N).  Schedule and latency are untouched.
+    once per (r, N) and process.  Schedule and latency are untouched.
     """
     return _upgraded(design, *_price_upgrade(design, library, area_bound))
+
+
+@functools.cache
+def _log_step(r: float, n: int) -> float:
+    return math.log(nmr_reliability(r, n + 2)) - math.log(nmr_reliability(r, n))
+
+
+class _Pricing:
+    """The greedy upgrade of one design under one library, at any area bound.
+
+    Each instance's extra area, node reliabilities and initial gain per unit
+    area are computed once.  The bound enters the greedy only through its
+    fit tests area + extra > bound, so each run is kept with the interval
+    [lo, hi) of bounds on which every test it made answers the same: lo is
+    the largest tested sum that fit, hi the smallest that did not (None if
+    every test fit).  A bound inside a kept interval gets that run's outcome.
+    """
+
+    def __init__(self, design: Design, library: ResourceLibrary) -> None:
+        binding = design.binding
+        self.assignment, self.to_instance = design.assignment, binding.node_to_instance
+        self.area = design.area
+        self.nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
+        self.extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
+        self.reliabilities = {
+            iid: [self.assignment[nid].reliability for nid in binding.nodes_on(iid)]
+            for iid in self.nmr
+        }
+        # By id, so that max() meets the lowest id of a tie first.
+        self.ratio = {iid: self._gain_per_area(iid, self.nmr[iid]) for iid in sorted(self.nmr)}
+        self.runs: list[tuple[float, float | None, tuple[dict[int, int], float, float]]] = []
+
+    def _gain_per_area(self, iid: int, n: int) -> float:
+        gain = 0.0  # left to right, not sum(): see model.nmr_reliability
+        for r in self.reliabilities[iid]:
+            gain += _log_step(r, n)
+        return gain / self.extra[iid]
+
+    def price(self, area_bound: float) -> tuple[dict[int, int], float, float]:
+        for lo, hi, outcome in self.runs:
+            if lo <= area_bound and (hi is None or area_bound < hi):
+                return outcome
+        # Only an upgraded instance's gain changes.  The area only grows, so
+        # an instance that no longer fits never fits again.
+        nmr, ratio, area, extra = dict(self.nmr), dict(self.ratio), self.area, self.extra
+        lo, hi = -math.inf, None
+        while True:
+            for iid in list(ratio):
+                total = area + extra[iid]
+                if total > area_bound:
+                    if hi is None or total < hi:
+                        hi = total
+                    del ratio[iid]
+                elif total > lo:
+                    lo = total
+            if not ratio:
+                break
+            iid = max(ratio, key=ratio.__getitem__)
+            if ratio[iid] <= 0:
+                break  # no upgrade that fits gains: r < 0.5, no node, or a saturated vote
+            nmr[iid] += 2
+            area += extra[iid]
+            ratio[iid] = self._gain_per_area(iid, nmr[iid])
+        to_instance = self.to_instance
+        outcome = nmr, area, _reliability_product(
+            to_instance, self.assignment, lambda nid: nmr[to_instance[nid]]
+        )
+        self.runs.append((lo, hi, outcome))
+        return outcome
 
 
 def _price_upgrade(
     design: Design, library: ResourceLibrary, area_bound: float
 ) -> tuple[dict[int, int], float, float]:
     """What `greedy_nmr_upgrade` makes of `design`, without building it:
-    the nmr factor per instance id, the area and the reliability."""
-    assignment, binding = design.assignment, design.binding
-    nmr: dict[int, int] = {inst.id: inst.nmr_factor for inst in binding.instances}
-    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
-    step: dict[tuple[float, int], float] = {}  # (r, N) -> log R(r, N+2) - log R(r, N)
-
-    def gain_per_area(iid: int) -> float:
-        n = nmr[iid]
-        gain = 0.0  # left to right, not sum(): see model.nmr_reliability
-        for nid in binding.nodes_on(iid):
-            r = assignment[nid].reliability
-            if (r, n) not in step:
-                step[r, n] = math.log(nmr_reliability(r, n + 2)) - math.log(nmr_reliability(r, n))
-            gain += step[r, n]
-        return gain / extra[iid]
-
-    # Only an upgraded instance's gain changes.  The area only grows, so an
-    # instance that no longer fits never fits again.
-    ratio = {iid: gain_per_area(iid) for iid in nmr}
-    area = design.area
-    while True:
-        for iid in [iid for iid in ratio if area + extra[iid] > area_bound]:
-            del ratio[iid]
-        if not ratio:
-            break
-        iid = max(ratio, key=lambda i: (ratio[i], -i))
-        if ratio[iid] <= 0:
-            break  # no upgrade that fits gains: r < 0.5, no node, or a saturated vote
-        nmr[iid] += 2
-        area += extra[iid]
-        ratio[iid] = gain_per_area(iid)
-    to_instance = binding.node_to_instance
-    reliability = _reliability_product(to_instance, assignment, lambda nid: nmr[to_instance[nid]])
-    return nmr, area, reliability
+    the nmr factor per instance id (read-only: it is kept), the area and
+    the reliability."""
+    pricing = design._nmr_pricing.get(library)
+    if pricing is None:
+        pricing = design._nmr_pricing[library] = _Pricing(design, library)
+    return pricing.price(area_bound)
 
 
 def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:

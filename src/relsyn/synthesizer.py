@@ -19,13 +19,18 @@ most reliable one that fits both bounds.
 Every design goes through a `memo` dict.  Nothing in it depends on the
 area bound, so the memo keeps (delays, latency bound) -> schedule and
 (version names, latency bound) -> scheduled, bound and priced `Design`,
-each None if the bound is missed, latency bound -> latency-repair
-outcome, and ("single-version", latency bound) -> the tuple of
-single-version designs: a move between versions of equal delay re-binds
-without re-scheduling, and a design met again is not re-built.  A caller
-that solves many bound pairs on one graph and library (a sweep) may pass
-the same memo to every call; without one, each call uses a memo of its
-own.  Whatever a shared memo holds is shared: treat it as read-only.
+each None if the bound is missed: a move between versions of equal delay
+re-binds without re-scheduling, and a design met again is not re-built.
+It keeps ("single-version", latency bound) -> the tuple of single-version
+designs, and latency bound -> walk: latency repair's Infeasible, or the
+(scheduling latency, design) pairs that latency repair, slack and area
+repair have met so far.  The walk is the same for every area bound, which
+only picks the design it stops at, the first that fits; a call grows it
+only when none fits, and it becomes a tuple once area repair dead-ends.
+A caller that solves many bound pairs on one graph and library (a sweep)
+may pass the same memo to every call; without one, each call uses a memo
+of its own.  Whatever a shared memo holds is shared: treat it as
+read-only.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, Resource
 
 # Shared by the flows of one graph and library: (node delays, L) ->
 # Schedule and (version names, L) -> Design, each None if L is missed, L ->
-# latency-repair outcome and ("single-version", L) -> tuple of Designs, for
-# a latency bound L.  Delay keys hold ints, name keys strings; all read-only.
+# Infeasible or find_design's walk of (scheduling latency, Design) pairs (a
+# list that may grow, a tuple once it ends) and ("single-version", L) ->
+# tuple of Designs, for a latency bound L.  Delay keys hold ints, name keys
+# strings; all read-only but a growing walk.
 Memo = MutableMapping[object, object]
 
 
@@ -185,51 +192,58 @@ def find_design(
     library.check_covers(dfg)
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     memo = {} if memo is None else memo
-    repaired = memo.get(l_d)
-    if repaired is None:
-        repaired = memo[l_d] = _repair_latency(dfg, library, l_d)
-    if isinstance(repaired, Infeasible):
-        return repaired
-    assignment, latency = dict(repaired[0]), repaired[1]  # area repair edits the copy
-
-    # Schedule against the achieved latency; then share hardware.
-    design = _design_at(dfg, library, assignment, latency, memo)
-
-    # Latency slack: relaxing the schedule one cycle at a time lets the
-    # binder serialize more operations onto fewer instances.
-    while design.area > a_d and latency < l_d:
-        latency += 1
+    walk = memo.get(l_d)
+    if walk is None:
+        repaired = _repair_latency(dfg, library, l_d)
+        if not isinstance(repaired, Infeasible):
+            assignment, latency = repaired
+            repaired = [(latency, _design_at(dfg, library, assignment, latency, memo))]
+        walk = memo[l_d] = repaired
+    if isinstance(walk, Infeasible):
+        return walk
+    # Stop at the walk's first design that fits; if none does, grow the walk
+    # from its last design, which the loop leaves in `latency` and `design`.
+    for latency, design in walk:
+        if design.area <= a_d:
+            return design
+    while isinstance(walk, list):
+        if latency < l_d:
+            # Latency slack: relaxing the schedule one cycle at a time lets
+            # the binder serialize more operations onto fewer instances.
+            latency += 1
+            assignment = design.assignment
+        else:
+            # Area repair: move the largest-version node, together with every
+            # node sharing its instance, to a smaller version that is no slower.
+            candidates = []
+            for index, nid in enumerate(dfg.node_ids):
+                current = design.assignment[nid]
+                smaller = [
+                    v
+                    for v in library.versions_for(current.op_class)
+                    if v.area < current.area and v.delay <= current.delay
+                ]
+                if smaller:
+                    candidates.append((-current.area, index, nid, smaller))
+            if not candidates:
+                memo[l_d] = tuple(walk)
+                break
+            *_, victim, smaller = min(candidates)
+            replacement = prefer_versions(smaller)[0]
+            assignment = dict(design.assignment)
+            for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
+                assignment[nid] = replacement
         design = _design_at(dfg, library, assignment, latency, memo)
-
-    # Area repair: move the largest-version node, together with every
-    # node sharing its instance, to a smaller version that is no slower.
-    while design.area > a_d:
-        candidates = []
-        for index, nid in enumerate(dfg.node_ids):
-            current = assignment[nid]
-            smaller = [
-                v
-                for v in library.versions_for(current.op_class)
-                if v.area < current.area and v.delay <= current.delay
-            ]
-            if smaller:
-                candidates.append((-current.area, index, nid, smaller))
-        if not candidates:
-            fallback = best_design(
-                d
-                for d in single_version_designs(dfg, library, l_d, memo=memo)
-                if d.area <= a_d
-            )
-            if fallback is not None:
-                return fallback
-            return Infeasible(
-                "area",
-                f"area {design.area:g} exceeds bound {a_d:g}; no node has a smaller "
-                "version that is no slower and no single-version design fits",
-            )
-        *_, victim, smaller = min(candidates)
-        replacement = prefer_versions(smaller)[0]
-        for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
-            assignment[nid] = replacement
-        design = _design_at(dfg, library, assignment, latency, memo)
-    return design
+        walk.append((latency, design))
+        if design.area <= a_d:
+            return design
+    fallback = best_design(
+        d for d in single_version_designs(dfg, library, l_d, memo=memo) if d.area <= a_d
+    )
+    if fallback is not None:
+        return fallback
+    return Infeasible(
+        "area",
+        f"area {design.area:g} exceeds bound {a_d:g}; no node has a smaller "
+        "version that is no slower and no single-version design fits",
+    )

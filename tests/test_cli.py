@@ -581,6 +581,8 @@ BAD_DESIGNS = {
         lambda d: d["schedule"].update(m1=d["schedule"]["m1"] + 0.9), "not an integer"
     ),
     "fractional-nmr": (lambda d: d["instances"][0].update(nmr=1.5), "not an integer"),
+    "string-area": (lambda d: d.update(area=str(d["area"])), "bad design JSON"),
+    "bool-area": (lambda d: d.update(area=True), "bad design JSON"),
 }
 
 

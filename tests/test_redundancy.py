@@ -3,10 +3,12 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from checks import validate_design
+from relsyn import redundancy
 from relsyn.binder import Binding, Instance, bind, total_area
 from relsyn.model import (
     Dfg,
@@ -19,6 +21,7 @@ from relsyn.model import (
     parse_library,
 )
 from relsyn.redundancy import (
+    _price_upgrade,
     baseline_nmr_synth,
     combined_synth,
     evaluate_reliability,
@@ -205,31 +208,37 @@ def _outcome(design):
     return nmr, design.area, repr(design.reliability)
 
 
-@pytest.mark.parametrize("case", list(GREEDY_EDGE_CASES))
-def test_greedy_upgrade_hand_built_binding(case):
-    node_to_instance, expected = GREEDY_EDGE_CASES[case]
+def _edge_design(node_to_instance):
     dfg = parse_dfg("node a add\nnode b add\nnode c add\nedge a b\n")
     fast, slow = EDGE_LIB.by_name("Fast"), EDGE_LIB.by_name("Slow")
     asg = {"a": fast, "b": slow, "c": fast}
     instances = (Instance(0, "Fast"), Instance(1, "Tiny"), Instance(2, "Slow"))
     binding = Binding(node_to_instance, instances)
-    design = Design(
+    return Design(
         asg, Schedule({"a": 1, "b": 2, "c": 2}, 3), binding, 3,
         total_area(binding, EDGE_LIB), evaluate_reliability(dfg, asg, binding),
     )
+
+
+@pytest.mark.parametrize("case", list(GREEDY_EDGE_CASES))
+def test_greedy_upgrade_hand_built_binding(case):
+    node_to_instance, expected = GREEDY_EDGE_CASES[case]
+    design = _edge_design(node_to_instance)
     for area_bound, *outcome in expected:
         upgraded = greedy_nmr_upgrade(design, EDGE_LIB, area_bound)
         assert _outcome(upgraded) == tuple(outcome), area_bound
         assert upgraded.binding.node_to_instance == node_to_instance
 
 
+WEAK_LIB = parse_library(
+    "resource Weak add 1 1 0.4\nresource Weaker add 2 1 0.3\nresource Mul mul 1 1 0.45\n"
+)
+WEAK_DFG = parse_dfg("node a add\nnode b add\nnode m mul\nedge a b\nedge b m\n")
+
+
 def test_baseline_upgrades_below_one_half_lower_reliability():
     # With r < 0.5 a vote is worse than one copy, so every upgrade loses
     # reliability and the greedy spends none of the area.
-    lib = parse_library(
-        "resource Weak add 1 1 0.4\nresource Weaker add 2 1 0.3\nresource Mul mul 1 1 0.45\n"
-    )
-    dfg = parse_dfg("node a add\nnode b add\nnode m mul\nedge a b\nedge b m\n")
     expected = [
         (3, (1, 1), 2.0, "0.07200000000000002"),
         (5, (1, 1), 2.0, "0.07200000000000002"),
@@ -238,7 +247,7 @@ def test_baseline_upgrades_below_one_half_lower_reliability():
         (13, (1, 1), 2.0, "0.07200000000000002"),
     ]
     for area_bound, *outcome in expected:
-        result = baseline_nmr_synth(dfg, lib, Bounds(3, area_bound))
+        result = baseline_nmr_synth(WEAK_DFG, WEAK_LIB, Bounds(3, area_bound))
         assert _outcome(result) == tuple(outcome), area_bound
         assert [v.name for v in result.assignment.values()] == ["Weak", "Weak", "Mul"]
 
@@ -414,3 +423,62 @@ def test_greedy_upgrade_golden_digest():
     assert len(lines) == 94 * len(GREEDY_AREAS)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GREEDY_GOLDEN_SHA256
+
+
+BUNDLED_LATENCIES = (("fir16", range(9, 17)), ("ew", range(14, 22)), ("diffeq", range(4, 12)))
+
+
+def _priced_designs():
+    """(design, library): every single-version design and every other
+    find_design result of the bundled graphs over their sweep latency
+    ranges (areas 2-40), then the hand-built and r < 0.5 designs."""
+    designs = []
+    for name, latencies in BUNDLED_LATENCIES:
+        dfg, memo = builtin_benchmark(name), {}
+        for bound in latencies:
+            designs += [(d, LIB) for d in single_version_designs(dfg, LIB, bound, memo=memo)]
+            for area in range(2, 41):
+                result = find_design(dfg, LIB, Bounds(bound, area), memo=memo)
+                if isinstance(result, Design) and not any(result is d for d, _ in designs):
+                    designs.append((result, LIB))
+    designs += [(_edge_design(n2i), EDGE_LIB) for n2i, _ in GREEDY_EDGE_CASES.values()]
+    return designs + [(d, WEAK_LIB) for d in single_version_designs(WEAK_DFG, WEAK_LIB, 3)]
+
+
+def _greedy(pricing, area_bound):
+    """A greedy run of its own at `area_bound`: no kept run to hit."""
+    pricing.runs.clear()
+    return pricing.price(area_bound)
+
+
+def test_priced_upgrade_equals_a_fresh_greedy():
+    # A design keeps each greedy run with the interval of area bounds on
+    # which every fit test answers the same.  Whatever order the bounds
+    # come in, a kept run must be what a greedy run of its own gets at that
+    # bound, also at the ends of each kept interval.
+    rng = random.Random(29)
+    bounds = [2 + k / 2 for k in range(237)]
+    assert bounds[-1] == 120
+    runs = 0
+    for design, library in _priced_designs():
+        pricing = redundancy._Pricing(design, library)
+        fresh = {a: _greedy(pricing, a) for a in bounds}
+        kept = []
+        for order in (bounds, bounds[::-1], rng.sample(bounds, len(bounds))):
+            priced = replace(design)
+            for area_bound in order:
+                assert _price_upgrade(priced, library, area_bound) == fresh[area_bound]
+            kept.append(priced._nmr_pricing[library])
+        # Each bound has one run, so every order keeps the same runs.
+        assert all(sorted(p.runs, key=lambda run: run[0]) == kept[0].runs for p in kept)
+        for lo, hi, outcome in kept[0].runs:
+            for area_bound in [lo] if hi is None else [lo, math.nextafter(hi, -math.inf)]:
+                if area_bound > 0:
+                    assert _greedy(pricing, area_bound) == outcome
+        runs += len(kept[0].runs)
+        unbounded = _price_upgrade(priced, library, math.inf)
+        assert unbounded == _greedy(pricing, math.inf)
+        count = len(kept[-1].runs)
+        assert _price_upgrade(priced, library, math.inf) == unbounded
+        assert len(kept[-1].runs) == count
+    assert runs > 1000

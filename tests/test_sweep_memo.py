@@ -234,6 +234,47 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
     assert upgraded["calls"] == len(feasible)
 
 
+def test_sweep_walks_each_latency_bound_once(tmp_path, capsys, monkeypatch):
+    # find_design's slack and area-repair walk does not depend on the area
+    # bound, so each of its designs is reached once per latency bound L,
+    # however many area bounds and flows stop on or pass it.
+    reached = Counter()
+    design_at = synthesizer._design_at
+
+    def counting_design_at(dfg, library, assignment, latency_bound, memo):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name != "single_version_designs":
+            names = tuple(v.name for v in assignment.values())
+            reached[caller.f_locals["l_d"], names, latency_bound] += 1
+        return design_at(dfg, library, assignment, latency_bound, memo)
+
+    monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
+    _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
+    assert set(reached.values()) == {1}
+    assert len(reached) > 2 * len(range(14, 22))  # the walks take steps
+
+
+def test_walk_grows_as_the_area_bound_falls():
+    # Visited in strictly falling area, each call stops beyond the designs
+    # of the calls before it, so the shared walk grows call by call; the
+    # results are those of calls without a memo.
+    grown = 0
+    for dfg, latencies, areas in _grids():
+        memo = {}
+        for l_d in latencies:
+            lengths = []
+            for a_d in sorted(areas, reverse=True):
+                for method in FLOWS:
+                    shared = FLOWS[method](dfg, LIB, Bounds(l_d, a_d), memo=memo)
+                    alone = FLOWS[method](dfg, LIB, Bounds(l_d, a_d))
+                    assert _text(shared) == _text(alone), (l_d, a_d, method)
+                walk = memo[l_d]
+                lengths.append(0 if isinstance(walk, Infeasible) else len(walk))
+            assert lengths == sorted(lengths)
+            grown += lengths[-1] > lengths[0]
+    assert grown > 10
+
+
 def test_design_at_stores_none_for_a_missed_bound(monkeypatch):
     # An assignment whose ASAP latency exceeds L has no design at L; the
     # memo keeps that answer, so asking again schedules nothing.
