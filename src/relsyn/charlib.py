@@ -53,8 +53,8 @@ class CharModel:
             raise ValidationError("q_s must be > 0")
         if not 0 < self.reference_reliability < 1:
             raise ValidationError("reference reliability must be in (0, 1)")
-        if not self.t > 0:
-            raise ValidationError("time horizon must be > 0")
+        if not 0 < self.t < math.inf:
+            raise ValidationError("time horizon must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,8 @@ def calibrate_qs(
     any other ordering contradicts the model and raises.
     """
     (q_ref, r_ref), (q_other, r_other) = ref, other
+    if not 0 < t < math.inf:
+        raise ValidationError("time horizon must be finite and > 0")
     for q, r in (ref, other):
         if q <= 0:
             raise ValidationError("critical charges must be positive")

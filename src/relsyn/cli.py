@@ -42,16 +42,8 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_dfg(path: str) -> Dfg:
-    return model.parse_dfg(_read_file(path))
-
-
-def _load_library(path: str) -> ResourceLibrary:
-    return model.parse_library(_read_file(path))
 
 
 def _run_method(
@@ -125,10 +117,9 @@ def _emit_result(result: Design | Infeasible, fmt: str, out: IO[str]) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    dfg = _load_dfg(args.dfg)
-    library = _load_library(args.lib)
-    bounds = Bounds(args.latency, args.area)
-    result = _run_method(args.method, dfg, library, bounds)
+    dfg = model.parse_dfg(_read_file(args.dfg))
+    library = model.parse_library(_read_file(args.lib))
+    result = _run_method(args.method, dfg, library, Bounds(args.latency, args.area))
     return _emit_result(result, args.format, sys.stdout)
 
 
@@ -167,8 +158,8 @@ def _fmt_num(x: float) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dfg = _load_dfg(args.dfg)
-    library = _load_library(args.lib)
+    dfg = model.parse_dfg(_read_file(args.dfg))
+    library = model.parse_library(_read_file(args.lib))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
@@ -177,12 +168,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError("no methods given")
     l_lo, l_hi = _parse_range(args.latency, "latency", integral=True)
     a_lo, a_hi = _parse_range(args.area, "area")
-    if args.step_l < 1 or args.step_a <= 0:
-        raise InputError("steps must be positive")
-    # Sized before any grid is built; `not <=` also refuses a NaN count.
+    if args.step_l < 1:
+        raise InputError(f"--step-l must be >= 1, got {args.step_l}")
+    if not (math.isfinite(args.step_a) and args.step_a > 0):
+        raise InputError(f"--step-a must be finite and > 0, got {args.step_a:g}")
+    # Sized before any grid is built; the first test keeps a huge int count out of the product.
     l_count = (l_hi - l_lo) // args.step_l + 1
     a_count = _grid_count(a_lo, a_hi, args.step_a)
-    if l_count > MAX_SWEEP_POINTS or not l_count * a_count <= MAX_SWEEP_POINTS:
+    if l_count > MAX_SWEEP_POINTS or l_count * a_count > MAX_SWEEP_POINTS:
         raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
@@ -193,20 +186,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["L_d,A_d,method,status,latency,area,reliability"]
     for l_d in range(int(l_lo), int(l_hi) + 1, args.step_l):
         for a_d in _grid(a_lo, a_hi, args.step_a):
+            point = f"{l_d},{_fmt_num(a_d)},"
             for method in methods:
                 result = _run_method(method, dfg, library, Bounds(l_d, a_d), memo)
                 if isinstance(result, Infeasible):
-                    row = [
-                        _fmt_num(l_d), _fmt_num(a_d), method,
-                        f"infeasible:{result.reason}", "", "", "",
-                    ]
+                    tail = f"infeasible:{result.reason},,,"
                 else:
-                    row = [
-                        _fmt_num(l_d), _fmt_num(a_d), method, "feasible",
-                        str(result.latency), _fmt_num(result.area),
-                        f"{result.reliability:.5f}",
-                    ]
-                lines.append(",".join(row))
+                    area, rel = _fmt_num(result.area), f"{result.reliability:.5f}"
+                    tail = f"feasible,{result.latency},{area},{rel}"
+                lines.append(f"{point}{method},{tail}")
     text = "\n".join(lines) + "\n"
     if args.out:
         try:
@@ -246,8 +234,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             (by_name[cal_name].q_critical, cal_rel),
             args.time,
         )
-    cmodel = charlib.CharModel(q_s, ref_name, ref_rel, args.time)
-    records = charlib.characterize(inputs, cmodel)
+    records = charlib.characterize(inputs, charlib.CharModel(q_s, ref_name, ref_rel, args.time))
     if args.format == "json":
         payload = {
             "q_s": q_s,
@@ -301,7 +288,7 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
         try:
             assignment[nid] = library.by_name(vname)
         except KeyError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"line {lineno}: {exc.args[0]}") from exc
     model.check_assignment(dfg, assignment)
     # Each node gets its own instance; nmr applies per node.
     instances = []
@@ -375,18 +362,16 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    dfg = _load_dfg(args.dfg)
-    library = _load_library(args.lib)
+    dfg = model.parse_dfg(_read_file(args.dfg))
+    library = model.parse_library(_read_file(args.lib))
     if args.design:
         try:
             payload = json.loads(_read_file(args.design))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise InputError(f"bad design JSON {args.design}: {exc}") from exc
         reliability = _design_reliability(payload, dfg, library)
     else:
-        assignment, binding = _parse_assignment_file(
-            _read_file(args.assign), dfg, library
-        )
+        assignment, binding = _parse_assignment_file(_read_file(args.assign), dfg, library)
         reliability = evaluate_reliability(dfg, assignment, binding)
     if args.format == "json":
         print(json.dumps({"reliability": reliability}))
@@ -404,19 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reliability-aware scheduling, binding, and module selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands, declared once.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--dfg", required=True, help="data-flow graph file")
+    inputs.add_argument("--lib", required=True, help="resource library file")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
-    synth = sub.add_parser("synth", help="synthesize one design under bounds")
-    synth.add_argument("--dfg", required=True, help="data-flow graph file")
-    synth.add_argument("--lib", required=True, help="resource library file")
+    synth = sub.add_parser(
+        "synth", parents=[inputs, fmt], help="synthesize one design under bounds"
+    )
     synth.add_argument("--latency", required=True, type=int, help="latency bound (cycles)")
     synth.add_argument("--area", required=True, type=float, help="area bound (units)")
     synth.add_argument("--method", choices=METHODS, default="ours")
-    synth.add_argument("--format", choices=("text", "json"), default="text")
     synth.set_defaults(func=_cmd_synth)
 
-    sweep = sub.add_parser("sweep", help="evaluate a grid of bounds to CSV")
-    sweep.add_argument("--dfg", required=True)
-    sweep.add_argument("--lib", required=True)
+    sweep = sub.add_parser("sweep", parents=[inputs], help="evaluate a grid of bounds to CSV")
     sweep.add_argument("--latency", required=True, help="latency range <lo>:<hi>")
     sweep.add_argument("--area", required=True, help="area range <lo>:<hi>")
     sweep.add_argument("--step-l", dest="step_l", type=int, default=1)
@@ -425,23 +413,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
-    char = sub.add_parser("characterize", help="critical charges -> reliabilities")
+    char = sub.add_parser("characterize", parents=[fmt], help="critical charges -> reliabilities")
     char.add_argument("--qcrit", required=True, help="critical-charge file")
     char.add_argument("--ref", required=True, help="<name>=<reliability> anchor")
     group = char.add_mutually_exclusive_group(required=True)
     group.add_argument("--qs", type=float, help="charge-collection efficiency (C)")
     group.add_argument("--calibrate", help="<name>=<reliability> second fit point")
     char.add_argument("--time", type=float, default=1.0, help="mission time (default 1)")
-    char.add_argument("--format", choices=("text", "json"), default="text")
     char.set_defaults(func=_cmd_characterize)
 
-    ev = sub.add_parser("eval", help="evaluate an explicit assignment or design")
-    ev.add_argument("--dfg", required=True)
-    ev.add_argument("--lib", required=True)
+    ev = sub.add_parser(
+        "eval", parents=[inputs, fmt], help="evaluate an explicit assignment or design"
+    )
     group = ev.add_mutually_exclusive_group(required=True)
     group.add_argument("--assign", help="assignment file")
     group.add_argument("--design", help="design JSON file (as emitted by synth)")
-    ev.add_argument("--format", choices=("text", "json"), default="text")
     ev.set_defaults(func=_cmd_eval)
 
     return parser

@@ -264,7 +264,8 @@ def nmr_reliability(reliability: float, n: int) -> float:
     """Reliability of N voted copies where a strict majority must agree.
 
     With k = (n+1)/2, returns sum_{i=k..n} C(n,i) r^i (1-r)^(n-i); for
-    n = 1 that is r itself, returned unchanged.
+    n = 1 that is r itself, returned unchanged.  From n = 1031 on, a term whose
+    C(n, i) is beyond the float range comes from logs, and the sum is capped at 1.
     """
     if n < 1 or n % 2 == 0:
         raise ValidationError("redundancy factor must be odd and >= 1")
@@ -274,10 +275,18 @@ def nmr_reliability(reliability: float, n: int) -> float:
         return reliability
     # Added left to right from 0.0; sum() of floats is compensated on
     # Python >= 3.12 and would change the last bits.
-    total = 0.0
+    total, from_logs = 0.0, False
+    c = math.comb(n, (n + 1) // 2)
     for i in range((n + 1) // 2, n + 1):
-        total += math.comb(n, i) * reliability**i * (1 - reliability) ** (n - i)
-    return total
+        try:
+            total += c * reliability**i * (1 - reliability) ** (n - i)
+        except OverflowError:  # C(n, i) exceeds the float range, from n = 1031 on
+            from_logs = True
+            if 0 < reliability < 1:  # else the term is 0
+                log_r, log_q = math.log(reliability), math.log1p(-reliability)
+                total += math.exp(math.log(c) + i * log_r + (n - i) * log_q)
+        c = c * (n - i) // (i + 1)  # C(n, i + 1), exactly
+    return min(total, 1.0) if from_logs else total
 
 
 def evaluate_reliability(
@@ -305,7 +314,8 @@ def _reliability_product(
     for nid in node_ids:
         key = (assignment[nid].reliability, 1 if nmr_of is None else nmr_of(nid))
         if key not in logs:
-            logs[key] = math.log(nmr_reliability(*key))  # n = 1 returns r itself
+            r = nmr_reliability(*key)  # n = 1 returns r itself
+            logs[key] = math.log(r) if r > 0 else -math.inf  # a vote of r << 0.5 underflows
         log_total += logs[key]
     return math.exp(log_total)
 

@@ -1,6 +1,7 @@
-"""Shared test helpers: from-scratch re-validation of synthesis results.
+"""Shared test helpers: test graphs, and from-scratch re-validation of
+synthesis results.
 
-Everything here recomputes invariants directly from schedule/binding
+The validation recomputes invariants directly from schedule/binding
 contents using plain loops, independent of the package's scheduling and
 binding code paths.
 """
@@ -8,10 +9,34 @@ binding code paths.
 from __future__ import annotations
 
 import math
+import random
 
-from relsyn.model import Dfg, ResourceLibrary
+from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, parse_dfg
 from relsyn.redundancy import nmr_reliability
 from relsyn.synthesizer import Design
+
+# Two sources joined into one chain of adders.
+FANIN_CHAIN = parse_dfg(
+    "node A add\nnode B add\nnode C add\nnode D add\nnode E add\nnode F add\n"
+    "edge A C\nedge B C\nedge C D\nedge D E\nedge E F\n"
+)
+
+
+def random_dfg(
+    rng: random.Random, max_nodes: int = 8, min_nodes: int = 2, edge_p: float = 0.35
+) -> Dfg:
+    """`min_nodes` to `max_nodes` nodes n0, n1, ... of random class, and each
+    edge ni -> nj (i < j) with probability `edge_p`, drawn in that order."""
+    n = rng.randint(min_nodes, max_nodes)
+    nodes = tuple(
+        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
+    )
+    edges = []
+    for j in range(1, n):
+        for i in range(j):
+            if rng.random() < edge_p:
+                edges.append((f"n{i}", f"n{j}"))
+    return Dfg(nodes, tuple(edges))
 
 
 def validate_design(

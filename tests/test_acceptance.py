@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from checks import validate_design
+from checks import FANIN_CHAIN, random_dfg, validate_design
 from relsyn import cli
 from relsyn.charlib import CharInput, CharModel, calibrate_qs, characterize
 from relsyn.model import (
@@ -20,7 +20,6 @@ from relsyn.model import (
     builtin_benchmark,
     builtin_library,
     data_text,
-    parse_dfg,
     parse_library,
 )
 from relsyn.oracle import oracle_best
@@ -150,19 +149,6 @@ def test_a4_fir16_feasibility():
 # -- A5: oracle equivalence --------------------------------------------------
 
 
-def _random_dfg(rng: random.Random) -> Dfg:
-    n = rng.randint(2, 8)
-    nodes = tuple(
-        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
-    )
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.35:
-                edges.append((f"n{i}", f"n{j}"))
-    return Dfg(nodes, tuple(edges))
-
-
 def _fastest_assignment(dfg: Dfg):
     return {
         x.id: min(LIB.versions_for(x.op_class), key=lambda v: (v.delay, v.area))
@@ -173,7 +159,7 @@ def _fastest_assignment(dfg: Dfg):
 def _a5_instances(count: int = 60):
     rng = random.Random(97)
     for _ in range(count):
-        dfg = _random_dfg(rng)
+        dfg = random_dfg(rng)
         l_init = asap(dfg, initial_allocation(dfg, LIB)).latency
         l_fast = asap(dfg, _fastest_assignment(dfg)).latency
         l_d = rng.randint(max(1, l_fast - 1), min(12, l_init + 2))
@@ -226,11 +212,6 @@ def test_a5_oracle_equivalence():
 
 
 # -- A6: tradeoff trends ------------------------------------------------------
-
-FANIN_CHAIN = parse_dfg(
-    "node A add\nnode B add\nnode C add\nnode D add\nnode E add\nnode F add\n"
-    "edge A C\nedge B C\nedge C D\nedge D E\nedge E F\n"
-)
 
 
 def test_a6_tradeoff_trends(tmp_path):

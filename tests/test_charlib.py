@@ -77,6 +77,17 @@ def test_calibrate_qs_degenerate_inputs():
         calibrate_qs((Q_RIPPLE, 0.969), (Q_BRENTKUNG, 0.999))
 
 
+def test_calibrate_qs_rejects_bad_inputs():
+    # parse_qcrit refuses non-positive charges, so only the API reaches this check.
+    with pytest.raises(ValidationError, match="critical charges must be positive"):
+        calibrate_qs((0.0, 0.999), (Q_BRENTKUNG, 0.969))
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="time horizon"):
+            calibrate_qs((Q_RIPPLE, 0.999), (Q_BRENTKUNG, 0.969), t)
+        with pytest.raises(ValidationError, match="time horizon"):
+            CharModel(8.6e-21, "ripple", 0.999, t)
+
+
 def _three_adders():
     return [
         CharInput("ripple", Q_RIPPLE),

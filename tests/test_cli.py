@@ -3,7 +3,7 @@ import json
 import pytest
 
 from relsyn import cli
-from relsyn.model import data_text
+from relsyn.model import data_text, nmr_reliability
 
 QCRIT = (
     "qcrit ripple 59.460e-21\n"
@@ -16,44 +16,40 @@ QCRIT = (
 def workspace(tmp_path):
     (tmp_path / "fir16.dfg").write_text(data_text("fir16.dfg"))
     (tmp_path / "diffeq.dfg").write_text(data_text("diffeq.dfg"))
+    (tmp_path / "one.dfg").write_text("node a add\n")
     (tmp_path / "table1.lib").write_text(data_text("table1.lib"))
     (tmp_path / "qcrit.txt").write_text(QCRIT)
     return tmp_path
 
 
-def _run(capsys, argv):
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+@pytest.fixture
+def relsyn(workspace, capsys, monkeypatch):
+    """Run `relsyn <command> <options>` in the workspace and return (exit code,
+    stdout, stderr).  synth, sweep and eval also get `--dfg dfg --lib lib`
+    first; None leaves one out."""
+    monkeypatch.chdir(workspace)
+
+    def run(command, *options, dfg="fir16.dfg", lib="table1.lib"):
+        argv = [command]
+        for flag, name in (("--dfg", dfg), ("--lib", lib)):
+            if name is not None and command != "characterize":
+                argv += [flag, name]
+        code = cli.main([*argv, *options])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return run
 
 
-def test_synth_feasible_text(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "12",
-        ],
-    )
+def test_synth_feasible_text(relsyn):
+    code, out, _ = relsyn("synth", "--latency", "11", "--area", "12")
     assert code == 0
     assert "reliability 0.78943" in out
     assert "latency 11" in out
 
 
-def test_synth_infeasible_latency_exit_one(workspace, capsys):
-    code, out, err = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "diffeq.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "1",
-            "--area", "1",
-        ],
-    )
+def test_synth_infeasible_latency_exit_one(relsyn):
+    code, out, err = relsyn("synth", "--latency", "1", "--area", "1", dfg="diffeq.dfg")
     assert code == 1
     assert "infeasible: latency" in out
     assert err.splitlines() == [
@@ -62,17 +58,9 @@ def test_synth_infeasible_latency_exit_one(workspace, capsys):
     ]
 
 
-def test_synth_infeasible_json_carries_detail(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "diffeq.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "1",
-            "--area", "1",
-            "--format", "json",
-        ],
+def test_synth_infeasible_json_carries_detail(relsyn):
+    code, out, _ = relsyn(
+        "synth", "--latency", "1", "--area", "1", "--format", "json", dfg="diffeq.dfg"
     )
     assert code == 1
     assert json.loads(out) == {
@@ -83,57 +71,26 @@ def test_synth_infeasible_json_carries_detail(workspace, capsys):
     }
 
 
-def test_synth_missing_lib_exit_two(workspace, capsys):
-    code = cli.main(
-        ["synth", "--dfg", str(workspace / "fir16.dfg"), "--latency", "11", "--area", "8"]
-    )
-    capsys.readouterr()
+def test_synth_missing_lib_exit_two(relsyn):
+    code, _, _ = relsyn("synth", "--latency", "11", "--area", "8", lib=None)
     assert code == 2
 
 
-def test_synth_bad_input_file_exit_two(workspace, capsys):
-    code, _, err = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "missing.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "8",
-        ],
-    )
+def test_synth_bad_input_file_exit_two(relsyn):
+    code, _, err = relsyn("synth", "--latency", "11", "--area", "8", dfg="missing.dfg")
     assert code == 2
     assert "error" in err
 
 
-def test_synth_empty_dfg_exit_two(workspace, capsys):
+def test_synth_empty_dfg_exit_two(relsyn, workspace):
     (workspace / "empty.dfg").write_text("# no nodes\n")
-    code, _, err = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "empty.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "8",
-        ],
-    )
+    code, _, err = relsyn("synth", "--latency", "11", "--area", "8", dfg="empty.dfg")
     assert code == 2
     assert "no nodes declared" in err
 
 
-def test_synth_json_schema(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "12",
-            "--format", "json",
-        ],
-    )
+def test_synth_json_schema(relsyn):
+    code, out, _ = relsyn("synth", "--latency", "11", "--area", "12", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {
@@ -146,35 +103,16 @@ def test_synth_json_schema(workspace, capsys):
         assert set(item) == {"id", "version", "nmr"}
 
 
-def test_synth_oracle_method_respects_limits(workspace, capsys):
+def test_synth_oracle_method_respects_limits(relsyn):
     # fir16 exceeds the oracle node limit: input error.
-    code, _, err = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "12",
-            "--method", "oracle",
-        ],
-    )
+    code, _, err = relsyn("synth", "--latency", "11", "--area", "12", "--method", "oracle")
     assert code == 2
     assert "oracle" in err or "nodes" in err
 
 
-def test_sweep_row_count_and_order(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "10:12",
-            "--area", "9:13",
-            "--step-a", "2",
-            "--methods", "ours,nmr",
-        ],
+def test_sweep_row_count_and_order(relsyn):
+    code, out, _ = relsyn(
+        "sweep", "--latency", "10:12", "--area", "9:13", "--step-a", "2", "--methods", "ours,nmr"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -191,20 +129,12 @@ def test_sweep_row_count_and_order(workspace, capsys):
             assert 0 < float(reliability) <= 1
 
 
-def test_sweep_with_oracle_method_on_small_graph(workspace, capsys):
-    small = workspace / "small.dfg"
-    small.write_text("node a add\nnode b add\nnode c mul\nedge a b\nedge b c\n")
-    code, out, _ = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(small),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "3:5",
-            "--area", "4:8",
-            "--step-a", "4",
-            "--methods", "oracle,ours",
-        ],
+def test_sweep_with_oracle_method_on_small_graph(relsyn, workspace):
+    small = "node a add\nnode b add\nnode c mul\nedge a b\nedge b c\n"
+    (workspace / "small.dfg").write_text(small)
+    code, out, _ = relsyn(
+        "sweep", "--latency", "3:5", "--area", "4:8", "--step-a", "4", "--methods", "oracle,ours",
+        dfg="small.dfg",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -222,18 +152,8 @@ def test_sweep_with_oracle_method_on_small_graph(workspace, capsys):
             assert float(o_rel) >= float(h_rel) - 1e-5
 
 
-def test_sweep_empty_range_is_input_error(workspace, capsys):
-    code, _, err = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "12:10",
-            "--area", "9:13",
-            "--methods", "ours",
-        ],
-    )
+def test_sweep_empty_range_is_input_error(relsyn):
+    code, _, err = relsyn("sweep", "--latency", "12:10", "--area", "9:13", "--methods", "ours")
     assert code == 2
     assert "empty" in err
 
@@ -247,18 +167,9 @@ def test_sweep_empty_range_is_input_error(workspace, capsys):
         ("11:11", "6:inf", "1", "must be finite"),
     ],
 )
-def test_sweep_refuses_unbounded_grid(workspace, capsys, latency, area, step, message):
-    code, out, err = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", latency,
-            "--area", area,
-            "--step-a", step,
-            "--methods", "ours",
-        ],
+def test_sweep_refuses_unbounded_grid(relsyn, latency, area, step, message):
+    code, out, err = relsyn(
+        "sweep", "--latency", latency, "--area", area, "--step-a", step, "--methods", "ours"
     )
     assert code == 2
     assert out == ""
@@ -266,22 +177,13 @@ def test_sweep_refuses_unbounded_grid(workspace, capsys, latency, area, step, me
     assert message in err
 
 
-def test_sweep_area_grid_has_exact_decimal_values(workspace, capsys):
+def test_sweep_area_grid_has_exact_decimal_values(relsyn, workspace):
     # One adder of area exactly 10.3: feasible from the fourth grid value on,
     # which must be 10.3 itself, not 10 + 0.1 + 0.1 + 0.1 = 10.299999999999999.
-    (workspace / "one.dfg").write_text("node a add\n")
     (workspace / "one.lib").write_text("resource A103 add 10.3 1 0.99\n")
-    code, out, _ = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(workspace / "one.dfg"),
-            "--lib", str(workspace / "one.lib"),
-            "--latency", "1:1",
-            "--area", "10:11",
-            "--step-a", "0.1",
-            "--methods", "ours",
-        ],
+    code, out, _ = relsyn(
+        "sweep", "--latency", "1:1", "--area", "10:11", "--step-a", "0.1", "--methods", "ours",
+        dfg="one.dfg", lib="one.lib",
     )
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -296,33 +198,19 @@ def test_sweep_area_grid_has_exact_decimal_values(workspace, capsys):
     assert cli._grid(8.0, 40.0, 4.0) == [8.0 + 4 * k for k in range(9)]
 
 
-def test_sweep_unwritable_out_path(workspace, capsys):
-    code, _, err = _run(
-        capsys,
-        [
-            "sweep",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11:11",
-            "--area", "9:9",
-            "--methods", "ours",
-            "--out", str(workspace / "no-such-dir" / "x.csv"),
-        ],
+def test_sweep_unwritable_out_path(relsyn):
+    code, _, err = relsyn(
+        "sweep", "--latency", "11:11", "--area", "9:9", "--methods", "ours",
+        "--out", "no-such-dir/x.csv",
     )
     assert code == 2
     assert "cannot write" in err
 
 
-def test_characterize_calibrate(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "characterize",
-            "--qcrit", str(workspace / "qcrit.txt"),
-            "--ref", "ripple=0.999",
-            "--calibrate", "brentkung=0.969",
-            "--format", "json",
-        ],
+def test_characterize_calibrate(relsyn):
+    code, out, _ = relsyn(
+        "characterize", "--qcrit", "qcrit.txt", "--ref", "ripple=0.999",
+        "--calibrate", "brentkung=0.969", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -332,29 +220,17 @@ def test_characterize_calibrate(workspace, capsys):
     assert by_name["ripple"]["reliability"] == 0.999
 
 
-def test_characterize_direct_qs(workspace, capsys):
-    code, out, _ = _run(
-        capsys,
-        [
-            "characterize",
-            "--qcrit", str(workspace / "qcrit.txt"),
-            "--ref", "ripple=0.999",
-            "--qs", "8.6278e-21",
-        ],
+def test_characterize_direct_qs(relsyn):
+    code, out, _ = relsyn(
+        "characterize", "--qcrit", "qcrit.txt", "--ref", "ripple=0.999", "--qs", "8.6278e-21"
     )
     assert code == 0
     assert "q_s 8.6278e-21" in out
 
 
-def test_characterize_unknown_reference(workspace, capsys):
-    code, _, err = _run(
-        capsys,
-        [
-            "characterize",
-            "--qcrit", str(workspace / "qcrit.txt"),
-            "--ref", "carrylook=0.999",
-            "--qs", "8.6278e-21",
-        ],
+def test_characterize_unknown_reference(relsyn):
+    code, _, err = relsyn(
+        "characterize", "--qcrit", "qcrit.txt", "--ref", "carrylook=0.999", "--qs", "8.6278e-21"
     )
     assert code == 2
     assert "carrylook" in err
@@ -368,106 +244,56 @@ def _write_fir16_assignment(path, chain_version="Adder2"):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_eval_fir16_all_low(workspace, capsys):
+def test_eval_fir16_all_low(relsyn, workspace):
     assign = workspace / "low.assign"
     lines = [f"assign s{i} Adder2" for i in range(1, 8)]
     lines += [f"assign a{i} Adder2" for i in range(8)]
     lines += [f"assign m{i} Mult2" for i in range(8)]
     assign.write_text("\n".join(lines) + "\n")
-    code, out, _ = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, out, _ = relsyn("eval", "--assign", str(assign))
     assert code == 0
     assert "reliability 0.48467" in out
 
 
-def test_eval_fir16_mixed(workspace, capsys):
+def test_eval_fir16_mixed(relsyn, workspace):
     assign = workspace / "mixed.assign"
     _write_fir16_assignment(assign)
-    code, out, _ = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, out, _ = relsyn("eval", "--assign", str(assign))
     assert code == 0
     assert "reliability 0.78943" in out
 
 
-def test_eval_diffeq_mixed(workspace, capsys):
+def test_eval_diffeq_mixed(relsyn, workspace):
     assign = workspace / "diffeq.assign"
     lines = [f"assign m{i} Mult1" for i in range(1, 7)]
     lines += ["assign a1 Adder1", "assign a2 Adder1"]
     lines += ["assign s1 Adder2", "assign s2 Adder2", "assign c1 Adder2"]
     assign.write_text("\n".join(lines) + "\n")
-    code, out, _ = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "diffeq.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, out, _ = relsyn("eval", "--assign", str(assign), dfg="diffeq.dfg")
     assert code == 0
     assert "reliability 0.90260" in out
 
 
-def test_eval_with_nmr_per_node(workspace, capsys):
+def test_eval_with_nmr_per_node(relsyn, workspace):
     assign = workspace / "tmr.assign"
     assign.write_text("assign a Adder2 nmr 3\n")
-    dfg = workspace / "one.dfg"
-    dfg.write_text("node a add\n")
-    code, out, _ = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(dfg),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, out, _ = relsyn("eval", "--assign", str(assign), dfg="one.dfg")
     assert code == 0
     assert "reliability 0.99718" in out
 
 
-def test_eval_partial_assignment_is_error(workspace, capsys):
+def test_eval_partial_assignment_is_error(relsyn, workspace):
     assign = workspace / "partial.assign"
     assign.write_text("assign s1 Adder2\n")
-    code, _, err = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, _, err = relsyn("eval", "--assign", str(assign))
     assert code == 2
     assert "missing" in err
 
 
-def test_eval_class_mismatch_is_error(workspace, capsys):
+def test_eval_class_mismatch_is_error(relsyn, workspace):
     assign = workspace / "bad.assign"
     _write_fir16_assignment(assign, chain_version="Mult1")
-    code, _, err = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, _, err = relsyn("eval", "--assign", str(assign))
     assert code == 2
     assert "assigned" in err
 
@@ -480,51 +306,24 @@ def test_eval_class_mismatch_is_error(workspace, capsys):
     ],
     ids=["assigned-twice", "unknown-node"],
 )
-def test_eval_rejects_bad_assignment_line(workspace, capsys, extra, message):
+def test_eval_rejects_bad_assignment_line(relsyn, workspace, extra, message):
     # diffeq on Adder1 and Mult1 everywhere (eleven lines), then `extra`.
     assign = workspace / "diffeq.assign"
     lines = [f"assign m{i} Mult1" for i in range(1, 7)]
     lines += [f"assign {nid} Adder1" for nid in ("a1", "a2", "s1", "s2", "c1")]
     assign.write_text("\n".join(lines + [extra]) + "\n")
-    code, out, err = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "diffeq.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--assign", str(assign),
-        ],
-    )
+    code, out, err = relsyn("eval", "--assign", str(assign), dfg="diffeq.dfg")
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
 
 
-def test_design_json_round_trip(workspace, capsys, tmp_path):
-    code, out, _ = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "12",
-            "--format", "json",
-        ],
-    )
+def test_design_json_round_trip(relsyn, tmp_path):
+    code, out, _ = relsyn("synth", "--latency", "11", "--area", "12", "--format", "json")
     assert code == 0
     design_path = tmp_path / "design.json"
     design_path.write_text(out)
-    code, out2, _ = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--design", str(design_path),
-            "--format", "json",
-        ],
-    )
+    code, out2, _ = relsyn("eval", "--design", str(design_path), "--format", "json")
     assert code == 0
     original = json.loads(out)["reliability"]
     reevaluated = json.loads(out2)["reliability"]
@@ -587,34 +386,182 @@ BAD_DESIGNS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DESIGNS))
-def test_eval_rejects_inconsistent_design(workspace, capsys, tmp_path, case):
+def test_eval_rejects_inconsistent_design(relsyn, tmp_path, case):
     mutate, message = BAD_DESIGNS[case]
-    code, out, _ = _run(
-        capsys,
-        [
-            "synth",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--latency", "11",
-            "--area", "12",
-            "--format", "json",
-        ],
-    )
+    code, out, _ = relsyn("synth", "--latency", "11", "--area", "12", "--format", "json")
     assert code == 0
     design = json.loads(out)
     mutate(design)
     design_path = tmp_path / "design.json"
     design_path.write_text(json.dumps(design))
-    code, out, err = _run(
-        capsys,
-        [
-            "eval",
-            "--dfg", str(workspace / "fir16.dfg"),
-            "--lib", str(workspace / "table1.lib"),
-            "--design", str(design_path),
-        ],
-    )
+    code, out, err = relsyn("eval", "--design", str(design_path))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+# -- input errors: exit 2 and one `error:` line, never a traceback ----------
+
+SYNTH = ("synth", "--latency", "11", "--area", "12")
+SWEEP = ("sweep", "--latency", "10:12", "--area", "9:13", "--methods", "ours")
+EVAL = ("eval", "--dfg", "one.dfg", "--assign", "bad.assign")
+CHAR_QS = ("characterize", "--qcrit", "qcrit.txt", "--ref", "ripple=0.999", "--qs", "8.6e-21")
+CHAR_CAL = (
+    "characterize", "--qcrit", "qcrit.txt", "--ref", "ripple=0.999", "--calibrate", "brentkung=0.9"
+)
+REPEATED_ID_DESIGN = {
+    "assignment": {"a": "Adder1"}, "schedule": {"a": 1}, "binding": {"a": 0},
+    "latency": 2, "area": 1, "instances": [{"id": 0, "version": "Adder1", "nmr": 1}] * 2,
+}
+
+# Each case is an argv, the files it writes into the workspace first, and a
+# part of its message.  An option given again replaces the earlier one
+# (argparse keeps the last), so `SWEEP + ("--step-l", "0")` sweeps with step 0.
+INPUT_ERRORS = {
+    "latency-range-shape": (
+        SWEEP + ("--latency", "10"), {}, "latency range must look like <lo>:<hi>, got '10'"
+    ),
+    "area-range-number": (SWEEP + ("--area", "9:x"), {}, "bad area range '9:x'"),
+    "unknown-method": (
+        SWEEP + ("--methods", "ours,best"), {},
+        "unknown method 'best'; choose from ours, nmr, combined, oracle",
+    ),
+    "no-methods": (SWEEP + ("--methods", ","), {}, "no methods given"),
+    "step-l-zero": (SWEEP + ("--step-l", "0"), {}, "--step-l must be >= 1, got 0"),
+    "step-a-inf": (SWEEP + ("--step-a", "inf"), {}, "--step-a must be finite and > 0, got inf"),
+    "step-a-nan": (SWEEP + ("--step-a", "nan"), {}, "--step-a must be finite and > 0, got nan"),
+    "ref-shape": (CHAR_QS + ("--ref", "ripple"), {}, "--ref must look like <name>=<value>"),
+    "ref-value": (CHAR_QS + ("--ref", "ripple=x"), {}, "bad --ref 'ripple=x'"),
+    "calibrate-shape": (
+        CHAR_CAL + ("--calibrate", "brentkung"), {}, "--calibrate must look like <name>=<value>"
+    ),
+    "calibrate-value": (CHAR_CAL + ("--calibrate", "brentkung=x"), {}, "bad --calibrate"),
+    "calibrate-unknown": (
+        CHAR_CAL + ("--calibrate", "carrylook=0.9"), {},
+        "calibration component 'carrylook' not found in qcrit.txt",
+    ),
+    "assign-shape": (
+        EVAL, {"bad.assign": "assign a\n"},
+        "line 1: expected 'assign <node-id> <version-name> [nmr <odd-int>]'",
+    ),
+    "assign-nmr-keyword": (
+        EVAL, {"bad.assign": "assign a Adder1 tmr 3\n"}, "line 1: expected 'nmr <odd-int>'"
+    ),
+    "assign-nmr-factor": (
+        EVAL, {"bad.assign": "assign a Adder1 nmr three\n"},
+        "line 1: invalid literal for int() with base 10: 'three'",
+    ),
+    "assign-unknown-version": (
+        EVAL, {"bad.assign": "assign a Adder9\n"}, "line 1: unknown resource version 'Adder9'"
+    ),
+    "design-repeated-id": (
+        ("eval", "--dfg", "one.dfg", "--design", "bad.json"),
+        {"bad.json": json.dumps(REPEATED_ID_DESIGN)}, "design instances repeat an id",
+    ),
+    "design-malformed": (
+        ("eval", "--design", "bad.json"), {"bad.json": "{"},
+        "bad design JSON bad.json: Expecting property name",
+    ),
+    "design-nested": (
+        ("eval", "--design", "bad.json"), {"bad.json": "[" * 100_000 + "]" * 100_000},
+        "bad design JSON bad.json: maximum recursion depth exceeded",
+    ),
+    "not-utf8": (
+        SYNTH + ("--dfg", "bad.dfg"), {"bad.dfg": b"node \xe9 add\n"},
+        "cannot read bad.dfg: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "dfg-node-arity": (
+        SYNTH + ("--dfg", "bad.dfg"), {"bad.dfg": "node a\n"}, "line 1: expected 'node <id> <op>'"
+    ),
+    "dfg-unknown-directive": (
+        SYNTH + ("--dfg", "bad.dfg"), {"bad.dfg": "vertex a add\n"},
+        "line 1: unknown directive 'vertex'",
+    ),
+    "dfg-edge-unknown-source": (
+        SYNTH + ("--dfg", "bad.dfg"), {"bad.dfg": "node a add\nedge zz a\n"},
+        "edge references unknown node 'zz'",
+    ),
+    "lib-arity": (
+        SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A add 1 1\n"},
+        "line 1: expected 'resource <name> <op> <area> <delay> <reliability>'",
+    ),
+    "lib-unknown-operation": (
+        SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A div 1 1 0.9\n"},
+        "line 1: unknown operation 'div'",
+    ),
+    "lib-non-numeric": (
+        SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A add one 1 0.9\n"},
+        "line 1: could not convert string to float: 'one'",
+    ),
+    "qcrit-number": (
+        CHAR_QS + ("--qcrit", "bad.txt"), {"bad.txt": "qcrit ripple many\n"},
+        "line 1: could not convert string to float: 'many'",
+    ),
+    "qcrit-value": (
+        CHAR_QS + ("--qcrit", "bad.txt"), {"bad.txt": "qcrit ripple -1e-21\n"},
+        "line 1: 'ripple': q_critical must be > 0",
+    ),
+    "qs-negative": (CHAR_QS + ("--qs", "-1"), {}, "q_s must be > 0"),
+    "ref-reliability": (
+        CHAR_QS + ("--ref", "ripple=1"), {}, "reference reliability must be in (0, 1)"
+    ),
+    "time-zero": (CHAR_QS + ("--time", "0"), {}, "time horizon must be finite and > 0"),
+    "calibrate-time-zero": (CHAR_CAL + ("--time", "0"), {}, "time horizon must be finite and > 0"),
+    "calibrate-time-inf": (
+        CHAR_CAL + ("--time", "inf"), {}, "time horizon must be finite and > 0"
+    ),
+    "calibrate-reliability": (
+        CHAR_CAL + ("--calibrate", "brentkung=1"), {},
+        "calibration reliabilities must be in (0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_exits_two(relsyn, workspace, case):
+    argv, files, message = INPUT_ERRORS[case]
+    for name, content in files.items():
+        (workspace / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, out, err = relsyn(*argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
+# -- NMR past the float range of C(N, i) (N >= 1031) ------------------------
+
+HALF_LIB = "resource A add 1 1 0.6\nresource M mul 1 1 0.6\n"
+
+
+@pytest.mark.parametrize("factor", [1029, 1031])
+def test_eval_nmr_beyond_float_binomials(relsyn, workspace, factor):
+    (workspace / "half.lib").write_text(HALF_LIB)
+    (workspace / "big.assign").write_text(f"assign a A nmr {factor}\n")
+    code, out, err = relsyn(
+        "eval", "--assign", "big.assign", "--format", "json", dfg="one.dfg", lib="half.lib"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"reliability": nmr_reliability(0.6, factor)}
+
+
+@pytest.mark.parametrize("method", ["nmr", "combined"])
+def test_synth_upgrades_past_float_binomials(relsyn, workspace, method):
+    # With ample area the greedy upgrade keeps gaining past N = 1031.
+    (workspace / "half.lib").write_text(HALF_LIB)
+    code, out, err = relsyn(
+        "synth", "--latency", "20", "--area", "100000", "--method", method,
+        dfg="diffeq.dfg", lib="half.lib",
+    )
+    assert (code, err) == (0, "")
+    factors = [int(line.split()[-1]) for line in out.splitlines() if " nmr " in line]
+    assert max(factors) > 1031
+
+
+def test_eval_vote_that_underflows_to_zero(relsyn, workspace):
+    # 999 copies of a 0.01 unit: the vote's reliability is below the smallest float.
+    (workspace / "weak.lib").write_text("resource W add 1 1 0.01\n")
+    (workspace / "weak.assign").write_text("assign a W nmr 999\n")
+    code, out, err = relsyn("eval", "--assign", "weak.assign", dfg="one.dfg", lib="weak.lib")
+    assert (code, out, err) == (0, "reliability 0.00000\n", "")

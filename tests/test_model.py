@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from checks import random_dfg
 from relsyn.model import (
     Bounds,
     Dfg,
-    DfgNode,
     OpClass,
     ParseError,
     ValidationError,
@@ -150,22 +150,9 @@ def test_builtin_benchmark_unknown_name():
         builtin_benchmark("fir32")
 
 
-def _random_dfg(rng: random.Random) -> Dfg:
-    n = rng.randint(1, 10)
-    nodes = tuple(
-        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
-    )
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.3:
-                edges.append((f"n{i}", f"n{j}"))
-    return Dfg(nodes, tuple(edges))
-
-
 def test_render_parse_round_trip():
     rng = random.Random(7)
-    graphs = [_random_dfg(rng) for _ in range(30)]
+    graphs = [random_dfg(rng, min_nodes=1, max_nodes=10, edge_p=0.3) for _ in range(30)]
     graphs += [builtin_benchmark(name) for name in ("fir16", "ew", "diffeq")]
     for dfg in graphs:
         assert parse_dfg(render_dfg(dfg)) == dfg
@@ -174,7 +161,7 @@ def test_render_parse_round_trip():
 def test_topological_order_exists_for_accepted_graphs():
     rng = random.Random(8)
     for _ in range(30):
-        dfg = _random_dfg(rng)
+        dfg = random_dfg(rng, min_nodes=1, max_nodes=10, edge_p=0.3)
         order = dfg.topo_order
         assert sorted(order) == sorted(dfg.node_ids)
         position = {nid: i for i, nid in enumerate(order)}

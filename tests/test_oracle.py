@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import relsyn
-from checks import validate_design
+from checks import FANIN_CHAIN, random_dfg, validate_design
 from relsyn.model import (
     Dfg,
     DfgNode,
@@ -31,14 +31,9 @@ from relsyn.oracle import (
     oracle_min_latency,
 )
 from relsyn.scheduler import asap
-from relsyn.synthesizer import Bounds, Design, Infeasible, initial_allocation
+from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, initial_allocation
 
 LIB = builtin_library()
-
-FANIN_CHAIN = parse_dfg(
-    "node A add\nnode B add\nnode C add\nnode D add\nnode E add\nnode F add\n"
-    "edge A C\nedge B C\nedge C D\nedge D E\nedge E F\n"
-)
 
 
 def test_oracle_best_fanin_chain():
@@ -113,23 +108,10 @@ def test_oracle_min_latency_limit():
         oracle_min_latency(fir, asg)
 
 
-def _random_dfg(rng: random.Random) -> Dfg:
-    n = rng.randint(2, 8)
-    nodes = tuple(
-        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
-    )
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.35:
-                edges.append((f"n{i}", f"n{j}"))
-    return Dfg(nodes, tuple(edges))
-
-
 def test_oracle_min_latency_cross_checks_asap():
     rng = random.Random(67)
     for _ in range(40):
-        dfg = _random_dfg(rng)
+        dfg = random_dfg(rng)
         asg = {x.id: rng.choice(LIB.versions_for(x.op_class)) for x in dfg.nodes}
         assert oracle_min_latency(dfg, asg) == asap(dfg, asg).latency
 
@@ -154,7 +136,7 @@ def test_critical_paths_match_path_enumeration():
 def test_oracle_best_deterministic():
     rng = random.Random(71)
     for _ in range(5):
-        dfg = _random_dfg(rng)
+        dfg = random_dfg(rng)
         bounds = Bounds(rng.randint(2, 10), rng.choice([4, 8, 12]))
         assert oracle_best(dfg, LIB, bounds) == oracle_best(dfg, LIB, bounds)
 
@@ -238,6 +220,34 @@ def test_oracle_best_golden_digest():
     assert any(line.startswith("('infeasible', 'area'") for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (730, ORACLE_GOLDEN_SHA256)
+
+
+# sha256 over oracle_best's results on diffeq at L 4-11 x A 4, 8, ..., 36.
+DIFFEQ_ORACLE_SHA256 = "6a27c7e6fbe6555551b8c4ed245b1f220c29b72a36c4b4dbbfae564172b2b6f4"
+
+
+def test_diffeq_grid_exact_reference():
+    # diffeq's 11 nodes are within reach of the oracle once the limit is raised.
+    dfg = builtin_benchmark("diffeq")
+    points = [Bounds(l_d, a_d) for l_d in range(4, 12) for a_d in range(4, 37, 4)]
+    exact = [oracle_best(dfg, LIB, b, max_nodes=11) for b in points]
+    lines = [_oracle_line(dfg, result) for result in exact]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIFFEQ_ORACLE_SHA256
+    gaps, false_infeasible = [], []
+    for bounds, best in zip(points, exact):
+        ours = find_design(dfg, LIB, bounds)
+        if isinstance(best, Infeasible):
+            assert isinstance(ours, Infeasible)  # never a design the oracle misses
+        elif isinstance(ours, Infeasible):
+            gaps.append(100.0)
+            false_infeasible.append((bounds.latency_bound, bounds.area_bound))
+        else:
+            assert ours.reliability <= best.reliability * (1 + 1e-12)
+            gaps.append(100.0 * (1 - ours.reliability / best.reliability))
+    # Today's distance from the exact reference; a better `find_design` lowers it.
+    assert len(gaps) == 62
+    assert math.fsum(gaps) / len(gaps) == pytest.approx(4.73, abs=0.005)
+    assert false_infeasible == [(6, 8)]
 
 
 # Areas 0.1 + 0.2 + 0.3 round to 0.6000000000000001 in some orders and to

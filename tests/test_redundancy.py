@@ -104,6 +104,45 @@ def test_nmr_reliability_rejects_bad_n():
             nmr_reliability(0.9, n)
 
 
+def test_nmr_reliability_rejects_bad_reliability():
+    for r in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValidationError, match=r"reliability must be in \[0, 1\]"):
+            nmr_reliability(r, 3)
+
+
+def test_nmr_reliability_keeps_the_exact_sum_up_to_1029():
+    # Every C(n, i) converts to float up to n = 1029: each term is the binomial
+    # formula, added left to right, to the last bit.
+    rng = random.Random(3)
+    for r, n in [(0.6, 1029), (0.999, 1029)] + [
+        (rng.random(), rng.randrange(3, 1030, 2)) for _ in range(40)
+    ]:
+        total = 0.0
+        for i in range((n + 1) // 2, n + 1):
+            total += math.comb(n, i) * r**i * (1 - r) ** (n - i)
+        assert nmr_reliability(r, n) == total
+
+
+# The binomial sum over Fractions of each float r, rounded once.
+EXACT_LARGE_VOTES = {
+    (0.3, 1031): 2.6172114155060016e-41,
+    (0.6, 1031): 0.9999999999568145,
+    (0.3, 2001): 3.5522109950122524e-78,
+    (0.5, 2001): 0.5,
+    (0.6, 2001): 1.0,
+}
+
+
+def test_nmr_reliability_past_float_binomials():
+    # From n = 1031 some C(n, i) overflow a float; those terms come from logs.
+    for (r, n), exact in EXACT_LARGE_VOTES.items():
+        value = nmr_reliability(r, n)
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert 0 <= value <= 1
+    for n in (1031, 2001):
+        assert (nmr_reliability(0.0, n), nmr_reliability(1.0, n)) == (0.0, 1.0)
+
+
 def test_nmr_monotonicity_grid():
     grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.969, 0.999]
     for r in grid:
@@ -250,6 +289,18 @@ def test_baseline_upgrades_below_one_half_lower_reliability():
         result = baseline_nmr_synth(WEAK_DFG, WEAK_LIB, Bounds(3, area_bound))
         assert _outcome(result) == tuple(outcome), area_bound
         assert [v.name for v in result.assignment.values()] == ["Weak", "Weak", "Mul"]
+
+
+def test_greedy_upgrade_past_float_binomials():
+    # One 0.6 adder of area 1 gains from every upgrade the bound allows, up to
+    # N = 1099, past N = 1031 where C(N, i) no longer converts to float.
+    dfg = parse_dfg("node a add\n")
+    lib = parse_library("resource A add 1 1 0.6\n")
+    for flow in (baseline_nmr_synth, combined_synth):
+        design = flow(dfg, lib, Bounds(1, 1100))
+        validate_design(dfg, lib, design, latency_bound=1, area_bound=1100)
+        assert [inst.nmr_factor for inst in design.binding.instances] == [1099]
+        assert design.reliability == nmr_reliability(0.6, 1099) < 1
 
 
 def test_baseline_reliability_never_falls_as_area_grows():

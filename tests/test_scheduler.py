@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from checks import random_dfg
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
 from relsyn.model import parse_library
 from relsyn.scheduler import InfeasibleBoundError, alap, asap, density_schedule
@@ -185,7 +186,7 @@ def test_critical_path_is_first_heaviest_path_by_enumeration():
     # indices come first lexicographically.
     rng = random.Random(37)
     for _ in range(200):
-        base = _random_dfg(rng)
+        base = random_dfg(rng)
         edges = list(base.edges)
         rng.shuffle(edges)
         dfg = Dfg(base.nodes, tuple(edges))
@@ -205,19 +206,6 @@ def test_critical_path_is_first_heaviest_path_by_enumeration():
         assert critical_path(dfg, asg) == expected
 
 
-def _random_dfg(rng: random.Random, max_nodes: int = 8) -> Dfg:
-    n = rng.randint(2, max_nodes)
-    nodes = tuple(
-        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
-    )
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.35:
-                edges.append((f"n{i}", f"n{j}"))
-    return Dfg(nodes, tuple(edges))
-
-
 def _random_assignment(dfg, rng: random.Random, library=LIB):
     return {
         n.id: rng.choice(library.versions_for(n.op_class)) for n in dfg.nodes
@@ -229,7 +217,7 @@ def test_asap_latency_is_minimal_by_exhaustive_enumeration():
     # earlier than the ASAP schedule.
     rng = random.Random(29)
     for _ in range(15):
-        dfg = _random_dfg(rng, max_nodes=5)
+        dfg = random_dfg(rng, max_nodes=5)
         asg = _random_assignment(dfg, rng)
         minimum = asap(dfg, asg).latency
         horizon = minimum + 2
@@ -251,7 +239,7 @@ def test_density_start_within_original_windows():
     # gets a schedule, within the original windows and the bound.
     rng = random.Random(31)
     for case in range(400):
-        dfg = _random_dfg(rng, max_nodes=12)
+        dfg = random_dfg(rng, max_nodes=12)
         asg = _random_assignment(dfg, rng, (LIB, WIDE_LIB)[case % 2])
         bound = asap(dfg, asg).latency + rng.randint(0, 5)
         lo, hi = asap(dfg, asg).starts, alap(dfg, asg, bound).starts

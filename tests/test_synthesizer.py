@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from checks import validate_design
+from checks import FANIN_CHAIN, random_dfg, validate_design
 from test_scheduler import WIDE_LIB
 from relsyn import synthesizer
 from relsyn.model import (
@@ -33,11 +33,6 @@ LIB = builtin_library()
 # Six-operation all-adder graph: two inputs feeding a four-stage chain.
 # Within a 5-cycle, 4-area-unit budget the best design uses two
 # single-cycle adders, reliability 0.969^6.
-FANIN_CHAIN = parse_dfg(
-    "node A add\nnode B add\nnode C add\nnode D add\nnode E add\nnode F add\n"
-    "edge A C\nedge B C\nedge C D\nedge D E\nedge E F\n"
-)
-
 
 def test_initial_allocation_picks_most_reliable():
     dfg = parse_dfg("node a add\nnode m mul\n")
@@ -118,26 +113,13 @@ def test_find_design_deterministic():
     assert a == b
 
 
-def _random_dfg(rng: random.Random) -> Dfg:
-    n = rng.randint(2, 8)
-    nodes = tuple(
-        DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
-    )
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.35:
-                edges.append((f"n{i}", f"n{j}"))
-    return Dfg(nodes, tuple(edges))
-
-
 def test_find_design_soundness_on_random_instances():
     # Every feasible result satisfies its bounds as recomputed from
     # scratch; every infeasible result carries a reason.
     rng = random.Random(47)
     feasible = 0
     for _ in range(60):
-        dfg = _random_dfg(rng)
+        dfg = random_dfg(rng)
         bounds = Bounds(rng.randint(1, 12), rng.choice([2, 4, 6, 8, 12, 16]))
         result = find_design(dfg, LIB, bounds)
         if isinstance(result, Infeasible):
@@ -253,7 +235,7 @@ def _repair_cases():
         yield builtin_benchmark(name), LIB
     rng = random.Random(53)
     for _ in range(20):
-        yield _random_dfg(rng), rng.choice((LIB, WIDE_LIB))
+        yield random_dfg(rng), rng.choice((LIB, WIDE_LIB))
     for n in (40, 80, 120):
         nodes = tuple(
             DfgNode(f"v{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
