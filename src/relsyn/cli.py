@@ -139,10 +139,11 @@ def _parse_range(spec: str, what: str, integral: bool = False) -> tuple[float, f
     return lo, hi
 
 
-def _grid_count(lo: float, hi: float, step: float) -> float:
-    """How many of lo, lo + step, ... lie within hi (+1e-9), as a float:
-    huge or NaN for a bad range, which the sweep refuses before `_grid`."""
-    return (hi - lo + 1e-9) // step + 1
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """How many of lo, lo + step, ... lie within hi in exact decimals, as in
+    `_grid`: huge for a bad range, which the sweep refuses before `_grid`."""
+    lo_q, hi_q, step_q = (Fraction(repr(x)) for x in (lo, hi, step))
+    return (hi_q - lo_q) // step_q + 1
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -150,7 +151,7 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     decimal value: adding `step` repeatedly drifts (10 + 0.1 + 0.1 + 0.1
     is 10.299999999999999, which a design of area 10.3 exceeds)."""
     lo_q, step_q = Fraction(repr(lo)), Fraction(repr(step))
-    return [float(lo_q + k * step_q) for k in range(int(_grid_count(lo, hi, step)))]
+    return [float(lo_q + k * step_q) for k in range(_grid_count(lo, hi, step))]
 
 
 def _fmt_num(x: float) -> str:
@@ -172,10 +173,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"--step-l must be >= 1, got {args.step_l}")
     if not (math.isfinite(args.step_a) and args.step_a > 0):
         raise InputError(f"--step-a must be finite and > 0, got {args.step_a:g}")
-    # Sized before any grid is built; the first test keeps a huge int count out of the product.
+    # Sized before any grid is built.
     l_count = (l_hi - l_lo) // args.step_l + 1
-    a_count = _grid_count(a_lo, a_hi, args.step_a)
-    if l_count > MAX_SWEEP_POINTS or l_count * a_count > MAX_SWEEP_POINTS:
+    if l_count * _grid_count(a_lo, a_hi, args.step_a) > MAX_SWEEP_POINTS:
         raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
@@ -322,6 +322,9 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
     try:
         names = _node_table(payload, "assignment", dfg)
         assignment = {nid: library.by_name(name) for nid, name in names.items()}
+        for key in ("id", "version"):  # named here: a KeyError below is a lookup's message
+            if any(key not in it for it in payload["instances"]):
+                raise ValueError(f"missing key {key!r}")
         instances = tuple(
             Instance(_int(it["id"]), library.by_name(it["version"]).name, _int(it.get("nmr", 1)))
             for it in payload["instances"]
@@ -334,7 +337,8 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         if type(stated_area) not in (int, float):
             raise ValueError(f"area {stated_area!r} is not a JSON number")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad design JSON: {exc}") from exc
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc  # a lookup's message, unquoted
+        raise InputError(f"bad design JSON: {detail}") from exc
     if len({inst.id for inst in instances}) != len(instances):
         raise InputError("design instances repeat an id")
     busy: dict[int, set[int]] = {}

@@ -19,13 +19,14 @@ All types are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .binder import Binding
@@ -263,30 +264,34 @@ class Infeasible:
 def nmr_reliability(reliability: float, n: int) -> float:
     """Reliability of N voted copies where a strict majority must agree.
 
-    With k = (n+1)/2, returns sum_{i=k..n} C(n,i) r^i (1-r)^(n-i); for
-    n = 1 that is r itself, returned unchanged.  From n = 1031 on, a term whose
-    C(n, i) is beyond the float range comes from logs, and the sum is capped at 1.
+    With k = (n+1)/2, returns sum_{i=k..n} C(n,i) r^i (1-r)^(n-i), capped at 1;
+    for n = 1 that is r itself, returned unchanged.  From n = 1031 on, a term
+    whose C(n, i) is beyond the float range comes from logs.
     """
     if n < 1 or n % 2 == 0:
         raise ValidationError("redundancy factor must be odd and >= 1")
     if not 0 <= reliability <= 1:
         raise ValidationError("reliability must be in [0, 1]")
-    if n == 1:
-        return reliability
     # Added left to right from 0.0; sum() of floats is compensated on
     # Python >= 3.12 and would change the last bits.
-    total, from_logs = 0.0, False
+    total = 0.0
     c = math.comb(n, (n + 1) // 2)
     for i in range((n + 1) // 2, n + 1):
         try:
             total += c * reliability**i * (1 - reliability) ** (n - i)
         except OverflowError:  # C(n, i) exceeds the float range, from n = 1031 on
-            from_logs = True
             if 0 < reliability < 1:  # else the term is 0
                 log_r, log_q = math.log(reliability), math.log1p(-reliability)
                 total += math.exp(math.log(c) + i * log_r + (n - i) * log_q)
         c = c * (n - i) // (i + 1)  # C(n, i + 1), exactly
-    return min(total, 1.0) if from_logs else total
+    return min(total, 1.0)
+
+
+@functools.cache
+def _log_vote(reliability: float, n: int) -> float:
+    """log nmr_reliability(reliability, n), -inf where the vote underflows to 0."""
+    vote = nmr_reliability(reliability, n)
+    return math.log(vote) if vote > 0 else -math.inf
 
 
 def evaluate_reliability(
@@ -299,24 +304,18 @@ def evaluate_reliability(
     """
     check_assignment(dfg, assignment)
     if binding is None:
-        return _reliability_product(dfg.node_ids, assignment, None)
-    to_instance = binding.node_to_instance
+        return _reliability_product((assignment[nid].reliability, 1) for nid in dfg.node_ids)
     return _reliability_product(
-        dfg.node_ids, assignment, lambda nid: binding.instance(to_instance[nid]).nmr_factor
+        (assignment[nid].reliability, binding.instance(binding.node_to_instance[nid]).nmr_factor)
+        for nid in dfg.node_ids
     )
 
 
-def _reliability_product(
-    node_ids: Iterable[str], assignment: Assignment, nmr_of: Callable[[str], int] | None
-) -> float:
+def _reliability_product(votes: Iterable[tuple[float, int]]) -> float:
+    """The product of the votes of (reliability, N), summed left to right in logs."""
     log_total = 0.0
-    logs: dict[tuple[float, int], float] = {}  # nodes on one instance share (r, N)
-    for nid in node_ids:
-        key = (assignment[nid].reliability, 1 if nmr_of is None else nmr_of(nid))
-        if key not in logs:
-            r = nmr_reliability(*key)  # n = 1 returns r itself
-            logs[key] = math.log(r) if r > 0 else -math.inf  # a vote of r << 0.5 underflows
-        log_total += logs[key]
+    for r, n in votes:
+        log_total += _log_vote(r, n)
     return math.exp(log_total)
 
 

@@ -20,8 +20,8 @@ import math
 from dataclasses import replace
 
 from .binder import with_nmr
-from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, nmr_reliability
-from .model import _reliability_product, evaluate_reliability  # noqa: F401 (re-export)
+from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
+from .model import _reliability_product, evaluate_reliability, nmr_reliability  # noqa: F401
 from .synthesizer import Memo, find_design, single_version_designs
 
 
@@ -40,7 +40,8 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
 
 @functools.cache
 def _log_step(r: float, n: int) -> float:
-    return math.log(nmr_reliability(r, n + 2)) - math.log(nmr_reliability(r, n))
+    upgraded = _log_vote(r, n + 2)  # -inf where the vote underflows: the greedy stops
+    return upgraded - _log_vote(r, n) if upgraded > -math.inf else -math.inf
 
 
 class _Pricing:
@@ -55,13 +56,13 @@ class _Pricing:
     """
 
     def __init__(self, design: Design, library: ResourceLibrary) -> None:
-        binding = design.binding
-        self.assignment, self.to_instance = design.assignment, binding.node_to_instance
+        binding, assignment = design.binding, design.assignment
+        self.assignment, self.to_instance = assignment, binding.node_to_instance
         self.area = design.area
         self.nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
         self.extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
         self.reliabilities = {
-            iid: [self.assignment[nid].reliability for nid in binding.nodes_on(iid)]
+            iid: [assignment[nid].reliability for nid in binding.nodes_on(iid)]
             for iid in self.nmr
         }
         # By id, so that max() meets the lowest id of a tie first.
@@ -99,10 +100,9 @@ class _Pricing:
             nmr[iid] += 2
             area += extra[iid]
             ratio[iid] = self._gain_per_area(iid, nmr[iid])
-        to_instance = self.to_instance
-        outcome = nmr, area, _reliability_product(
-            to_instance, self.assignment, lambda nid: nmr[to_instance[nid]]
-        )
+        assignment, to_instance = self.assignment, self.to_instance
+        votes = ((assignment[nid].reliability, nmr[iid]) for nid, iid in to_instance.items())
+        outcome = nmr, area, _reliability_product(votes)
         self.runs.append((lo, hi, outcome))
         return outcome
 

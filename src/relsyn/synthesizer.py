@@ -35,6 +35,7 @@ read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, MutableMapping
 
@@ -44,27 +45,34 @@ from .model import ResourceVersion, evaluate_reliability
 from .scheduler import InfeasibleBoundError, density_schedule
 
 
-def prefer_versions(versions: Iterable[ResourceVersion]) -> list[ResourceVersion]:
-    """Global preference order: reliability desc, area asc, delay asc, name."""
-    return sorted(versions, key=lambda v: (-v.reliability, v.area, v.delay, v.name))
+def _best(versions: Iterable[ResourceVersion]) -> ResourceVersion | None:
+    """The preferred version: reliability desc, area asc, delay asc, name; None if none."""
+    return min(versions, key=lambda v: (-v.reliability, v.area, v.delay, v.name), default=None)
 
 
 def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, ResourceVersion]:
     """Give every node the most reliable version of its class."""
     library.check_covers(dfg)
-    best = {
-        cls: prefer_versions(library.versions_for(cls))[0]
-        for cls, count in dfg.class_counts().items() if count
-    }
+    best = {cls: _best(library.versions_for(cls)) for cls in OpClass}
     return {n.id: best[n.op_class] for n in dfg.nodes}
 
 
-# Shared by the flows of one graph and library: (node delays, L) ->
-# Schedule and (version names, L) -> Design, each None if L is missed, L ->
-# Infeasible or find_design's walk of (scheduling latency, Design) pairs (a
-# list that may grow, a tuple once it ends) and ("single-version", L) ->
-# tuple of Designs, for a latency bound L.  Delay keys hold ints, name keys
-# strings; all read-only but a growing walk.
+@functools.cache
+def _moves(library: ResourceLibrary) -> dict[str, tuple[ResourceVersion | None, ...]]:
+    """Per version name, latency repair's move (the preferred faster version)
+    and area repair's (the preferred smaller one that is no slower)."""
+    moves = {}
+    for v in library.versions:
+        peers = library.versions_for(v.op_class)
+        moves[v.name] = (
+            _best(w for w in peers if w.delay < v.delay),
+            _best(w for w in peers if w.area < v.area and w.delay <= v.delay),
+        )
+    return moves
+
+
+# The memo of the module docstring, for the flows of one graph and library;
+# delay keys hold ints and name keys strings, so the two never collide.
 Memo = MutableMapping[object, object]
 
 
@@ -107,8 +115,7 @@ def single_version_designs(
     memo = {} if memo is None else memo
     key = ("single-version", latency_bound)
     if key not in memo:
-        counts = dfg.class_counts()
-        classes = [cls for cls in OpClass if counts[cls]]
+        classes = [cls for cls, count in dfg.class_counts().items() if count]
         designs = []
         for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
             chosen = dict(zip(classes, combo))
@@ -142,7 +149,7 @@ def _repair_latency(
     until the latency bound is met; the assignment and its asap latency,
     or Infeasible once no critical-path node can go any faster.  The
     asap latency is the total delay of a critical path."""
-    assignment = initial_allocation(dfg, library)
+    assignment, moves = initial_allocation(dfg, library), _moves(library)
     tail: dict[str, int] = {}  # total delay of each node's heaviest path to a sink
 
     def tail_of(nid: str) -> int:
@@ -155,22 +162,18 @@ def _repair_latency(
         latency = tail[path[0]]
         if latency <= l_d:
             return assignment, latency
-        candidates = []
-        for nid in path:
-            current = assignment[nid]
-            faster = [
-                v for v in library.versions_for(current.op_class) if v.delay < current.delay
-            ]
-            if faster:
-                candidates.append((-current.delay, dfg.declaration_index(nid), nid, faster))
+        candidates = [
+            (-assignment[nid].delay, dfg.declaration_index(nid), nid)
+            for nid in path if moves[assignment[nid].name][0]
+        ]
         if not candidates:
             return Infeasible(
                 "latency",
                 f"minimum latency {latency} exceeds bound {l_d} and no "
                 "critical-path node has a faster version",
             )
-        *_, victim, faster = min(candidates)
-        assignment[victim] = prefer_versions(faster)[0]
+        victim = min(candidates)[2]
+        assignment[victim] = moves[assignment[victim].name][0]
         # Only the victim's tail and its ancestors' can change; stop where one holds.
         stack = [victim]
         while stack:
@@ -189,7 +192,6 @@ def find_design(
     area <= area_bound as recomputed from its schedule and binding;
     otherwise an Infeasible with the blocking dimension is returned.
     """
-    library.check_covers(dfg)
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     memo = {} if memo is None else memo
     walk = memo.get(l_d)
@@ -215,22 +217,17 @@ def find_design(
         else:
             # Area repair: move the largest-version node, together with every
             # node sharing its instance, to a smaller version that is no slower.
-            candidates = []
-            for index, nid in enumerate(dfg.node_ids):
-                current = design.assignment[nid]
-                smaller = [
-                    v
-                    for v in library.versions_for(current.op_class)
-                    if v.area < current.area and v.delay <= current.delay
-                ]
-                if smaller:
-                    candidates.append((-current.area, index, nid, smaller))
+            assignment, moves = design.assignment, _moves(library)
+            candidates = [
+                (-assignment[nid].area, index, nid)
+                for index, nid in enumerate(dfg.node_ids) if moves[assignment[nid].name][1]
+            ]
             if not candidates:
                 memo[l_d] = tuple(walk)
                 break
-            *_, victim, smaller = min(candidates)
-            replacement = prefer_versions(smaller)[0]
-            assignment = dict(design.assignment)
+            victim = min(candidates)[2]
+            replacement = moves[assignment[victim].name][1]
+            assignment = dict(assignment)
             for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
                 assignment[nid] = replacement
         design = _design_at(dfg, library, assignment, latency, memo)

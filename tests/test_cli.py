@@ -196,6 +196,9 @@ def test_sweep_area_grid_has_exact_decimal_values(relsyn, workspace):
     assert cli._grid(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
     assert cli._grid_count(0.0, 0.3, 0.1) == 4
     assert cli._grid(8.0, 40.0, 4.0) == [8.0 + 4 * k for k in range(9)]
+    # A range that ends just short of a grid value leaves that value out.
+    assert cli._grid(0.5, 0.9999999999, 0.5) == [0.5]
+    assert cli._grid_count(0.5, 0.9999999999, 0.5) == 1
 
 
 def test_sweep_unwritable_out_path(relsyn):
@@ -368,6 +371,13 @@ BAD_DESIGNS = {
     "missing-key": (lambda d: d.pop("instances"), "needs the keys"),
     "unknown-instance": (lambda d: d["binding"].update(m1=99), "unknown instance id 99"),
     "unknown-version": (lambda d: d["assignment"].update(m1="NoSuch"), "unknown resource version"),
+    "unknown-version-unquoted": (
+        lambda d: d["assignment"].update(m1="NoSuch"),
+        "error: bad design JSON: unknown resource version 'NoSuch'\n",
+    ),
+    "instance-without-id": (
+        lambda d: d["instances"][0].pop("id"), "error: bad design JSON: missing key 'id'\n"
+    ),
     "unknown-node": (lambda d: d["schedule"].update(zz=1), "exactly the graph's nodes"),
     "other-version-instance": (_wrong_instance_version, "its instance"),
     "double-booked": (_double_book, "double-booked"),
@@ -557,6 +567,18 @@ def test_synth_upgrades_past_float_binomials(relsyn, workspace, method):
     assert (code, err) == (0, "")
     factors = [int(line.split()[-1]) for line in out.splitlines() if " nmr " in line]
     assert max(factors) > 1031
+
+
+@pytest.mark.parametrize("method", ["nmr", "combined"])
+def test_synth_stops_upgrading_at_a_vote_that_underflows(relsyn, workspace, method):
+    # Three copies of a 1e-200 unit vote below the smallest float: no upgrade gains.
+    (workspace / "tiny.lib").write_text("resource T add 1 1 1e-200\n")
+    code, out, err = relsyn(
+        "synth", "--latency", "1", "--area", "10", "--method", method,
+        dfg="one.dfg", lib="tiny.lib",
+    )
+    assert (code, err) == (0, "")
+    assert "reliability 0.00000\n" in out and out.endswith("  0 T nmr 1\n")
 
 
 def test_eval_vote_that_underflows_to_zero(relsyn, workspace):

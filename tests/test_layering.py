@@ -1,4 +1,5 @@
-"""The package's runtime import graph is a DAG and no function imports.
+"""The package's runtime import graph is a DAG, no function imports, and
+the log of a majority vote is taken in `model` only.
 
 Every `src/relsyn/*.py` module is parsed with `ast`; imports under
 `if TYPE_CHECKING:` are type-only and left out of the graph.
@@ -109,3 +110,19 @@ def test_oracle_imports_only_result_types_from_production_modules():
             assert names <= ORACLE_ALLOWED[target], (
                 f"oracle imports {sorted(names - ORACLE_ALLOWED[target])} from {target}"
             )
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether `node` calls `name` or `<module>.name`."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == name)
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+    )
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "model"])
+def test_vote_logs_come_from_model(name):
+    # model._log_vote keeps the guard for a vote that underflows to 0.
+    for node in ast.walk(_parse(name)):
+        if _calls(node, "log") and any(_calls(arg, "nmr_reliability") for arg in node.args):
+            pytest.fail(f"{name} takes the log of nmr_reliability at line {node.lineno}")

@@ -112,7 +112,7 @@ def test_nmr_reliability_rejects_bad_reliability():
 
 def test_nmr_reliability_keeps_the_exact_sum_up_to_1029():
     # Every C(n, i) converts to float up to n = 1029: each term is the binomial
-    # formula, added left to right, to the last bit.
+    # formula, added left to right, to the last bit, and capped at 1.
     rng = random.Random(3)
     for r, n in [(0.6, 1029), (0.999, 1029)] + [
         (rng.random(), rng.randrange(3, 1030, 2)) for _ in range(40)
@@ -120,7 +120,10 @@ def test_nmr_reliability_keeps_the_exact_sum_up_to_1029():
         total = 0.0
         for i in range((n + 1) // 2, n + 1):
             total += math.comb(n, i) * r**i * (1 - r) ** (n - i)
-        assert nmr_reliability(r, n) == total
+        assert nmr_reliability(r, n) == min(total, 1.0)
+    # Sums that rounding carries to 1.0000000000000002 (table1.lib's Adder3 is 0.987).
+    for r, n in [(0.987, 137), (0.987, 195), (0.9644652031358405, 37)]:
+        assert nmr_reliability(r, n) <= 1
 
 
 # The binomial sum over Fractions of each float r, rounded once.

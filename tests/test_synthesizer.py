@@ -65,6 +65,42 @@ def test_initial_allocation_tie_breaks():
     assert initial_allocation(dfg, lib)["a"].name == "tiny"
 
 
+def _first_preferred(versions):
+    """The rule `_moves` replaces: sort by reliability desc, area asc, delay
+    asc, name, and take the first, or None if nothing passed the filter."""
+    ranked = sorted(versions, key=lambda v: (-v.reliability, v.area, v.delay, v.name))
+    return ranked[0] if ranked else None
+
+
+def test_moves_match_filter_then_sort():
+    # table1.lib, then seeded libraries drawn from few values, so that
+    # reliability, area and delay all tie and the later keys decide; names
+    # are not in declaration order, so a tie on all three needs the name.
+    rng = random.Random(61)
+    libraries = [LIB] + [
+        parse_library("".join(
+            f"resource v{i} {rng.choice(('add', 'mul'))} {rng.choice((1, 2, 3))} "
+            f"{rng.choice((1, 2, 3))} {rng.choice((0.9, 0.99))}\n"
+            for i in rng.sample(range(10, 100), rng.randint(1, 9))
+        ))
+        for _ in range(60)
+    ]
+    ties = Counter()
+    for library in libraries:
+        moves = synthesizer._moves(library)
+        assert list(moves) == [v.name for v in library.versions]
+        for cur in library.versions:
+            peers = library.versions_for(cur.op_class)
+            faster = [v for v in peers if v.delay < cur.delay]
+            smaller = [v for v in peers if v.area < cur.area and v.delay <= cur.delay]
+            assert moves[cur.name] == (_first_preferred(faster), _first_preferred(smaller))
+            for chosen in (faster, smaller):
+                keys = sorted((-v.reliability, v.area, v.delay) for v in chosen)
+                if len(keys) > 1:  # the first key on which the best two differ
+                    ties[next((k for k in range(3) if keys[0][k] != keys[1][k]), 3)] += 1
+    assert all(ties[k] for k in range(4)), ties
+
+
 def test_find_design_fanin_chain_matches_reference_value():
     result = find_design(FANIN_CHAIN, LIB, Bounds(5, 4))
     assert isinstance(result, Design)
