@@ -71,29 +71,24 @@ def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:
     before its start, otherwise a new instance is opened.
     """
     check_assignment(dfg, assignment)
-    order = sorted(
-        dfg.node_ids,
-        key=lambda nid: (schedule.starts[nid], dfg.declaration_index(nid)),
-    )
-    instances: list[Instance] = []
-    last_busy: dict[int, int] = {}
-    node_to_instance: dict[str, int] = {}
-    for nid in order:
-        version = assignment[nid]
-        start = schedule.starts[nid]
-        end = start + version.delay - 1
-        chosen = None
-        for inst in instances:
-            if inst.version == version.name and last_busy[inst.id] < start:
-                chosen = inst.id
+    ids = dfg.node_ids
+    starts = [schedule.starts[nid] for nid in ids]
+    names: list[str] = []  # version name per instance id
+    last_busy: list[int] = []  # last busy cycle per instance id
+    node_to_instance = [0] * len(ids)
+    for k in sorted(range(len(ids)), key=starts.__getitem__):  # stable: ties by position
+        version, start = assignment[ids[k]], starts[k]
+        for iid, name in enumerate(names):
+            if name == version.name and last_busy[iid] < start:
                 break
-        if chosen is None:
-            chosen = len(instances)
-            instances.append(Instance(chosen, version.name))
-        node_to_instance[nid] = chosen
-        last_busy[chosen] = end
-    ordered = {nid: node_to_instance[nid] for nid in dfg.node_ids}
-    return Binding(ordered, tuple(instances))
+        else:
+            iid = len(names)
+            names.append(version.name)
+            last_busy.append(start)
+        node_to_instance[k] = iid
+        last_busy[iid] = start + version.delay - 1
+    instances = tuple(Instance(iid, name) for iid, name in enumerate(names))
+    return Binding(dict(zip(ids, node_to_instance)), instances)
 
 
 def total_area(binding: Binding, library: ResourceLibrary) -> float:

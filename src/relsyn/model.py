@@ -65,7 +65,11 @@ class DfgNode:
 @dataclass(frozen=True)
 class Dfg:
     """Directed acyclic graph of operations; declaration order is preserved
-    and serves as the deterministic tie-break order everywhere downstream."""
+    and serves as the deterministic tie-break order everywhere downstream.
+    The scheduler, the binder and latency repair run on arrays by position
+    (k is nodes[k]), built once: `pred_positions` and `succ_positions` (in
+    edge order) and `topo_positions` with the edge and cycle checks,
+    `class_positions` on first use."""
 
     nodes: tuple[DfgNode, ...]
     edges: tuple[tuple[str, str], ...]
@@ -78,8 +82,8 @@ class Dfg:
             if node.id in index:
                 raise ValidationError(f"duplicate node id {node.id!r}")
             index[node.id] = pos
-        preds: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        succs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        preds: list[list[int]] = [[] for _ in self.nodes]
+        succs: list[list[int]] = [[] for _ in self.nodes]
         seen: set[tuple[str, str]] = set()
         for src, dst in self.edges:
             if src not in index:
@@ -89,28 +93,24 @@ class Dfg:
             if (src, dst) in seen:
                 raise ValidationError(f"duplicate edge {src!r} -> {dst!r}")
             seen.add((src, dst))
-            succs[src].append(dst)
-            preds[dst].append(src)
+            succs[index[src]].append(index[dst])
+            preds[index[dst]].append(index[src])
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_ids", tuple(index))
-        object.__setattr__(self, "_preds", {k: tuple(v) for k, v in preds.items()})
-        object.__setattr__(self, "_succs", {k: tuple(v) for k, v in succs.items()})
-        object.__setattr__(self, "_sources", tuple(k for k, v in preds.items() if not v))
-        object.__setattr__(self, "_sinks", tuple(k for k, v in succs.items() if not v))
-        object.__setattr__(self, "_topo", self._toposort())
-        classes = [n.op_class for n in self.nodes]  # list.count skips Enum.__hash__
-        object.__setattr__(self, "_class_counts", {cls: classes.count(cls) for cls in OpClass})
+        object.__setattr__(self, "pred_positions", tuple(map(tuple, preds)))
+        object.__setattr__(self, "succ_positions", tuple(map(tuple, succs)))
+        object.__setattr__(self, "topo_positions", self._toposort())
 
-    def _toposort(self) -> tuple[str, ...]:
+    def _toposort(self) -> tuple[int, ...]:
         # Kahn's algorithm with declaration-order tie-break; also the
         # acyclicity check.
-        indeg = {n.id: len(self._preds[n.id]) for n in self.nodes}
-        ready = deque(self._sources)
-        order: list[str] = []
+        indeg = [len(preds) for preds in self.pred_positions]
+        ready = deque(k for k, n in enumerate(indeg) if not n)
+        order: list[int] = []
         while ready:
-            nid = ready.popleft()
-            order.append(nid)
-            for succ in self._succs[nid]:
+            k = ready.popleft()
+            order.append(k)
+            for succ in self.succ_positions[k]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
@@ -118,16 +118,23 @@ class Dfg:
             raise ValidationError("cycle detected in data-flow graph")
         return tuple(order)
 
+    @cached_property
+    def class_positions(self) -> dict[OpClass, tuple[int, ...]]:
+        """Per operation class, in `OpClass` order, its nodes' positions in
+        declaration order; built on first use."""
+        classes = [n.op_class for n in self.nodes]
+        return {cls: tuple(k for k, c in enumerate(classes) if c is cls) for cls in OpClass}
+
     # -- lookup helpers -------------------------------------------------
 
     def declaration_index(self, node_id: str) -> int:
         return self._index[node_id]
 
     def preds(self, node_id: str) -> tuple[str, ...]:
-        return self._preds[node_id]
+        return tuple(self._ids[k] for k in self.pred_positions[self._index[node_id]])
 
     def succs(self, node_id: str) -> tuple[str, ...]:
-        return self._succs[node_id]
+        return tuple(self._ids[k] for k in self.succ_positions[self._index[node_id]])
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -135,19 +142,15 @@ class Dfg:
 
     @property
     def topo_order(self) -> tuple[str, ...]:
-        return self._topo
+        return tuple(self._ids[k] for k in self.topo_positions)
 
     @property
     def source_ids(self) -> tuple[str, ...]:
-        return self._sources
-
-    @property
-    def sink_ids(self) -> tuple[str, ...]:
-        return self._sinks
+        return tuple(nid for nid, preds in zip(self._ids, self.pred_positions) if not preds)
 
     def class_counts(self) -> dict[OpClass, int]:
         """Nodes per operation class, every class in `OpClass` order."""
-        return dict(self._class_counts)
+        return {cls: len(positions) for cls, positions in self.class_positions.items()}
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,8 @@ class ResourceLibrary:
 
     def check_covers(self, dfg: Dfg) -> None:
         """Every operation class used by the graph needs at least one version."""
-        for cls, count in dfg.class_counts().items():
-            if count and not self.versions_for(cls):
+        for cls, positions in dfg.class_positions.items():
+            if positions and not self.versions_for(cls):
                 raise ValidationError(f"library has no version for class {cls.value}")
 
 

@@ -18,12 +18,22 @@ with all its completions once its fastest completion misses the latency
 bound (one longest path per delay vector met) or its used versions
 alone miss the area bound (one area sum per bitmask met).
 
-The start-vector search places nodes in topological order and drops a
-partial start vector once Σ area × max(peak concurrency, 1) over the
-used versions exceeds the area bound; with every node placed, that sum
-is the area.  Version areas are always summed in library declaration
-order, so the result does not depend on hash order and a returned
-design's area never exceeds the area bound.
+The start-vector search first refuses a combination whose root bound
+exceeds the area bound: Σ area × count over the used versions, where a
+version's count is the largest of 1, ⌈Σ delay of its nodes / L⌉ and the
+peak overlap of its nodes' compulsory parts [latest start, earliest
+start + delay − 1] (the time-table and energetic reasoning of cumulative
+scheduling; Baptiste, Le Pape & Nuijten, 2001).  Every start vector
+occupies each compulsory part and packs its busy cycles into L cycles,
+so each count is at most the version's final peak concurrency; float
+products and left-to-right sums are monotone, so the bound never exceeds
+the area of a complete start vector.  Otherwise the search places nodes
+in topological order and drops a partial start vector once
+Σ area × max(peak concurrency, 1) over the used versions exceeds the
+area bound; with every node placed, that sum is the area.  Version areas
+are always summed in library declaration order, so the result does not
+depend on hash order and a returned design's area never exceeds the area
+bound.
 """
 
 from __future__ import annotations
@@ -76,9 +86,8 @@ def oracle_min_latency(dfg: Dfg, assignment: Assignment, *, max_nodes: int = 8) 
 def _critical_paths(dfg: Dfg) -> Callable[[tuple[int, ...]], int]:
     """A memo of the critical path length per delay vector (node k, in
     declaration order, takes delays[k] cycles)."""
-    index = dfg.declaration_index
-    steps = [(index(nid), [index(p) for p in dfg.preds(nid)]) for nid in dfg.topo_order]
-    sinks = [index(nid) for nid in dfg.sink_ids]
+    steps = [(k, dfg.pred_positions[k]) for k in dfg.topo_positions]
+    sinks = [k for k, succs in enumerate(dfg.succ_positions) if not succs]
 
     @functools.cache
     def span(delays: tuple[int, ...]) -> int:
@@ -120,70 +129,86 @@ def _left_edge_pack(
     return {nid: mapping[nid] for nid in dfg.node_ids}, instances
 
 
+def _root_bound(
+    used: list[ResourceVersion], slot: list[int], delay: list[int],
+    earliest: list[int], latest: list[int], l_d: int,
+) -> float:
+    """The root bound of the module docstring; node k, of version
+    used[slot[k]], takes delay[k] cycles and starts in [earliest[k], latest[k]]."""
+    usage = [[0] * l_d for _ in used]  # per used version, its compulsory parts per cycle
+    busy = [0] * len(used)
+    for k, j in enumerate(slot):
+        busy[j] += delay[k]
+        for c in range(latest[k] - 1, earliest[k] + delay[k] - 1):
+            usage[j][c] += 1
+    bound = 0.0  # left to right: sum() of floats is compensated on Python >= 3.12
+    for v, row, cycles in zip(used, usage, busy):
+        bound += v.area * max(1, -(-cycles // l_d), max(row))
+    return bound
+
+
 def _feasible_starts(
     dfg: Dfg, assignment: Assignment, used: list[ResourceVersion], bounds: Bounds
 ) -> tuple[dict[str, int], float] | None:
     """Search start vectors in topological order; the first that fits and
-    its shared-hardware area, or None if nothing fits.
-
-    Prunes on an area lower bound: per used version, its area times the
-    peak number of concurrently executing placed operations, or times one
-    while none is placed, since every used version needs at least one
-    instance.  Once every node is placed the bound is the area itself.
-    `used` lists the assigned versions in library order, the order the
-    bound sums them in.
-    """
+    its shared-hardware area, or None if nothing fits.  The module docstring
+    gives the root bound that can refuse the search and the bound that
+    prunes partial vectors (every used version needs at least one
+    instance); `used` lists the assigned versions in library order, the
+    order both bounds sum them in."""
     l_d, a_d = bounds.latency_bound, bounds.area_bound
-    order = dfg.topo_order
-    # Latest start allowed for each node so every successor still fits.
-    latest: dict[str, int] = {}
-    for nid in reversed(order):
-        cap = l_d - assignment[nid].delay + 1
-        for succ in dfg.succs(nid):
-            cap = min(cap, latest[succ] - assignment[nid].delay)
-        latest[nid] = cap
-    usage: dict[str, list[int]] = {v.name: [0] * l_d for v in used}
-    peaks: dict[str, int] = {v.name: 0 for v in used}
-    starts: dict[str, int] = {}
+    ids, order, preds = dfg.node_ids, dfg.topo_positions, dfg.pred_positions
+    versions = [assignment[nid] for nid in ids]  # by node position
+    slot = [used.index(v) for v in versions]
+    delay = [v.delay for v in versions]
+    earliest, latest = [0] * len(ids), [0] * len(ids)
+    for k in order:
+        earliest[k] = max([earliest[p] + delay[p] for p in preds[k]], default=1)
+    for k in reversed(order):  # the latest start that leaves every successor room
+        latest[k] = min([latest[s] for s in dfg.succ_positions[k]], default=l_d + 1) - delay[k]
+    if _root_bound(used, slot, delay, earliest, latest, l_d) > a_d:
+        return None
+    usage = [[0] * l_d for _ in used]  # per used version, placed operations per cycle
+    peaks = [0] * len(used)
+    starts = [0] * len(ids)
 
     def area_lower_bound() -> float:
-        area = 0.0  # left to right: sum() of floats is compensated on Python >= 3.12
-        for v in used:
-            area += v.area * max(peaks[v.name], 1)
+        area = 0.0  # left to right, as the root bound
+        for v, peak in zip(used, peaks):
+            area += v.area * max(peak, 1)
         return area
 
     def place(pos: int, bound: float) -> float | None:
         """The area of the first fitting completion of the placed prefix,
         whose area lower bound is `bound`."""
-        nid = order[pos]
-        v = assignment[nid]
-        row, saved_peak = usage[v.name], peaks[v.name]
-        earliest = 1
-        for pred in dfg.preds(nid):
-            earliest = max(earliest, starts[pred] + assignment[pred].delay)
-        for s in range(earliest, latest[nid] + 1):
-            cells = range(s - 1, s + v.delay - 1)
+        k = order[pos]
+        j, d = slot[k], delay[k]
+        row, saved_peak = usage[j], peaks[j]
+        first = 1
+        for p in preds[k]:
+            first = max(first, starts[p] + delay[p])
+        for s in range(first, latest[k] + 1):
+            cells = range(s - 1, s + d - 1)
             peak = saved_peak
             for c in cells:
                 row[c] += 1
                 if row[c] > peak:
                     peak = row[c]
-            peaks[v.name] = peak
-            starts[nid] = s
+            peaks[j] = peak
+            starts[k] = s
             # The sum changes only with a term's max(peak, 1).
             area = area_lower_bound() if peak > max(saved_peak, 1) else bound
             if area <= a_d:
                 found = area if pos + 1 == len(order) else place(pos + 1, area)
                 if found is not None:
                     return found
-            del starts[nid]
             for c in cells:
                 row[c] -= 1
-        peaks[v.name] = saved_peak
+        peaks[j] = saved_peak
         return None
 
     area = place(0, area_lower_bound())
-    return None if area is None else (dict(starts), area)
+    return None if area is None else (dict(zip(ids, starts)), area)
 
 
 def oracle_best(
@@ -196,8 +221,8 @@ def oracle_best(
     """Exhaustively find the most reliable design meeting both bounds."""
     _check_limits(dfg, max_nodes)
     library.check_covers(dfg)
-    for cls, count in dfg.class_counts().items():
-        if count and len(library.versions_for(cls)) > MAX_VERSIONS_PER_CLASS:
+    for cls, positions in dfg.class_positions.items():
+        if positions and len(library.versions_for(cls)) > MAX_VERSIONS_PER_CLASS:
             raise OracleLimitError(
                 f"class {cls.value} has more than {MAX_VERSIONS_PER_CLASS} versions"
             )

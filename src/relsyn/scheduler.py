@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Assignment, Dfg, OpClass, check_assignment
+from .model import Assignment, Dfg, check_assignment
 
 
 class InfeasibleBoundError(ValueError):
@@ -38,61 +38,63 @@ class Schedule:
     latency: int
 
 
-def _asap_starts(dfg: Dfg, assignment: Assignment) -> dict[str, int]:
-    """Earliest starts."""
-    starts: dict[str, int] = {}
-    for nid in dfg.topo_order:
-        earliest = 1
-        for pred in dfg.preds(nid):
-            earliest = max(earliest, starts[pred] + assignment[pred].delay)
-        starts[nid] = earliest
+def _asap_starts(dfg: Dfg, delay: list[int]) -> list[int]:
+    """Earliest starts, by node position."""
+    starts = [1] * len(delay)
+    preds = dfg.pred_positions
+    for v in dfg.topo_positions:
+        for u in preds[v]:
+            if starts[u] + delay[u] > starts[v]:
+                starts[v] = starts[u] + delay[u]
     return starts
 
 
-def _latency_of(starts: Mapping[str, int], assignment: Assignment) -> int:
-    return max(start + assignment[nid].delay - 1 for nid, start in starts.items())
+def _alap_starts(dfg: Dfg, delay: list[int], latency_bound: int) -> list[int]:
+    """Latest starts under `latency_bound`, by node position."""
+    starts = [latency_bound - d + 1 for d in delay]
+    succs = dfg.succ_positions
+    for v in reversed(dfg.topo_positions):
+        for u in succs[v]:
+            if starts[u] - delay[v] < starts[v]:
+                starts[v] = starts[u] - delay[v]
+    return starts
 
 
-def _as_schedule(dfg: Dfg, assignment: Assignment, starts: Mapping[str, int]) -> Schedule:
-    ordered = {nid: starts[nid] for nid in dfg.node_ids}
-    return Schedule(ordered, _latency_of(ordered, assignment))
+def _latency_of(starts: list[int], delay: list[int]) -> int:
+    return max([start + d for start, d in zip(starts, delay)]) - 1
+
+
+def _as_schedule(dfg: Dfg, starts: list[int], delay: list[int]) -> Schedule:
+    return Schedule(dict(zip(dfg.node_ids, starts)), _latency_of(starts, delay))
+
+
+def _check_latency_bound(
+    dfg: Dfg, assignment: Assignment, latency_bound: int
+) -> tuple[list[int], list[int]]:
+    """Validate the assignment and the bound; return the delays and the
+    earliest starts, by node position."""
+    check_assignment(dfg, assignment)
+    delay = [assignment[nid].delay for nid in dfg.node_ids]
+    starts = _asap_starts(dfg, delay)
+    minimum = _latency_of(starts, delay)
+    if latency_bound < minimum:
+        raise InfeasibleBoundError(
+            f"latency bound {latency_bound} below minimum achievable {minimum}"
+        )
+    return delay, starts
 
 
 def asap(dfg: Dfg, assignment: Assignment) -> Schedule:
     """Earliest-start schedule; its latency is the minimum achievable."""
     check_assignment(dfg, assignment)
-    return _as_schedule(dfg, assignment, _asap_starts(dfg, assignment))
-
-
-def _alap_starts(dfg: Dfg, assignment: Assignment, latency_bound: int) -> dict[str, int]:
-    """Latest starts under `latency_bound`."""
-    starts: dict[str, int] = {}
-    for nid in reversed(dfg.topo_order):
-        latest = latency_bound - assignment[nid].delay + 1
-        for succ in dfg.succs(nid):
-            latest = min(latest, starts[succ] - assignment[nid].delay)
-        starts[nid] = latest
-    return starts
-
-
-def _check_latency_bound(
-    dfg: Dfg, assignment: Assignment, latency_bound: int
-) -> dict[str, int]:
-    """Validate the assignment and the bound; return the earliest starts."""
-    check_assignment(dfg, assignment)
-    starts = _asap_starts(dfg, assignment)
-    minimum = _latency_of(starts, assignment)
-    if latency_bound < minimum:
-        raise InfeasibleBoundError(
-            f"latency bound {latency_bound} below minimum achievable {minimum}"
-        )
-    return starts
+    delay = [assignment[nid].delay for nid in dfg.node_ids]
+    return _as_schedule(dfg, _asap_starts(dfg, delay), delay)
 
 
 def alap(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
     """Latest-start schedule under `latency_bound`."""
-    _check_latency_bound(dfg, assignment, latency_bound)
-    return _as_schedule(dfg, assignment, _alap_starts(dfg, assignment, latency_bound))
+    delay, _ = _check_latency_bound(dfg, assignment, latency_bound)
+    return _as_schedule(dfg, _alap_starts(dfg, delay, latency_bound), delay)
 
 
 def _fold(
@@ -154,21 +156,13 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     a descendant's earliest start to at most hi plus the delays between,
     within its latest start, and lowers an ancestor's latest likewise.
     """
-    lo_of = _check_latency_bound(dfg, assignment, latency_bound)
-    hi_of = _alap_starts(dfg, assignment, latency_bound)
-    ids = dfg.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
-    delay = [assignment[nid].delay for nid in ids]
-    preds = [[index[p] for p in dfg.preds(nid)] for nid in ids]
-    succs = [[index[s] for s in dfg.succs(nid)] for nid in ids]
-    of_class = {cls: [i for i, n in enumerate(dfg.nodes) if n.op_class is cls] for cls in OpClass}
-    lo = [lo_of[nid] for nid in ids]
-    hi = [hi_of[nid] for nid in ids]
+    delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
+    hi = _alap_starts(dfg, delay, latency_bound)
+    preds, succs, of_class = dfg.pred_positions, dfg.succ_positions, dfg.class_positions
     share = [1.0 / (width + 1) for width in range(latency_bound)]
-    placed = [False] * len(ids)
-    heap = [(hi[i] - lo[i], i) for i in range(len(ids))]
+    placed = [False] * len(delay)
+    heap = [(hi[i] - lo[i], i) for i in range(len(delay))]
     heapq.heapify(heap)
-    starts: dict[str, int] = {}
     while heap:
         width, v = heapq.heappop(heap)
         if placed[v] or width != hi[v] - lo[v]:
@@ -184,7 +178,7 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
                 scores = [score + c for score, c in zip(scores, row[j:])]
             best_start += scores.index(min(scores))  # ties: earliest cycle
         placed[v] = True
-        starts[ids[v]] = lo[v] = hi[v] = best_start
+        lo[v] = hi[v] = best_start
         moved = []
         stack = [v]
         while stack:
@@ -204,5 +198,5 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
                     stack.append(u)
         for u in moved:
             heapq.heappush(heap, (hi[u] - lo[u], u))
-    return _as_schedule(dfg, assignment, starts)
+    return _as_schedule(dfg, lo, delay)  # every node placed: lo holds the starts
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Mapping, MutableMapping
+from typing import Iterable, MutableMapping
 
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
@@ -50,11 +50,21 @@ def _best(versions: Iterable[ResourceVersion]) -> ResourceVersion | None:
     return min(versions, key=lambda v: (-v.reliability, v.area, v.delay, v.name), default=None)
 
 
+def _per_class(dfg: Dfg, chosen: Iterable[ResourceVersion | None]) -> dict[str, ResourceVersion]:
+    """The assignment that gives each class's nodes the version chosen for
+    that class; `chosen` follows `OpClass` order."""
+    ids = dfg.node_ids
+    assignment = dict.fromkeys(ids)
+    for positions, version in zip(dfg.class_positions.values(), chosen):
+        for k in positions:
+            assignment[ids[k]] = version
+    return assignment
+
+
 def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, ResourceVersion]:
     """Give every node the most reliable version of its class."""
     library.check_covers(dfg)
-    best = {cls: _best(library.versions_for(cls)) for cls in OpClass}
-    return {n.id: best[n.op_class] for n in dfg.nodes}
+    return _per_class(dfg, (_best(library.versions_for(cls)) for cls in OpClass))
 
 
 @functools.cache
@@ -115,11 +125,13 @@ def single_version_designs(
     memo = {} if memo is None else memo
     key = ("single-version", latency_bound)
     if key not in memo:
-        classes = [cls for cls, count in dfg.class_counts().items() if count]
+        menus = [
+            library.versions_for(cls) if positions else (None,)  # None: a class with no node
+            for cls, positions in dfg.class_positions.items()
+        ]
         designs = []
-        for combo in itertools.product(*(library.versions_for(cls) for cls in classes)):
-            chosen = dict(zip(classes, combo))
-            assignment = {n.id: chosen[n.op_class] for n in dfg.nodes}
+        for combo in itertools.product(*menus):
+            assignment = _per_class(dfg, combo)
             designs.append(_design_at(dfg, library, assignment, latency_bound, memo))
         memo[key] = tuple(d for d in designs if d is not None)
     return memo[key]
@@ -131,13 +143,16 @@ def best_design(designs: Iterable[Design]) -> Design | None:
     return max(designs, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
 
 
-def _heaviest_path(dfg: Dfg, tail: Mapping[str, int]) -> list[str]:
-    """The first heaviest source-to-sink path by node declaration order,
-    given each node's tail: the total delay of its heaviest path to a sink."""
-    current = max(dfg.source_ids, key=tail.__getitem__)  # ties: declaration order
+def _heaviest_path(dfg: Dfg, tail: list[int]) -> list[int]:
+    """The first heaviest source-to-sink path by node declaration order, as
+    node positions, given each node's tail by position: the total delay of
+    its heaviest path to a sink."""
+    succs = dfg.succ_positions
+    # A predecessor's tail exceeds its successor's, so the first largest tail is a source's.
+    current = tail.index(max(tail))
     path = [current]
-    while dfg.succs(current):
-        current = max(dfg.succs(current), key=lambda s: (tail[s], -dfg.declaration_index(s)))
+    while succs[current]:
+        current = max(succs[current], key=lambda s: (tail[s], -s))  # ties: declaration order
         path.append(current)
     return path
 
@@ -149,38 +164,36 @@ def _repair_latency(
     until the latency bound is met; the assignment and its asap latency,
     or Infeasible once no critical-path node can go any faster.  The
     asap latency is the total delay of a critical path."""
-    assignment, moves = initial_allocation(dfg, library), _moves(library)
-    tail: dict[str, int] = {}  # total delay of each node's heaviest path to a sink
+    versions = list(initial_allocation(dfg, library).values())  # in node order: by position
+    preds, succs, moves = dfg.pred_positions, dfg.succ_positions, _moves(library)
+    tail = [0] * len(versions)  # total delay of each node's heaviest path to a sink
 
-    def tail_of(nid: str) -> int:
-        return assignment[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+    def tail_of(k: int) -> int:
+        return versions[k].delay + max([tail[s] for s in succs[k]], default=0)
 
-    for nid in reversed(dfg.topo_order):
-        tail[nid] = tail_of(nid)
+    for k in reversed(dfg.topo_positions):
+        tail[k] = tail_of(k)
     while True:
         path = _heaviest_path(dfg, tail)
         latency = tail[path[0]]
         if latency <= l_d:
-            return assignment, latency
-        candidates = [
-            (-assignment[nid].delay, dfg.declaration_index(nid), nid)
-            for nid in path if moves[assignment[nid].name][0]
-        ]
+            return dict(zip(dfg.node_ids, versions)), latency
+        candidates = [(-versions[k].delay, k) for k in path if moves[versions[k].name][0]]
         if not candidates:
             return Infeasible(
                 "latency",
                 f"minimum latency {latency} exceeds bound {l_d} and no "
                 "critical-path node has a faster version",
             )
-        victim = min(candidates)[2]
-        assignment[victim] = moves[assignment[victim].name][0]
+        victim = min(candidates)[1]
+        versions[victim] = moves[versions[victim].name][0]
         # Only the victim's tail and its ancestors' can change; stop where one holds.
         stack = [victim]
         while stack:
-            nid = stack.pop()
-            if (new := tail_of(nid)) != tail[nid]:
-                tail[nid] = new
-                stack.extend(dfg.preds(nid))
+            k = stack.pop()
+            if (new := tail_of(k)) != tail[k]:
+                tail[k] = new
+                stack.extend(preds[k])
 
 
 def find_design(

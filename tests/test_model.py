@@ -158,6 +158,39 @@ def test_render_parse_round_trip():
         assert parse_dfg(render_dfg(dfg)) == dfg
 
 
+def test_position_arrays_match_the_id_lookups():
+    # Node k is dfg.nodes[k]; nodes and edges are declared in shuffled order.
+    rng = random.Random(23)
+    for _ in range(40):
+        base = random_dfg(rng, min_nodes=1, max_nodes=12, edge_p=0.3)
+        nodes, edges = list(base.nodes), list(base.edges)
+        rng.shuffle(nodes)
+        rng.shuffle(edges)
+        dfg = Dfg(tuple(nodes), tuple(edges))
+        ids = dfg.node_ids
+        for k, nid in enumerate(ids):
+            assert dfg.declaration_index(nid) == k
+            preds = tuple(ids[p] for p in dfg.pred_positions[k])
+            succs = tuple(ids[s] for s in dfg.succ_positions[k])
+            assert preds == dfg.preds(nid) == tuple(src for src, dst in edges if dst == nid)
+            assert succs == dfg.succs(nid) == tuple(dst for src, dst in edges if src == nid)
+        # Kahn's algorithm over the edge list, ties in declaration order.
+        indeg = {nid: sum(dst == nid for _, dst in edges) for nid in ids}
+        ready, order = [nid for nid in ids if not indeg[nid]], []
+        while ready:
+            order.append(ready.pop(0))
+            for src, dst in edges:
+                if src == order[-1]:
+                    indeg[dst] -= 1
+                    if not indeg[dst]:
+                        ready.append(dst)
+        assert [ids[k] for k in dfg.topo_positions] == list(dfg.topo_order) == order
+        assert list(dfg.class_positions) == list(OpClass)
+        for cls, positions in dfg.class_positions.items():
+            assert positions == tuple(k for k, n in enumerate(dfg.nodes) if n.op_class is cls)
+            assert len(positions) == dfg.class_counts()[cls]
+
+
 def test_topological_order_exists_for_accepted_graphs():
     rng = random.Random(8)
     for _ in range(30):

@@ -411,11 +411,10 @@ def _unpruned_best(dfg: Dfg, library: ResourceLibrary, bounds: Bounds) -> float 
     return "area" if meets_latency else "latency"
 
 
-def test_oracle_pruning_keeps_the_optimum():
-    # Each bound prunes the oracle's walk and its start search; neither may
-    # cut the best design that plain enumeration finds.
+def _pruning_cases():
+    """(dfg, library, bounds) on DAGs of at most four nodes, within reach of
+    `_unpruned_best`, with latency bounds around the fastest critical path."""
     rng = random.Random(97)
-    outcomes = []
     for _ in range(40):
         dfg = _oracle_dag(rng, max_nodes=4)
         for lib in (LIB, _oracle_library(rng)):
@@ -425,13 +424,87 @@ def test_oracle_pruning_keeps_the_optimum():
             lo = asap(dfg, fastest).latency
             for latency in range(max(1, lo - 1), lo + 3):
                 for area in rng.sample((1, 2, 3, 4.5, 6, 8), 2):
-                    expected = _unpruned_best(dfg, lib, Bounds(latency, area))
-                    result = oracle_best(dfg, lib, Bounds(latency, area))
-                    if isinstance(expected, str):
-                        assert isinstance(result, Infeasible) and result.reason == expected
-                    else:
-                        assert isinstance(result, Design)
-                        validate_design(dfg, lib, result, latency_bound=latency, area_bound=area)
-                        assert math.isclose(result.reliability, expected, rel_tol=1e-12)
-                    outcomes.append(expected if isinstance(expected, str) else "design")
+                    yield dfg, lib, Bounds(latency, area)
+
+
+def test_oracle_pruning_keeps_the_optimum():
+    # Each bound prunes the oracle's walk and its start search; neither may
+    # cut the best design that plain enumeration finds.
+    outcomes = []
+    for dfg, lib, bounds in _pruning_cases():
+        expected = _unpruned_best(dfg, lib, bounds)
+        result = oracle_best(dfg, lib, bounds)
+        if isinstance(expected, str):
+            assert isinstance(result, Infeasible) and result.reason == expected
+        else:
+            assert isinstance(result, Design)
+            validate_design(
+                dfg, lib, result, latency_bound=bounds.latency_bound, area_bound=bounds.area_bound
+            )
+            assert math.isclose(result.reliability, expected, rel_tol=1e-12)
+        outcomes.append(expected if isinstance(expected, str) else "design")
     assert set(outcomes) == {"design", "area", "latency"}
+
+
+def _cheapest_start_vector(dfg: Dfg, versions: list[ResourceVersion], latency: int) -> float:
+    """The least area over every precedence-feasible start vector in
+    [1, latency], priced as `_unpruned_best` prices it (Σ area × peak
+    concurrency per version), with no pruning; node k takes versions[k]."""
+    order, preds = dfg.topo_positions, dfg.pred_positions
+    kinds = list(dict.fromkeys(versions))
+    rows = [[0] * latency for _ in kinds]  # per version, operations per cycle
+    row_of = [rows[kinds.index(v)] for v in versions]
+    starts = [0] * len(versions)
+    cheapest = math.inf
+
+    def place(i: int) -> None:
+        nonlocal cheapest
+        k = order[i]
+        row, delay = row_of[k], versions[k].delay
+        first = max([starts[p] + versions[p].delay for p in preds[k]], default=1)
+        for s in range(first, latency - delay + 2):
+            starts[k] = s
+            for c in range(s - 1, s + delay - 1):
+                row[c] += 1
+            if i + 1 < len(order):
+                place(i + 1)
+            else:
+                area = 0.0
+                for v, busy in zip(kinds, rows):
+                    area += v.area * max(busy)
+                cheapest = min(cheapest, area)
+            for c in range(s - 1, s + delay - 1):
+                row[c] -= 1
+
+    place(0)
+    return cheapest
+
+
+def test_root_bound_refuses_only_combinations_that_cannot_fit(monkeypatch):
+    # On both oracle corpora, brute force finds no start vector that fits the
+    # area bound for any version combination the root bound refuses, and the
+    # bound refuses some.  Each is checked once, at its largest refused area.
+    refused: dict[tuple, tuple] = {}
+    current = []
+    feasible_starts, root_bound = oracle._feasible_starts, oracle._root_bound
+
+    def recording_starts(dfg, assignment, used, bounds):
+        current[:] = [dfg, [assignment[nid] for nid in dfg.node_ids], bounds]
+        return feasible_starts(dfg, assignment, used, bounds)
+
+    def recording_root(*args):
+        bound = root_bound(*args)
+        dfg, versions, bounds = current
+        if bound > bounds.area_bound:
+            key = (id(dfg), tuple(v.name for v in versions), bounds.latency_bound)
+            area = max(bounds.area_bound, refused.get(key, (0,))[0])
+            refused[key] = (area, dfg, versions)  # holds the graph, so ids stay unique
+        return bound
+
+    monkeypatch.setattr(oracle, "_feasible_starts", recording_starts)
+    monkeypatch.setattr(oracle, "_root_bound", recording_root)
+    for dfg, lib, bounds in itertools.chain(_oracle_cases(83, 40), _pruning_cases()):
+        oracle.oracle_best(dfg, lib, bounds)
+    assert len(refused) > 0
+    for (_, _, latency), (area, dfg, versions) in refused.items():
+        assert _cheapest_start_vector(dfg, versions, latency) > area

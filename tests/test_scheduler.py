@@ -28,11 +28,12 @@ def chain(n, version):
 
 def critical_path(dfg, asg):
     """`_heaviest_path` on tails computed here: each node's delay plus its
-    heaviest successor's tail."""
+    heaviest successor's tail; node positions mapped back to ids."""
     tail = {}
     for nid in reversed(dfg.topo_order):
         tail[nid] = asg[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
-    return _heaviest_path(dfg, tail)
+    path = _heaviest_path(dfg, [tail[nid] for nid in dfg.node_ids])
+    return [dfg.node_ids[k] for k in path]
 
 
 def uniform(dfg, add_version=ADDER2, mul_version=MULT2):
