@@ -69,7 +69,7 @@ class Dfg:
     The scheduler, the binder and latency repair run on arrays by position
     (k is nodes[k]), built once: `pred_positions` and `succ_positions` (in
     edge order) and `topo_positions` with the edge and cycle checks,
-    `class_positions` on first use."""
+    `class_positions` and `class_peers` on first use."""
 
     nodes: tuple[DfgNode, ...]
     edges: tuple[tuple[str, str], ...]
@@ -119,11 +119,24 @@ class Dfg:
         return tuple(order)
 
     @cached_property
+    def _classes(self) -> tuple[dict[OpClass, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+        # One attribute for both: a ninth instance attribute regrows the
+        # instance dict of every graph (about 400 bytes each).
+        classes = [n.op_class for n in self.nodes]
+        of_class = {cls: tuple(k for k, c in enumerate(classes) if c is cls) for cls in OpClass}
+        peers = {k: positions for positions in of_class.values() for k in positions}
+        return of_class, tuple(peers[k] for k in range(len(self.nodes)))
+
+    @property
     def class_positions(self) -> dict[OpClass, tuple[int, ...]]:
         """Per operation class, in `OpClass` order, its nodes' positions in
         declaration order; built on first use."""
-        classes = [n.op_class for n in self.nodes]
-        return {cls: tuple(k for k, c in enumerate(classes) if c is cls) for cls in OpClass}
+        return self._classes[0]
+
+    @property
+    def class_peers(self) -> tuple[tuple[int, ...], ...]:
+        """Per node position, its class's tuple from `class_positions`."""
+        return self._classes[1]
 
     # -- lookup helpers -------------------------------------------------
 

@@ -3,12 +3,11 @@
 The density scheduler is force-directed scheduling (Paulin & Knight,
 1989) in the incremental form of Verhaegh et al.: windows are computed
 once and tightened only where a placement moves them, and each round
-folds the occupancy density of one class over one window instead of
-rebuilding every window and density; it adds a node's share to whole
-slices of cells, with the same float additions per cell as a
-start-by-start sum.  Its schedules equal those of the round-by-round
-form bit for bit, tie-breaks included.  It reads each node's delay and
-class, never its version name.
+scores one node's starts by its class's occupancy density: by a
+fixed-point filter where that pays and decides, else by a float fold
+with the additions per cell of a start-by-start sum.  Its schedules
+equal those of the round-by-round form bit for bit, tie-breaks
+included.  It reads each node's delay and class, never its version name.
 
 Cycles are 1-based.  A node with start s and delay d occupies the
 execution interval [s, s+d-1]; functional units are non-pipelined, so a
@@ -21,6 +20,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Mapping
 
 from .model import Assignment, Dfg, check_assignment
@@ -135,6 +136,28 @@ def _fold(
                     row[i : b + j + 1] = [c + s for c in row[i : b + j + 1]]
 
 
+def _shift(diff: list[int], a: int, b: int, d: int, sign: int) -> None:
+    """Add sign * floor(2**64 / (b-a+1)) per start in [a, b] to its cycles."""
+    q = sign * ((1 << 64) // (b - a + 1))
+    diff[a] += q
+    diff[b + 1] -= q
+    diff[a + d] -= q
+    diff[b + d + 1] += q
+
+
+def _slack(score: int, terms: int) -> int:
+    """Bound on |2**64 * float score - score| (see density_schedule)."""
+    return terms + (terms * (score + terms) >> 52) + 1
+
+
+def _filter_pick(scores: list[int], terms: int) -> int | None:
+    """Index of the start the float fold must pick, or None if unsure."""
+    best = min(scores)
+    k = scores.index(best)
+    runner_up = min(scores[:k] + scores[k + 1 :])
+    return k if best + _slack(best, terms) < runner_up - _slack(runner_up, terms) else None
+
+
 def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
     """Schedule by repeatedly placing the most constrained node into the
     least occupied slot of its class.
@@ -145,21 +168,32 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     start of its unplaced ancestors, only as far as those values move.
     Each round takes the unplaced node with the smallest window (ties:
     declaration order) from a heap and starts it where its execution
-    interval sees the smallest summed density of its class (ties:
-    earliest cycle).  That density is folded only for the node's class
-    over the cycles its window can reach, node by node in declaration
-    order, with the float additions of a full recomputation; a node with
-    a single candidate start is placed without a fold.  The golden
-    digests in tests/test_scheduler.py pin the schedules to those of the
-    round-by-round form, which rebuilt every window and density.  No
-    window empties once the ASAP check passes: a start in [lo, hi] lifts
-    a descendant's earliest start to at most hi plus the delays between,
-    within its latest start, and lowers an ancestor's latest likewise.
+    interval sees the smallest summed float density of its class, folded
+    node by node in declaration order with the float additions of a full
+    recomputation (ties: earliest cycle).  No window empties once the
+    ASAP check passes: a start in [lo, hi] lifts a descendant's earliest
+    start to at most hi plus the delays between, within its latest
+    start, and lowers an ancestor's latest likewise.
+
+    A filter decides the rounds where class size times starts is 64 or
+    more, folding only on near ties.  From its first round, each class
+    keeps its density times 2**64 as second differences by cycle: a
+    window [lo, hi] of width w and delay d adds q = floor(2**64 / w) at
+    lo and hi+d+1 and -q at hi+1 and lo+d.  A start's fixed score F has
+    at most N = d * (total delay) terms q, so 0 <= 2**64 E - F < N for
+    its exact score E.  The fold rounds each 1/w and adds each term into
+    a cell and each cell into the score, at most N roundings per term,
+    so its score S has |S - E| <= gamma_N E <= 2**-52 N E (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
+    |2**64 S - F| <= `_slack(F, N)`.  A start whose F beats every other
+    by both slacks is the fold's pick; in other rounds float rounding,
+    not the exact density, breaks ties.
     """
     delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
     hi = _alap_starts(dfg, delay, latency_bound)
-    preds, succs, of_class = dfg.pred_positions, dfg.succ_positions, dfg.class_positions
+    preds, succs, peers = dfg.pred_positions, dfg.succ_positions, dfg.class_peers
     share = [1.0 / (width + 1) for width in range(latency_bound)]
+    diff_of = None  # per node, its class's second differences; built on first use
     placed = [False] * len(delay)
     heap = [(hi[i] - lo[i], i) for i in range(len(delay))]
     heapq.heapify(heap)
@@ -169,14 +203,25 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
             continue  # stale entry: placed already, or its window shrank
         best_start = lo[v]
         if width:  # more than one candidate start
-            d = delay[v]
-            row = [0.0] * (width + d)  # cycles lo[v]..hi[v]+d-1
-            _fold(row, lo[v], of_class[dfg.nodes[v].op_class], lo, hi, delay, share)
-            # Each start's score adds its cells left to right, as from 0.0.
-            scores = row[: width + 1]
-            for j in range(1, d):
-                scores = [score + c for score, c in zip(scores, row[j:])]
-            best_start += scores.index(min(scores))  # ties: earliest cycle
+            d, k = delay[v], None
+            if len(peers[v]) * (width + 1) >= 64:  # smaller folds cost less than the filter
+                if diff_of is None:
+                    diff_of, shown, terms = [], list(zip(lo, hi)), sum(delay)
+                    for u, first in enumerate(nodes[0] for nodes in peers):  # a list per class
+                        diff_of.append(diff_of[first] if first < u else [0] * (latency_bound + 3))
+                        _shift(diff_of[u], lo[u], hi[u], delay[u], 1)
+                total = list(accumulate(accumulate(accumulate(diff_of[v][: hi[v] + d]))))
+                scores = list(map(sub, total[lo[v] + d - 1 :], total[lo[v] - 1 : hi[v]]))
+                k = _filter_pick(scores, d * terms)
+            if k is None:
+                row = [0.0] * (width + d)  # cycles lo[v]..hi[v]+d-1
+                _fold(row, lo[v], peers[v], lo, hi, delay, share)
+                # Each start's score adds its cells left to right, as from 0.0.
+                scores = row[: width + 1]
+                for j in range(1, d):
+                    scores = [score + c for score, c in zip(scores, row[j:])]
+                k = scores.index(min(scores))  # ties: earliest cycle
+            best_start += k
         placed[v] = True
         lo[v] = hi[v] = best_start
         moved = []
@@ -198,5 +243,10 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
                     stack.append(u)
         for u in moved:
             heapq.heappush(heap, (hi[u] - lo[u], u))
+        for u in [v, *moved] if diff_of else ():  # move what diff_of holds (shown)
+            a, b = shown[u]
+            if a != lo[u] or b != hi[u]:
+                _shift(diff_of[u], a, b, delay[u], -1)
+                _shift(diff_of[u], lo[u], hi[u], delay[u], 1)
+                shown[u] = lo[u], hi[u]
     return _as_schedule(dfg, lo, delay)  # every node placed: lo holds the starts
-

@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from checks import random_dfg
+from relsyn import scheduler
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
 from relsyn.model import parse_library
 from relsyn.scheduler import InfeasibleBoundError, alap, asap, density_schedule
@@ -291,14 +294,18 @@ def _random_golden_cases(rng, library):
 GOLDEN_SCHEDULES_SHA256 = "c56f13b1ecb0e4bf29d4dab40f8ad7991f74360064863cde278e9e4e24328cec"
 
 
-def test_density_schedule_golden_digest():
+def _schedules_digest(cases):
     lines = []
-    for dfg, asg, bound in _golden_cases():
+    for dfg, asg, bound in cases:
         sched = density_schedule(dfg, asg, bound)
         lines.append(repr((tuple(sched.starts.items()), sched.latency)))
-    assert len(lines) == 3 * 6 * 7 + 16
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN_SCHEDULES_SHA256
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_density_schedule_golden_digest():
+    cases = list(_golden_cases())
+    assert len(cases) == 3 * 6 * 7 + 16
+    assert _schedules_digest(cases) == GOLDEN_SCHEDULES_SHA256
 
 
 # Versions of 1-4 cycles, so windows fold over multi-cell intervals and
@@ -321,13 +328,9 @@ GOLDEN_WIDE_SCHEDULES_SHA256 = "4cdcf4b25c852de44f86d895b8e634469382403ab5e16785
 
 
 def test_density_schedule_golden_digest_wide_delays():
-    lines = []
-    for dfg, asg, bound in _random_golden_cases(random.Random(43), WIDE_LIB):
-        sched = density_schedule(dfg, asg, bound)
-        lines.append(repr((tuple(sched.starts.items()), sched.latency)))
-    assert len(lines) == 16
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN_WIDE_SCHEDULES_SHA256
+    cases = list(_random_golden_cases(random.Random(43), WIDE_LIB))
+    assert len(cases) == 16
+    assert _schedules_digest(cases) == GOLDEN_WIDE_SCHEDULES_SHA256
 
 
 def test_infeasible_bound_messages():
@@ -335,3 +338,90 @@ def test_infeasible_bound_messages():
     with pytest.raises(InfeasibleBoundError) as exc:
         density_schedule(dfg, asg, 5)
     assert str(exc.value) == "latency bound 5 below minimum achievable 6"
+
+
+def _filtered_rounds(monkeypatch, cases):
+    """Schedule `cases` with every filter pick recorded and then refused,
+    so each filtered round also folds.  Per filtered round: the fixed
+    scores, the term bound, the filter's pick, the fold's float scores
+    and the exact scores times the lcm of the widths (the same fold on
+    integers), with that lcm.  Returns them and the schedules' digest."""
+    real_pick, real_fold = scheduler._filter_pick, scheduler._fold
+    pending, rounds = [], []
+
+    def pick(scores, terms):
+        pending.append((scores, terms, real_pick(scores, terms)))
+        return None
+
+    def fold(row, first, nodes, lo, hi, delay, share):
+        real_fold(row, first, nodes, lo, hi, delay, share)
+        if not pending:
+            return  # a round the filter does not score: a small class or few starts
+        fixed, terms, k = pending.pop()
+        width = len(fixed) - 1
+        d = len(row) - width
+        lcm = math.lcm(*range(1, len(share) + 1))
+        exact = [0] * len(row)
+        real_fold(exact, first, nodes, lo, hi, delay, [lcm // (w + 1) for w in range(len(share))])
+        floats = []
+        for j in range(width + 1):  # left to right, as density_schedule adds
+            score = row[j]
+            for c in row[j + 1 : j + d]:
+                score += c
+            floats.append(score)
+        exact_scores = [sum(exact[j : j + d]) for j in range(width + 1)]
+        rounds.append((fixed, terms, k, floats, exact_scores, lcm))
+
+    monkeypatch.setattr(scheduler, "_filter_pick", pick)
+    monkeypatch.setattr(scheduler, "_fold", fold)
+    digest = _schedules_digest(cases)
+    assert not pending
+    return rounds, digest
+
+
+@pytest.mark.parametrize("library", ["LIB", "WIDE_LIB"])
+def test_filter_margin_is_sound(monkeypatch, library):
+    # Every round the fixed-point filter scores, over the golden corpora:
+    # each fixed score F is floor-weighted, 0 <= 2**64 E - F < N for the
+    # exact score E; each float fold score S is within the stated slack,
+    # |2**64 S - F| <= _slack(F, N); a start the filter picks is the
+    # fold's argmin; and the filter decides at least half the rounds.
+    if library == "LIB":
+        cases, golden = list(_golden_cases()), GOLDEN_SCHEDULES_SHA256
+    else:
+        cases = list(_random_golden_cases(random.Random(43), WIDE_LIB))
+        golden = GOLDEN_WIDE_SCHEDULES_SHA256
+    rounds, digest = _filtered_rounds(monkeypatch, cases)
+    assert digest == golden  # the fold alone gives the golden schedules
+    decided = 0
+    for fixed, terms, k, floats, exact, lcm in rounds:
+        for f, s, e in zip(fixed, floats, exact):
+            assert 0 <= e * 2**64 - f * lcm < terms * lcm
+            assert abs(Fraction(s) * 2**64 - f) <= scheduler._slack(f, terms)
+        if k is not None:
+            decided += 1
+            assert floats.index(min(floats)) == k
+    assert len(rounds) > 1000
+    assert decided >= len(rounds) / 2, (decided, len(rounds))
+
+
+def test_fold_breaks_an_exact_tie_the_filter_leaves_open(monkeypatch):
+    # Sixteen independent two-cycle adds at L 8.  v0 goes to cycle 1 and
+    # v1 to cycle 7; every other window is still [1, 7].  v2's exact
+    # scores by start 1..7 are then 8, 9, 8, 8, 8, 9, 8, so exact
+    # densities would start it at 1.  The float fold's sums at 3-5 round
+    # to 7.999999999999997, below its 8.0 at 1, and v2 starts at 3.
+    dfg = parse_dfg("".join(f"node v{i} add\n" for i in range(16)))
+    asg = {nid: ADDER1 for nid in dfg.node_ids}
+    cells = [
+        (c in (1, 2)) + (c in (7, 8)) + 14 * Fraction(min(7, c) - max(1, c - 1) + 1, 7)
+        for c in range(1, 9)
+    ]
+    assert [cells[s - 1] + cells[s] for s in range(1, 8)] == [8, 9, 8, 8, 8, 9, 8]
+    rounds, _ = _filtered_rounds(monkeypatch, [(dfg, asg, 8)])
+    fixed, terms, k, floats, exact, lcm = rounds[2]
+    assert k is None and [e / lcm for e in exact] == [8, 9, 8, 8, 8, 9, 8]
+    assert floats.index(min(floats)) == 2
+    monkeypatch.undo()
+    sched = density_schedule(dfg, asg, 8)
+    assert [sched.starts[f"v{i}"] for i in range(3)] == [1, 7, 3]
