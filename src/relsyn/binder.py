@@ -10,7 +10,7 @@ of each operation bound to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -114,7 +114,7 @@ def with_nmr(binding: Binding, nmr_spec: Mapping[int, int]) -> Binding:
             raise ValidationError(f"nmr spec references unknown instance {iid}")
     instances = tuple(
         inst if nmr_spec.get(inst.id, inst.nmr_factor) == inst.nmr_factor
-        else replace(inst, nmr_factor=nmr_spec[inst.id])
+        else Instance(inst.id, inst.version, nmr_spec[inst.id])
         for inst in binding.instances
     )
     return Binding(binding.node_to_instance, instances)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 
 from .binder import with_nmr
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
@@ -120,9 +119,8 @@ def _price_upgrade(
 
 
 def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:
-    return replace(
-        design, binding=with_nmr(design.binding, nmr), area=area, reliability=reliability
-    )
+    binding = with_nmr(design.binding, nmr)
+    return Design(design.assignment, design.schedule, binding, design.latency, area, reliability)
 
 
 def baseline_nmr_synth(
@@ -140,7 +138,7 @@ def baseline_nmr_synth(
     library.check_covers(dfg)
     designs = single_version_designs(dfg, library, bounds.latency_bound, memo=memo)
     a_d = bounds.area_bound
-    # best_design's order on the upgraded values: the first maximum wins.
+    # The docstring's order on the upgraded values: the first maximum wins.
     best = max(
         ((d, _price_upgrade(d, library, a_d)) for d in designs if d.area <= a_d),
         key=lambda p: (p[1][2], -p[1][1], -p[0].latency),

@@ -12,25 +12,27 @@ whose schedules keep their bound.
 The repair loops only ever shrink a node's version area, so they cannot
 discover designs that get cheaper by consolidating operations onto a
 shared *larger* version (e.g. serializing every multiplication onto one
-fast multiplier).  When area repair dead-ends, a final fallback
-enumerates the single-version-per-class assignments and returns the
-most reliable one that fits both bounds.
+fast multiplier).  When area repair dead-ends, a final fallback walks
+the single-version-per-class assignments most reliable first and returns
+the most reliable one that fits both bounds.
 
 Every design goes through a `memo` dict.  Nothing in it depends on the
-area bound, so the memo keeps (delays, latency bound) -> schedule and
-(version names, latency bound) -> scheduled, bound and priced `Design`,
-each None if the bound is missed: a move between versions of equal delay
-re-binds without re-scheduling, and a design met again is not re-built.
-It keeps ("single-version", latency bound) -> the tuple of single-version
-designs, and latency bound -> walk: latency repair's Infeasible, or the
-(scheduling latency, design) pairs that latency repair, slack and area
-repair have met so far.  The walk is the same for every area bound, which
-only picks the design it stops at, the first that fits; a call grows it
-only when none fits, and it becomes a tuple once area repair dead-ends.
-A caller that solves many bound pairs on one graph and library (a sweep)
-may pass the same memo to every call; without one, each call uses a memo
-of its own.  Whatever a shared memo holds is shared: treat it as
-read-only.
+area bound, so the memo keeps (delays, latency bound) -> schedule,
+version names -> reliability and (version names, latency bound) ->
+scheduled, bound and priced `Design`, None if the bound is missed: a
+move between versions of equal delay re-binds without re-scheduling, and
+nothing met again is re-built or re-priced.  It keeps "single-version" ->
+the single-version assignments with their designs by latency bound, in
+library order and most reliable first; ("single-version", latency
+bound) -> the tuple of their designs; and latency bound -> walk:
+latency repair's Infeasible, or the (scheduling latency, design) pairs
+that latency repair, slack and area repair have met so far.  The walk is
+the same for every area bound, which only picks the design it stops at,
+the first that fits; a call grows it only when none fits, and it becomes
+a tuple once area repair dead-ends.  A caller that solves many bound
+pairs on one graph and library (a sweep) may pass the same memo to every
+call; without one, each call uses a memo of its own.  Whatever a shared
+memo holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _moves(library: ResourceLibrary) -> dict[str, tuple[ResourceVersion | None, 
 
 
 # The memo of the module docstring, for the flows of one graph and library;
-# delay keys hold ints and name keys strings, so the two never collide.
+# delay keys hold ints and name keys strings, so no two kinds of key collide.
 Memo = MutableMapping[object, object]
 
 
@@ -111,9 +113,33 @@ def _design_at(
                 binding=binding,
                 latency=schedule.latency,
                 area=total_area(binding, library),
-                reliability=evaluate_reliability(dfg, assignment),  # bind makes every factor 1
+                reliability=_reliability(dfg, assignment, names[0], memo),
             )
     return memo[names]
+
+
+def _reliability(dfg: Dfg, assignment: Assignment, names: tuple[str, ...], memo: Memo) -> float:
+    """The reliability of `assignment`, with version `names` by node; priced once per memo."""
+    if names not in memo:
+        memo[names] = evaluate_reliability(dfg, assignment)  # bind makes every factor 1
+    return memo[names]
+
+
+def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, list]:
+    """Each single-version-per-class assignment as (reliability, assignment,
+    [(area, nodes x delay) per used version], {latency bound: design}), class
+    versions in library order; then the same most reliable first."""
+    if "single-version" not in memo:
+        classes = dfg.class_positions
+        menus = [library.versions_for(cls) if p else (None,) for cls, p in classes.items()]
+        candidates = []
+        for combo in itertools.product(*menus):  # None: a class with no node
+            assignment = _per_class(dfg, combo)
+            names = tuple(v.name for v in assignment.values())  # in node order
+            loads = [(v.area, len(p) * v.delay) for v, p in zip(combo, classes.values()) if p]
+            candidates.append((_reliability(dfg, assignment, names, memo), assignment, loads, {}))
+        memo["single-version"] = candidates, sorted(candidates, key=lambda c: -c[0])  # stable
+    return memo["single-version"]
 
 
 def single_version_designs(
@@ -125,22 +151,31 @@ def single_version_designs(
     memo = {} if memo is None else memo
     key = ("single-version", latency_bound)
     if key not in memo:
-        menus = [
-            library.versions_for(cls) if positions else (None,)  # None: a class with no node
-            for cls, positions in dfg.class_positions.items()
-        ]
         designs = []
-        for combo in itertools.product(*menus):
-            assignment = _per_class(dfg, combo)
-            designs.append(_design_at(dfg, library, assignment, latency_bound, memo))
+        for _, assignment, _, built in _candidates(dfg, library, memo)[0]:
+            if latency_bound not in built:
+                built[latency_bound] = _design_at(dfg, library, assignment, latency_bound, memo)
+            designs.append(built[latency_bound])
         memo[key] = tuple(d for d in designs if d is not None)
     return memo[key]
 
 
-def best_design(designs: Iterable[Design]) -> Design | None:
-    """Most reliable design; ties break toward smaller area, then smaller
-    latency, then the earliest one."""
-    return max(designs, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
+def _fallback(dfg: Dfg, library: ResourceLibrary, bounds: Bounds, memo: Memo) -> Design | None:
+    """The most reliable single-version design that fits both bounds (ties:
+    smaller area, smaller latency, library order) or None.  It skips unbuilt
+    a candidate whose area floor, ceil(nodes x delay / L) instances per used
+    version, exceeds the area bound past a relative 1e-9 rounding margin."""
+    l_d, a_d, fits = bounds.latency_bound, bounds.area_bound, []
+    for reliability, assignment, loads, designs in _candidates(dfg, library, memo)[1]:
+        if fits and reliability < fits[0].reliability:
+            break
+        if l_d not in designs:
+            if sum(area * max(1, -(-load // l_d)) for area, load in loads) * (1 - 1e-9) > a_d:
+                continue
+            designs[l_d] = _design_at(dfg, library, assignment, l_d, memo)
+        if designs[l_d] is not None and designs[l_d].area <= a_d:
+            fits.append(designs[l_d])
+    return min(fits, key=lambda d: (d.area, d.latency), default=None)  # the first minimum
 
 
 def _heaviest_path(dfg: Dfg, tail: list[int]) -> list[int]:
@@ -247,12 +282,7 @@ def find_design(
         walk.append((latency, design))
         if design.area <= a_d:
             return design
-    fallback = best_design(
-        d for d in single_version_designs(dfg, library, l_d, memo=memo) if d.area <= a_d
-    )
-    if fallback is not None:
-        return fallback
-    return Infeasible(
+    return _fallback(dfg, library, bounds, memo) or Infeasible(
         "area",
         f"area {design.area:g} exceeds bound {a_d:g}; no node has a smaller "
         "version that is no slower and no single-version design fits",

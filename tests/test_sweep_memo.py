@@ -183,9 +183,10 @@ def test_flow_designs_unchanged(shared):
 
 
 def test_sweep_builds_each_design_once(tmp_path, capsys, monkeypatch):
-    # Each distinct (assignment, L) of the sweep is bound once and priced
-    # once, however many area bounds and flows reach it.
-    bound, priced = [], Counter()
+    # Each distinct (assignment, L) of the sweep is bound once, however many
+    # area bounds and flows reach it, and each distinct assignment is priced
+    # once, however many L it is bound at: its reliability does not depend on L.
+    bound, priced = [], []
     bind, evaluate = synthesizer.bind, synthesizer.evaluate_reliability
 
     def counting_bind(dfg, schedule, assignment):
@@ -193,15 +194,19 @@ def test_sweep_builds_each_design_once(tmp_path, capsys, monkeypatch):
         bound.append((tuple(v.name for v in assignment.values()), id(schedule)))
         return bind(dfg, schedule, assignment)
 
-    def counting_evaluate(*args):
-        priced["calls"] += 1
-        return evaluate(*args)
+    def counting_evaluate(dfg, assignment, *rest):
+        priced.append(tuple(v.name for v in assignment.values()))
+        return evaluate(dfg, assignment, *rest)
 
     monkeypatch.setattr(synthesizer, "bind", counting_bind)
     monkeypatch.setattr(synthesizer, "evaluate_reliability", counting_evaluate)
     csv = _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
     assert csv.count("\n") == 1 + 432
-    assert priced["calls"] == len(bound) == len(set(bound))
+    assert len(bound) == len(set(bound))
+    assert len(priced) == len(set(priced))
+    assert {names for names, _ in bound} <= set(priced)
+    # The single-version assignments are bound at many L but priced once.
+    assert len({names for names, _ in bound}) < len(bound)
 
 
 def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(

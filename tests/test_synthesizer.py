@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -260,6 +261,134 @@ def test_single_version_designs_schedule_each_delay_vector_once(monkeypatch):
     assert len(schedules) == 4 and set(schedules.values()) == {1}
     assert len(designs) == len(bindings) == 4
     assert set(bindings.values()) == {1}
+
+
+# perfbench's sweep-bundled grids: (graph, latency bounds, area bounds).
+BUNDLED_GRIDS = (
+    ("fir16", range(9, 17), range(8, 41, 4)),
+    ("ew", range(14, 22), range(6, 41, 2)),
+    ("diffeq", range(4, 12), range(4, 37, 4)),
+)
+
+# Equal reliabilities across versions: AddA and AddC differ only in name,
+# AddB trades area for delay at AddA's reliability, and MulA and MulB tie.
+TIE_LIB = parse_library(
+    """
+    resource AddA add 2 1 0.98
+    resource AddB add 1 2 0.98
+    resource AddC add 2 1 0.98
+    resource AddD add 0.5 3 0.9
+    resource MulA mul 3 1 0.97
+    resource MulB mul 1.5 3 0.97
+    resource MulC mul 1.25 4 0.95
+    """
+)
+
+
+def _reference_fallback(dfg, library, l_d, a_d, memo=None):
+    """The most reliable single-version design that fits, ties to smaller
+    area, then smaller latency, then the earliest: every design built."""
+    fits = (d for d in single_version_designs(dfg, library, l_d, memo=memo) if d.area <= a_d)
+    return max(fits, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
+
+
+def _summary(design):
+    if design is None:
+        return None
+    names = tuple(v.name for v in design.assignment.values())
+    return names, design.latency, design.area, design.reliability
+
+
+def _fallback_cases():
+    """(graph, library, latency bounds, area bounds): the bundled grids,
+    then 200 seeded 6-10 node DAGs with the bundled, the 1-4-cycle and the
+    equal-reliability library, from one cycle below their fastest
+    latency to four above it."""
+    for name, latencies, areas in BUNDLED_GRIDS:
+        yield builtin_benchmark(name), LIB, latencies, areas
+    rng = random.Random(61)
+    for _ in range(200):
+        dfg = random_dfg(rng, max_nodes=10, min_nodes=6)
+        library = rng.choice((LIB, WIDE_LIB, TIE_LIB))
+        fastest = {c: min(library.versions_for(c), key=lambda v: v.delay) for c in OpClass}
+        minimum = asap(dfg, {x.id: fastest[x.op_class] for x in dfg.nodes}).latency
+        yield dfg, library, range(minimum - 1, minimum + 5), (2, 3.5, 5, 7.25, 10, 15, 24)
+
+
+def test_fallback_returns_the_reference_design():
+    # Walked most reliable first with the area floor, the fallback returns
+    # the design that building and comparing every candidate returns, with
+    # a memo of its own and with one memo per graph in a shuffled order.
+    rng = random.Random(7)
+    checked = ties = 0
+    for dfg, library, latencies, areas in _fallback_cases():
+        points = [(l_d, a_d) for l_d in latencies for a_d in areas]
+        rng.shuffle(points)
+        memo, reference_memo = {}, {}
+        for l_d, a_d in points:
+            expected = _summary(_reference_fallback(dfg, library, l_d, a_d, reference_memo))
+            assert _summary(synthesizer._fallback(dfg, library, Bounds(l_d, a_d), {})) == expected
+            assert _summary(synthesizer._fallback(dfg, library, Bounds(l_d, a_d), memo)) == expected
+            checked += expected is not None
+            ties += expected is not None and library is TIE_LIB
+    assert checked > 3000 and ties > 500
+
+
+def test_fallback_margin_keeps_a_design_on_its_floor():
+    # Ten independent adds at L 1 need ten Tenth adders.  In floats the
+    # floor 0.1 x 10 is 1.0, while the design's area, ten additions of 0.1,
+    # is 0.9999999999999999: at that bound the design fits, and only the
+    # floor's margin keeps the walk from skipping it.
+    dfg = parse_dfg("".join(f"node a{i} add\n" for i in range(10)))
+    lib = parse_library("resource Tenth add 0.1 1 0.9\nresource Whole add 1 1 0.8\n")
+    area = sum([0.1] * 10)
+    assert area < 0.1 * 10
+    for a_d in (area, 1.0, 0.1 * 9, 10.0):
+        expected = _summary(_reference_fallback(dfg, lib, 1, a_d))
+        assert _summary(synthesizer._fallback(dfg, lib, Bounds(1, a_d), {})) == expected
+    assert _summary(synthesizer._fallback(dfg, lib, Bounds(1, area), {}))[0] == ("Tenth",) * 10
+
+
+def test_single_version_area_floor_is_sound():
+    # Non-pipelined instances fit nodes x delay busy cycles of a version in
+    # L cycles only if there are at least ceil(nodes x delay / L) of them.
+    tight = 0
+    for name, latencies, _ in BUNDLED_GRIDS:
+        dfg = builtin_benchmark(name)
+        for l_d in latencies:
+            for design in single_version_designs(dfg, LIB, l_d):
+                used = Counter(design.assignment.values())
+                floor = sum(v.area * max(1, -(-n * v.delay // l_d)) for v, n in used.items())
+                assert design.area >= floor
+                tight += design.area == floor
+    assert tight > 0
+
+
+def test_fallback_builds_only_candidates_it_cannot_rule_out(monkeypatch):
+    # fir16 at L 11, A 8: area repair dead-ends and the fallback wins.  Of
+    # the six single-version candidates, most reliable first, the two with
+    # Adder3 have an area floor of 12 and are skipped; the two with Adder1
+    # miss L 11; Adder2/Mult1 is built at area 10 and Adder2/Mult2 fits.
+    built = []
+    design_at = synthesizer._design_at
+
+    def counting_design_at(dfg, library, assignment, latency_bound, memo):
+        design = design_at(dfg, library, assignment, latency_bound, memo)
+        if sys._getframe(1).f_code.co_name == "_fallback":
+            built.append((sorted({v.name for v in assignment.values()}), design is not None))
+        return design
+
+    monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
+    result = find_design(builtin_benchmark("fir16"), LIB, Bounds(11, 8))
+    assert built == [
+        (["Adder1", "Mult1"], False),
+        (["Adder1", "Mult2"], False),
+        (["Adder2", "Mult1"], True),
+        (["Adder2", "Mult2"], True),
+    ]
+    assert {v.name for v in result.assignment.values()} == {"Adder2", "Mult2"}
+    assert (result.latency, result.area) == (10, 8)
+    assert result.reliability == pytest.approx(0.48467, abs=5e-6)
 
 
 def _repair_cases():
