@@ -26,9 +26,10 @@ from .model import evaluate_reliability
 
 METHODS = ("ours", "nmr", "combined", "oracle")
 
-# Largest (latency, area) grid `sweep` accepts: a mistyped step fails at once
-# instead of running for days.
+# Largest (L, A) grid and largest L (the scheduler keeps a table entry per cycle) that
+# `sweep` and `synth` accept: a typo fails at once, not after days or all of memory.
 MAX_SWEEP_POINTS = 100_000
+MAX_LATENCY_BOUND = 10_000
 
 # Keys `eval --design` needs; `reliability` is recomputed, never read.
 _DESIGN_KEYS = ("assignment", "schedule", "binding", "instances", "latency", "area")
@@ -117,6 +118,8 @@ def _emit_result(result: Design | Infeasible, fmt: str, out: IO[str]) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.latency > MAX_LATENCY_BOUND:
+        raise InputError(f"latency bound {args.latency} is above {MAX_LATENCY_BOUND}")
     dfg = model.parse_dfg(_read_file(args.dfg))
     library = model.parse_library(_read_file(args.lib))
     result = _run_method(args.method, dfg, library, Bounds(args.latency, args.area))
@@ -177,6 +180,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     l_count = (l_hi - l_lo) // args.step_l + 1
     if l_count * _grid_count(a_lo, a_hi, args.step_a) > MAX_SWEEP_POINTS:
         raise InputError(f"sweep grid has more than {MAX_SWEEP_POINTS} (L, A) points")
+    if l_hi > MAX_LATENCY_BOUND:
+        raise InputError(f"latency bound {l_hi} is above {MAX_LATENCY_BOUND}")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
     # Schedules, latency repair and the area-repair walk depend on the latency

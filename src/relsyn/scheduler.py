@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import Assignment, Dfg, check_assignment
 
@@ -136,13 +136,26 @@ def _fold(
                     row[i : b + j + 1] = [c + s for c in row[i : b + j + 1]]
 
 
-def _shift(diff: list[int], a: int, b: int, d: int, sign: int) -> None:
-    """Add sign * floor(2**64 / (b-a+1)) per start in [a, b] to its cycles."""
-    q = sign * ((1 << 64) // (b - a + 1))
-    diff[a] += q
-    diff[b + 1] -= q
-    diff[a + d] -= q
-    diff[b + d + 1] += q
+def _show(
+    diff_of: list, shown: list, nodes: Iterable[int], lo: list[int], hi: list[int], delay: list[int]
+) -> None:
+    """Move each node's window in its class's second differences (see density_schedule)
+    from the (a, b, q) that `shown` holds, (0, 0, 0) for none, to [lo, hi]."""
+    for u in nodes:
+        a, b, q = shown[u]
+        if a != lo[u] or b != hi[u]:
+            diff, d = diff_of[u], delay[u]
+            diff[a] -= q
+            diff[b + 1] += q
+            diff[a + d] += q
+            diff[b + d + 1] -= q
+            a, b = lo[u], hi[u]
+            q = (1 << 64) // (b - a + 1)
+            diff[a] += q
+            diff[b + 1] -= q
+            diff[a + d] -= q
+            diff[b + d + 1] += q
+            shown[u] = a, b, q
 
 
 def _slack(score: int, terms: int) -> int:
@@ -156,6 +169,13 @@ def _filter_pick(scores: list[int], terms: int) -> int | None:
     k = scores.index(best)
     runner_up = min(scores[:k] + scores[k + 1 :])
     return k if best + _slack(best, terms) < runner_up - _slack(runner_up, terms) else None
+
+
+def _open_span(scores: list[int], terms: int) -> tuple[int, int]:
+    """The first and last start whose F exceeds the least by at most its and the largest's slack."""
+    cap = min(scores) + _slack(min(scores), terms) + _slack(max(scores), terms)
+    open_starts = [k for k, score in enumerate(scores) if score <= cap]
+    return open_starts[0], open_starts[-1]
 
 
 def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
@@ -186,8 +206,9 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     so its score S has |S - E| <= gamma_N E <= 2**-52 N E (Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
     |2**64 S - F| <= `_slack(F, N)`.  A start whose F beats every other
-    by both slacks is the fold's pick; in other rounds float rounding,
-    not the exact density, breaks ties.
+    by both slacks is the fold's pick; else float rounding, not the exact
+    density, breaks ties, which only the starts of `_open_span` can reach:
+    past them, 2**64 S > F_best + slack >= 2**64 S_best.
     """
     delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
     hi = _alap_starts(dfg, delay, latency_bound)
@@ -203,24 +224,25 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
             continue  # stale entry: placed already, or its window shrank
         best_start = lo[v]
         if width:  # more than one candidate start
-            d, k = delay[v], None
+            d, k, first, last = delay[v], None, 0, width
             if len(peers[v]) * (width + 1) >= 64:  # smaller folds cost less than the filter
                 if diff_of is None:
-                    diff_of, shown, terms = [], list(zip(lo, hi)), sum(delay)
-                    for u, first in enumerate(nodes[0] for nodes in peers):  # a list per class
-                        diff_of.append(diff_of[first] if first < u else [0] * (latency_bound + 3))
-                        _shift(diff_of[u], lo[u], hi[u], delay[u], 1)
+                    diff_of, shown, terms = [], [(0, 0, 0)] * len(delay), sum(delay)
+                    for u, head in enumerate(nodes[0] for nodes in peers):  # a list per class
+                        diff_of.append(diff_of[head] if head < u else [0] * (latency_bound + 3))
+                    _show(diff_of, shown, range(len(delay)), lo, hi, delay)
                 total = list(accumulate(accumulate(accumulate(diff_of[v][: hi[v] + d]))))
                 scores = list(map(sub, total[lo[v] + d - 1 :], total[lo[v] - 1 : hi[v]]))
                 k = _filter_pick(scores, d * terms)
+                first, last = _open_span(scores, d * terms) if k is None else (k, k)
             if k is None:
-                row = [0.0] * (width + d)  # cycles lo[v]..hi[v]+d-1
-                _fold(row, lo[v], peers[v], lo, hi, delay, share)
+                row = [0.0] * (last - first + d)  # cycles lo[v]+first..lo[v]+last+d-1
+                _fold(row, lo[v] + first, peers[v], lo, hi, delay, share)
                 # Each start's score adds its cells left to right, as from 0.0.
-                scores = row[: width + 1]
+                scores = row[: last - first + 1]
                 for j in range(1, d):
                     scores = [score + c for score, c in zip(scores, row[j:])]
-                k = scores.index(min(scores))  # ties: earliest cycle
+                k = first + scores.index(min(scores))  # ties: earliest cycle
             best_start += k
         placed[v] = True
         lo[v] = hi[v] = best_start
@@ -243,10 +265,6 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
                     stack.append(u)
         for u in moved:
             heapq.heappush(heap, (hi[u] - lo[u], u))
-        for u in [v, *moved] if diff_of else ():  # move what diff_of holds (shown)
-            a, b = shown[u]
-            if a != lo[u] or b != hi[u]:
-                _shift(diff_of[u], a, b, delay[u], -1)
-                _shift(diff_of[u], lo[u], hi[u], delay[u], 1)
-                shown[u] = lo[u], hi[u]
+        if diff_of:
+            _show(diff_of, shown, [v, *moved], lo, hi, delay)
     return _as_schedule(dfg, lo, delay)  # every node placed: lo holds the starts

@@ -44,7 +44,7 @@ from typing import Iterable, MutableMapping
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
 from .model import ResourceVersion, evaluate_reliability
-from .scheduler import InfeasibleBoundError, density_schedule
+from .scheduler import InfeasibleBoundError, _alap_starts, density_schedule
 
 
 def _best(versions: Iterable[ResourceVersion]) -> ResourceVersion | None:
@@ -187,7 +187,10 @@ def _heaviest_path(dfg: Dfg, tail: list[int]) -> list[int]:
     current = tail.index(max(tail))
     path = [current]
     while succs[current]:
-        current = max(succs[current], key=lambda s: (tail[s], -s))  # ties: declaration order
+        heaviest = -1
+        for s in succs[current]:  # the largest tail; ties: declaration order
+            if tail[s] > heaviest or tail[s] == heaviest and s < current:
+                heaviest, current = tail[s], s
         path.append(current)
     return path
 
@@ -201,13 +204,8 @@ def _repair_latency(
     asap latency is the total delay of a critical path."""
     versions = list(initial_allocation(dfg, library).values())  # in node order: by position
     preds, succs, moves = dfg.pred_positions, dfg.succ_positions, _moves(library)
-    tail = [0] * len(versions)  # total delay of each node's heaviest path to a sink
-
-    def tail_of(k: int) -> int:
-        return versions[k].delay + max([tail[s] for s in succs[k]], default=0)
-
-    for k in reversed(dfg.topo_positions):
-        tail[k] = tail_of(k)
+    # Each node's total delay on its heaviest path to a sink: 1 - its latest start at L 0.
+    tail = [1 - start for start in _alap_starts(dfg, [v.delay for v in versions], 0)]
     while True:
         path = _heaviest_path(dfg, tail)
         latency = tail[path[0]]
@@ -226,8 +224,12 @@ def _repair_latency(
         stack = [victim]
         while stack:
             k = stack.pop()
-            if (new := tail_of(k)) != tail[k]:
-                tail[k] = new
+            heaviest = 0
+            for s in succs[k]:
+                if tail[s] > heaviest:
+                    heaviest = tail[s]
+            if heaviest + versions[k].delay != tail[k]:
+                tail[k] = heaviest + versions[k].delay
                 stack.extend(preds[k])
 
 

@@ -177,6 +177,30 @@ def test_sweep_refuses_unbounded_grid(relsyn, latency, area, step, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "command, options, latency",
+    [
+        ("synth", ("--latency", "1" + "0" * 20, "--area", "10", "--method", "nmr"), "1" + "0" * 20),
+        ("sweep", ("--latency", "9999:10001", "--area", "10:10", "--methods", "ours,nmr"), "10001"),
+    ],
+)
+def test_latency_bound_above_the_cap_is_refused(relsyn, command, options, latency):
+    # Each latency bound costs a table entry per cycle, so an unbounded one
+    # would fill memory before it failed.
+    code, out, err = relsyn(command, *options)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: latency bound {latency} is above 10000\n"
+
+
+def test_latency_bound_at_the_cap_is_accepted(relsyn):
+    code, out, _ = relsyn(
+        "synth", "--latency", str(cli.MAX_LATENCY_BOUND), "--area", "10", "--method", "nmr"
+    )
+    assert code == 0
+    assert "reliability" in out
+
+
 def test_sweep_area_grid_has_exact_decimal_values(relsyn, workspace):
     # One adder of area exactly 10.3: feasible from the fourth grid value on,
     # which must be 10.3 itself, not 10 + 0.1 + 0.1 + 0.1 = 10.299999999999999.

@@ -342,41 +342,71 @@ def test_infeasible_bound_messages():
 
 def _filtered_rounds(monkeypatch, cases):
     """Schedule `cases` with every filter pick recorded and then refused,
-    so each filtered round also folds.  Per filtered round: the fixed
-    scores, the term bound, the filter's pick, the fold's float scores
-    and the exact scores times the lcm of the widths (the same fold on
-    integers), with that lcm.  Returns them and the schedules' digest."""
-    real_pick, real_fold = scheduler._filter_pick, scheduler._fold
+    and every open span recorded and then widened to the whole window, so
+    each filtered round folds every start.  Per filtered round: the fixed
+    scores, the term bound, the filter's pick, the open span (first, last),
+    the fold's float scores, the open-span fold's float scores and the
+    exact scores times the lcm of the widths (the same fold on integers),
+    with that lcm.  Returns them and the schedules' digest."""
+    real_pick, real_span, real_fold = scheduler._filter_pick, scheduler._open_span, scheduler._fold
     pending, rounds = [], []
 
     def pick(scores, terms):
-        pending.append((scores, terms, real_pick(scores, terms)))
+        pending.append((scores, terms, real_pick(scores, terms), real_span(scores, terms)))
         return None
+
+    def span(scores, terms):
+        return 0, len(scores) - 1
+
+    def left_to_right(row, starts, d):  # as density_schedule adds
+        scores = []
+        for j in range(starts):
+            score = row[j]
+            for c in row[j + 1 : j + d]:
+                score += c
+            scores.append(score)
+        return scores
 
     def fold(row, first, nodes, lo, hi, delay, share):
         real_fold(row, first, nodes, lo, hi, delay, share)
         if not pending:
             return  # a round the filter does not score: a small class or few starts
-        fixed, terms, k = pending.pop()
+        fixed, terms, k, (first_open, last_open) = pending.pop()
         width = len(fixed) - 1
         d = len(row) - width
         lcm = math.lcm(*range(1, len(share) + 1))
         exact = [0] * len(row)
         real_fold(exact, first, nodes, lo, hi, delay, [lcm // (w + 1) for w in range(len(share))])
-        floats = []
-        for j in range(width + 1):  # left to right, as density_schedule adds
-            score = row[j]
-            for c in row[j + 1 : j + d]:
-                score += c
-            floats.append(score)
+        narrow = [0.0] * (last_open - first_open + d)
+        real_fold(narrow, first + first_open, nodes, lo, hi, delay, share)
         exact_scores = [sum(exact[j : j + d]) for j in range(width + 1)]
-        rounds.append((fixed, terms, k, floats, exact_scores, lcm))
+        rounds.append((
+            fixed, terms, k, (first_open, last_open), left_to_right(row, width + 1, d),
+            left_to_right(narrow, last_open - first_open + 1, d), exact_scores, lcm,
+        ))
 
     monkeypatch.setattr(scheduler, "_filter_pick", pick)
+    monkeypatch.setattr(scheduler, "_open_span", span)
     monkeypatch.setattr(scheduler, "_fold", fold)
     digest = _schedules_digest(cases)
     assert not pending
     return rounds, digest
+
+
+def _sixteen_adds():
+    """Sixteen independent two-cycle adds, whose third round at L 8 is an
+    exact tie that float rounding breaks."""
+    dfg = parse_dfg("".join(f"node v{i} add\n" for i in range(16)))
+    return dfg, {nid: ADDER1 for nid in dfg.node_ids}
+
+
+def _corpus(name):
+    """The filtered corpus `name` and the golden digest of its schedules."""
+    if name == "LIB":
+        return list(_golden_cases()), GOLDEN_SCHEDULES_SHA256
+    if name == "WIDE_LIB":
+        return list(_random_golden_cases(random.Random(43), WIDE_LIB)), GOLDEN_WIDE_SCHEDULES_SHA256
+    return [(*_sixteen_adds(), 8)], None
 
 
 @pytest.mark.parametrize("library", ["LIB", "WIDE_LIB"])
@@ -386,15 +416,11 @@ def test_filter_margin_is_sound(monkeypatch, library):
     # exact score E; each float fold score S is within the stated slack,
     # |2**64 S - F| <= _slack(F, N); a start the filter picks is the
     # fold's argmin; and the filter decides at least half the rounds.
-    if library == "LIB":
-        cases, golden = list(_golden_cases()), GOLDEN_SCHEDULES_SHA256
-    else:
-        cases = list(_random_golden_cases(random.Random(43), WIDE_LIB))
-        golden = GOLDEN_WIDE_SCHEDULES_SHA256
+    cases, golden = _corpus(library)
     rounds, digest = _filtered_rounds(monkeypatch, cases)
     assert digest == golden  # the fold alone gives the golden schedules
     decided = 0
-    for fixed, terms, k, floats, exact, lcm in rounds:
+    for fixed, terms, k, _, floats, _, exact, lcm in rounds:
         for f, s, e in zip(fixed, floats, exact):
             assert 0 <= e * 2**64 - f * lcm < terms * lcm
             assert abs(Fraction(s) * 2**64 - f) <= scheduler._slack(f, terms)
@@ -405,21 +431,41 @@ def test_filter_margin_is_sound(monkeypatch, library):
     assert decided >= len(rounds) / 2, (decided, len(rounds))
 
 
+@pytest.mark.parametrize("corpus", ["LIB", "WIDE_LIB", "tie"])
+def test_open_span_fold_picks_the_full_fold_argmin(monkeypatch, corpus):
+    # Every round the filter scores, folded over the whole window and over
+    # the open span alone: the span's floats are the whole window's, bit
+    # for bit, so the span fold picks the full fold's argmin, and every
+    # start outside the span scores strictly above the minimum.
+    cases, _ = _corpus(corpus)
+    rounds, _ = _filtered_rounds(monkeypatch, cases)
+    starts = spanned = 0
+    for fixed, _, _, (first, last), floats, open_floats, _, _ in rounds:
+        best = min(floats)
+        assert open_floats == floats[first : last + 1]
+        assert first + open_floats.index(min(open_floats)) == floats.index(best)
+        assert all(s > best for s in floats[:first] + floats[last + 1 :])
+        starts, spanned = starts + len(fixed), spanned + last - first + 1
+    if corpus == "tie":  # v2's tied starts 1, 3, 4, 5 and 7 all stay open
+        assert rounds[2][3] == (0, 6)
+    else:  # the span leaves out most starts
+        assert spanned < starts / 2, (spanned, starts)
+
+
 def test_fold_breaks_an_exact_tie_the_filter_leaves_open(monkeypatch):
     # Sixteen independent two-cycle adds at L 8.  v0 goes to cycle 1 and
     # v1 to cycle 7; every other window is still [1, 7].  v2's exact
     # scores by start 1..7 are then 8, 9, 8, 8, 8, 9, 8, so exact
     # densities would start it at 1.  The float fold's sums at 3-5 round
     # to 7.999999999999997, below its 8.0 at 1, and v2 starts at 3.
-    dfg = parse_dfg("".join(f"node v{i} add\n" for i in range(16)))
-    asg = {nid: ADDER1 for nid in dfg.node_ids}
+    dfg, asg = _sixteen_adds()
     cells = [
         (c in (1, 2)) + (c in (7, 8)) + 14 * Fraction(min(7, c) - max(1, c - 1) + 1, 7)
         for c in range(1, 9)
     ]
     assert [cells[s - 1] + cells[s] for s in range(1, 8)] == [8, 9, 8, 8, 8, 9, 8]
     rounds, _ = _filtered_rounds(monkeypatch, [(dfg, asg, 8)])
-    fixed, terms, k, floats, exact, lcm = rounds[2]
+    fixed, terms, k, _, floats, _, exact, lcm = rounds[2]
     assert k is None and [e / lcm for e in exact] == [8, 9, 8, 8, 8, 9, 8]
     assert floats.index(min(floats)) == 2
     monkeypatch.undo()

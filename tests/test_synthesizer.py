@@ -448,3 +448,59 @@ def test_repair_latency_is_the_asap_latency():
                 lines.append(repr(([assignment[nid].name for nid in dfg.node_ids], latency)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_REPAIRS_SHA256
+
+
+def _reference_repair(dfg, library, l_d):
+    """Latency repair with every tail recomputed from scratch after each
+    move, by node id: speed up the slowest node of the first heaviest
+    path (ties: declaration order) until the bound is met."""
+    assignment = initial_allocation(dfg, library)
+    while True:
+        tail = {}
+        for nid in reversed(dfg.topo_order):
+            tail[nid] = assignment[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+
+        def heaviest_first(n):
+            return -tail[n], dfg.declaration_index(n)
+
+        path = [min(dfg.node_ids, key=heaviest_first)]
+        while dfg.succs(path[-1]):
+            path.append(min(dfg.succs(path[-1]), key=heaviest_first))
+        latency = tail[path[0]]
+        if latency <= l_d:
+            return assignment, latency
+        faster = {n: synthesizer._moves(library)[assignment[n].name][0] for n in path}
+        movable = [n for n in path if faster[n]]
+        if not movable:
+            return Infeasible(
+                "latency",
+                f"minimum latency {latency} exceeds bound {l_d} and no "
+                "critical-path node has a faster version",
+            )
+        victim = min(movable, key=lambda n: (-assignment[n].delay, dfg.declaration_index(n)))
+        assignment = {**assignment, victim: faster[victim]}
+
+
+def test_repair_latency_matches_a_from_scratch_reference():
+    # 200 seeded DAGs of 2-14 nodes with shuffled edge lists, over both
+    # libraries, at every L from one below the all-fastest critical path
+    # to the initial allocation's: the same assignment and latency, or the
+    # same Infeasible detail.
+    rng = random.Random(59)
+    compared = infeasible = 0
+    for case in range(200):
+        base = random_dfg(rng, max_nodes=14)
+        edges = list(base.edges)
+        rng.shuffle(edges)
+        dfg = Dfg(base.nodes, tuple(edges))
+        library = (LIB, WIDE_LIB)[case % 2]
+        fastest = {
+            n.id: min(library.versions_for(n.op_class), key=lambda v: v.delay) for n in dfg.nodes
+        }
+        top = asap(dfg, initial_allocation(dfg, library)).latency
+        for l_d in range(max(1, asap(dfg, fastest).latency - 1), top + 1):
+            want = _reference_repair(dfg, library, l_d)
+            assert synthesizer._repair_latency(dfg, library, l_d) == want, (case, l_d)
+            compared += 1
+            infeasible += isinstance(want, Infeasible)
+    assert compared > 1500 and infeasible > 150, (compared, infeasible)
