@@ -185,12 +185,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
     # Schedules, latency repair and the area-repair walk depend on the latency
-    # bound but not on the area bound, so every point of this graph and
-    # library shares them.
+    # bound but not on the area bound: every point of a sweep shares them.
     memo: synthesizer.Memo = {}
     lines = ["L_d,A_d,method,status,latency,area,reliability"]
+    areas = _grid(a_lo, a_hi, args.step_a)
     for l_d in range(int(l_lo), int(l_hi) + 1, args.step_l):
-        for a_d in _grid(a_lo, a_hi, args.step_a):
+        for a_d in areas:
             point = f"{l_d},{_fmt_num(a_d)},"
             for method in methods:
                 result = _run_method(method, dfg, library, Bounds(l_d, a_d), memo)

@@ -286,6 +286,6 @@ def find_design(
             return design
     return _fallback(dfg, library, bounds, memo) or Infeasible(
         "area",
-        f"area {design.area:g} exceeds bound {a_d:g}; no node has a smaller "
+        f"area {min(d.area for _, d in walk):g} exceeds bound {a_d:g}; no node has a smaller "
         "version that is no slower and no single-version design fits",
     )

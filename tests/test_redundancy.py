@@ -10,6 +10,7 @@ import pytest
 from checks import validate_design
 from relsyn import redundancy
 from relsyn.binder import Binding, Instance, bind, total_area
+from relsyn.cli import design_to_json
 from relsyn.model import (
     Dfg,
     DfgNode,
@@ -536,3 +537,96 @@ def test_priced_upgrade_equals_a_fresh_greedy():
         assert _price_upgrade(priced, library, math.inf) == unbounded
         assert len(kept[-1].runs) == count
     assert runs > 1000
+
+
+def test_log_steps_never_grow_with_n():
+    # The ceiling's premise: for r > 1/2 no upgrade gains more log
+    # reliability than the one before, also past N = 1031, where the vote is
+    # summed from logs (steps up to N = 1101).  Once the vote is within a few
+    # ulps of 1, its log moves by ulps either way (at most 1.6e-15 here),
+    # which the baseline's 1e-9 margin covers.
+    rs = {v.reliability for v in LIB.versions} | {0.5000001, 0.51, 0.6, 0.75, 0.9, 0.999999}
+    for r in sorted(rs):
+        steps = [redundancy._log_step(r, n) for n in range(1, 1100, 2)]
+        assert steps[0] > 0, r
+        for earlier, later in zip(steps, steps[1:]):
+            assert later <= earlier or max(abs(earlier), abs(later)) < 1e-14, (r, earlier, later)
+
+
+def test_ceiling_bounds_every_priced_upgrade():
+    # The ceiling and the priced reliability add the same kind of logs in
+    # different orders, so a priced value may pass its ceiling by an ulp or
+    # two (24 of 57,200 checks, each by 1 ulp); baseline_nmr_synth therefore
+    # stops only at a ceiling below best x (1 - 1e-9).  Area bounds run from
+    # the design's area to 99.75 past it.
+    checks = over = 0
+    for design, library in _priced_designs():
+        pricing = redundancy._pricing(design, library)
+        for k in range(400):
+            area_bound = design.area + k / 4
+            reliability = _price_upgrade(design, library, area_bound)[2]
+            ceiling = pricing.ceiling(area_bound)
+            assert reliability <= ceiling * (1 + 1e-13), (area_bound, reliability, ceiling)
+            checks, over = checks + 1, over + (reliability > ceiling)
+    assert checks > 50_000 and over < checks / 1000
+
+
+def _unpruned_baseline(dfg, library, bounds):
+    """The NMR baseline as a maximum over every priced candidate that fits."""
+    designs = single_version_designs(dfg, library, bounds.latency_bound)
+    a_d = bounds.area_bound
+    best = max(
+        ((d, _price_upgrade(d, library, a_d)) for d in designs if d.area <= a_d),
+        key=lambda p: (p[1][2], -p[1][1], -p[0].latency),
+        default=None,
+    )
+    return best and redundancy._upgraded(best[0], *best[1])
+
+
+def _design_text(result):
+    return repr(result) if isinstance(result, Infeasible) else repr(design_to_json(result))
+
+
+def test_ranked_scan_equals_the_unpruned_maximum_on_the_bundled_grids(monkeypatch):
+    priced = Counter()
+    price = redundancy._Pricing.price
+
+    def counting_price(self, area_bound):
+        priced["calls"] += 1
+        return price(self, area_bound)
+
+    points = 0
+    for name, latencies, areas in (
+        ("fir16", range(9, 17), range(8, 41, 4)),
+        ("ew", range(14, 22), range(6, 41, 2)),
+        ("diffeq", range(4, 12), range(4, 37, 4)),
+    ):
+        dfg, memo = builtin_benchmark(name), {}
+        for l_d in latencies:
+            for a_d in areas:
+                monkeypatch.setattr(redundancy._Pricing, "price", counting_price)
+                ranked = baseline_nmr_synth(dfg, LIB, Bounds(l_d, a_d), memo=memo)
+                monkeypatch.undo()
+                expected = _unpruned_baseline(dfg, LIB, Bounds(l_d, a_d))
+                if expected is None:
+                    assert isinstance(ranked, Infeasible), (name, l_d, a_d)
+                else:
+                    assert _design_text(ranked) == _design_text(expected), (name, l_d, a_d)
+                    points += 1
+    assert points == 261
+    assert priced["calls"] < 500  # the ranked scan skips most candidates
+
+
+def test_ranked_scan_keeps_the_first_of_tied_candidates():
+    # B and A are one adder under two names: their ceilings tie, and so do
+    # their upgrades, so B, first in library order, must win at every area
+    # bound, as in the unpruned maximum.  Slow is worse in every respect.
+    lib = parse_library(
+        "resource Slow add 1 2 0.9\nresource B add 1 1 0.95\nresource A add 1 1 0.95\n"
+    )
+    dfg = parse_dfg("node a add\nnode b add\nedge a b\n")
+    for area_bound in (1, 2.5, 3, 5, 7.5, 11):
+        bounds = Bounds(4, area_bound)
+        result = baseline_nmr_synth(dfg, lib, bounds)
+        assert _design_text(result) == _design_text(_unpruned_baseline(dfg, lib, bounds))
+        assert [v.name for v in result.assignment.values()] == ["B", "B"], area_bound

@@ -100,6 +100,24 @@ def test_sweep_csv_unchanged(tmp_path, capsys, grid):
     assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_CSV_SHA256[grid]
 
 
+def test_bundled_sweeps_price_at_most_743_times(tmp_path, capsys, monkeypatch):
+    # The NMR baseline prices its candidates best ceiling first and stops
+    # once no ceiling can reach the best: 743 greedy pricings (kept runs
+    # included) over the three bundled sweeps, where pricing every candidate
+    # that fits took 1,179.
+    priced = Counter()
+    price = redundancy._Pricing.price
+
+    def counting_price(self, area_bound):
+        priced["calls"] += 1
+        return price(self, area_bound)
+
+    monkeypatch.setattr(redundancy._Pricing, "price", counting_price)
+    for grid in SWEEP_CSV_SHA256:
+        _sweep(tmp_path, capsys, *grid)
+    assert 0 < priced["calls"] <= 743
+
+
 def test_sweep_schedules_each_delay_vector_and_bound_once(tmp_path, capsys, monkeypatch):
     dfg = builtin_benchmark("ew")
     calls, infeasible = Counter(), set()

@@ -135,6 +135,21 @@ def test_find_design_infeasible_area():
     assert result.reason == "area"
 
 
+def test_area_infeasibility_quotes_the_smallest_area_the_walk_met():
+    # At fir16 L 25 the slack phase reaches area 4 at latency 22, then climbs
+    # back to 6 at 25, where area repair dead-ends at once: the detail quotes
+    # the 4, not the walk's last area.
+    memo = {}
+    result = find_design(builtin_benchmark("fir16"), LIB, Bounds(25, 3), memo=memo)
+    areas = [design.area for _, design in memo[25]]
+    assert (min(areas), areas[-1]) == (4, 6)
+    assert result == Infeasible(
+        "area",
+        "area 4 exceeds bound 3; no node has a smaller version that is no slower "
+        "and no single-version design fits",
+    )
+
+
 def test_find_design_reliability_matches_evaluator():
     fir = builtin_benchmark("fir16")
     result = find_design(fir, LIB, Bounds(11, 12))
