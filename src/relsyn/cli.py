@@ -184,6 +184,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"latency bound {l_hi} is above {MAX_LATENCY_BOUND}")
     if a_lo + args.step_a == a_lo or a_hi + args.step_a == a_hi:
         raise InputError(f"area step {args.step_a:g} is below the precision of {args.area!r}")
+    if "oracle" in methods:  # before the first row, not after every row the limits allow
+        oracle.check_limits(dfg, library, int(l_lo) + (l_count - 1) * args.step_l)
     # Schedules, latency repair and the area-repair walk depend on the latency
     # bound but not on the area bound: every point of a sweep shares them.
     memo: synthesizer.Memo = {}

@@ -15,8 +15,11 @@ exceeds it) and, on ties, by `itertools.product` order.  Complete
 combinations so pop most reliable first, in the order a stable sort
 gives, and the walk stops at the first that fits.  A prefix is dropped
 with all its completions once its fastest completion misses the latency
-bound (one longest path per delay vector met) or its used versions
-alone miss the area bound (one area sum per bitmask met).
+bound (one longest path per delay vector a slower choice creates; a
+child that takes its node's fastest version keeps its parent's fastest
+completion, which meets the bound) or its used versions alone miss the
+area bound (read from a table, built per call, of the area of one
+instance of each version per bitmask over the used classes' versions).
 
 The start-vector search first refuses a combination whose root bound
 exceeds the area bound: Σ area × count over the used versions, where a
@@ -30,10 +33,10 @@ products and left-to-right sums are monotone, so the bound never exceeds
 the area of a complete start vector.  Otherwise the search places nodes
 in topological order and drops a partial start vector once
 Σ area × max(peak concurrency, 1) over the used versions exceeds the
-area bound; with every node placed, that sum is the area.  Version areas
-are always summed in library declaration order, so the result does not
-depend on hash order and a returned design's area never exceeds the area
-bound.
+area bound (re-summed only when a placement raises a peak); with every
+node placed, that sum is the area.  Version areas are always summed in
+library declaration order, so the result does not depend on hash order
+and a returned design's area never exceeds the area bound.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import operator
 from typing import Callable
 
 from .binder import Binding, Instance
-from .model import Assignment, Bounds, Design, Dfg, Infeasible, ResourceLibrary, ResourceVersion
-from .model import ValidationError, check_assignment
+from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
+from .model import ResourceVersion, check_assignment
 from .scheduler import Schedule
 
 
@@ -63,6 +66,20 @@ def _check_limits(dfg: Dfg, max_nodes: int) -> None:
         raise OracleLimitError(
             f"{len(dfg.nodes)} nodes exceeds oracle limit {max_nodes}"
         )
+
+
+def check_limits(dfg: Dfg, library: ResourceLibrary, latency: int, max_nodes: int = 8) -> None:
+    """Raise OracleLimitError (or ValidationError for a class with no
+    version) unless `oracle_best` can search `dfg` at latency bounds up to `latency`."""
+    _check_limits(dfg, max_nodes)
+    library.check_covers(dfg)
+    for cls, positions in dfg.class_positions.items():
+        if positions and len(library.versions_for(cls)) > MAX_VERSIONS_PER_CLASS:
+            raise OracleLimitError(
+                f"class {cls.value} has more than {MAX_VERSIONS_PER_CLASS} versions"
+            )
+    if latency > MAX_LATENCY_BOUND:
+        raise OracleLimitError(f"latency bound {latency} exceeds oracle limit {MAX_LATENCY_BOUND}")
 
 
 def oracle_min_latency(dfg: Dfg, assignment: Assignment, *, max_nodes: int = 8) -> int:
@@ -86,18 +103,18 @@ def oracle_min_latency(dfg: Dfg, assignment: Assignment, *, max_nodes: int = 8) 
 def _critical_paths(dfg: Dfg) -> Callable[[tuple[int, ...]], int]:
     """A memo of the critical path length per delay vector (node k, in
     declaration order, takes delays[k] cycles)."""
-    steps = [(k, dfg.pred_positions[k]) for k in dfg.topo_positions]
+    steps = [(k, dfg.pred_positions[k]) for k in dfg.topo_positions if dfg.pred_positions[k]]
     sinks = [k for k, succs in enumerate(dfg.succ_positions) if not succs]
 
     @functools.cache
     def span(delays: tuple[int, ...]) -> int:
-        finish = [0] * len(delays)
+        finish = list(delays)  # a source finishes after its own delay
         for k, preds in steps:
             ready = 0
             for p in preds:
                 if finish[p] > ready:
                     ready = finish[p]
-            finish[k] = ready + delays[k]
+            finish[k] += ready
         return max([finish[k] for k in sinks])
 
     return span
@@ -106,9 +123,7 @@ def _critical_paths(dfg: Dfg) -> Callable[[tuple[int, ...]], int]:
 def _left_edge_pack(
     dfg: Dfg, assignment: Assignment, starts: dict[str, int]
 ) -> tuple[dict[str, int], tuple[Instance, ...]]:
-    intervals = sorted(
-        ((starts[nid], dfg.declaration_index(nid), nid) for nid in dfg.node_ids)
-    )
+    intervals = sorted((starts[nid], k, nid) for k, nid in enumerate(dfg.node_ids))
     free_at: list[int] = []
     versions: list[str] = []
     mapping: dict[str, int] = {}
@@ -159,55 +174,56 @@ def _feasible_starts(
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     ids, order, preds = dfg.node_ids, dfg.topo_positions, dfg.pred_positions
     versions = [assignment[nid] for nid in ids]  # by node position
-    slot = [used.index(v) for v in versions]
+    index = {v.name: j for j, v in enumerate(used)}
+    slot = [index[v.name] for v in versions]
     delay = [v.delay for v in versions]
-    earliest, latest = [0] * len(ids), [0] * len(ids)
+    earliest, latest = [1] * len(ids), [l_d + 1] * len(ids)
     for k in order:
-        earliest[k] = max([earliest[p] + delay[p] for p in preds[k]], default=1)
+        for p in preds[k]:
+            if earliest[p] + delay[p] > earliest[k]:
+                earliest[k] = earliest[p] + delay[p]
     for k in reversed(order):  # the latest start that leaves every successor room
-        latest[k] = min([latest[s] for s in dfg.succ_positions[k]], default=l_d + 1) - delay[k]
+        for s in dfg.succ_positions[k]:
+            if latest[s] < latest[k]:
+                latest[k] = latest[s]
+        latest[k] -= delay[k]
     if _root_bound(used, slot, delay, earliest, latest, l_d) > a_d:
         return None
     usage = [[0] * l_d for _ in used]  # per used version, placed operations per cycle
-    peaks = [0] * len(used)
+    areas = [v.area for v in used]
+    peaks = [1] * len(used)  # per used version, max(peak concurrency, 1)
     starts = [0] * len(ids)
-
-    def area_lower_bound() -> float:
-        area = 0.0  # left to right, as the root bound
-        for v, peak in zip(used, peaks):
-            area += v.area * max(peak, 1)
-        return area
+    steps = [(k, slot[k], usage[slot[k]], delay[k], preds[k], latest[k] + 1) for k in order]
 
     def place(pos: int, bound: float) -> float | None:
         """The area of the first fitting completion of the placed prefix,
         whose area lower bound is `bound`."""
-        k = order[pos]
-        j, d = slot[k], delay[k]
-        row, saved_peak = usage[j], peaks[j]
+        k, j, row, d, pk, stop = steps[pos]
+        saved_peak = peaks[j]
         first = 1
-        for p in preds[k]:
-            first = max(first, starts[p] + delay[p])
-        for s in range(first, latest[k] + 1):
-            cells = range(s - 1, s + d - 1)
+        for p in pk:
+            if starts[p] + delay[p] > first:
+                first = starts[p] + delay[p]
+        for s in range(first, stop):
             peak = saved_peak
-            for c in cells:
+            for c in range(s - 1, s + d - 1):
                 row[c] += 1
                 if row[c] > peak:
                     peak = row[c]
-            peaks[j] = peak
-            starts[k] = s
-            # The sum changes only with a term's max(peak, 1).
-            area = area_lower_bound() if peak > max(saved_peak, 1) else bound
+            peaks[j], starts[k] = peak, s
+            area = bound
+            if peak > saved_peak:  # left to right, as the root bound
+                area = functools.reduce(operator.add, map(operator.mul, areas, peaks), 0.0)
             if area <= a_d:
-                found = area if pos + 1 == len(order) else place(pos + 1, area)
+                found = area if pos + 1 == len(steps) else place(pos + 1, area)
                 if found is not None:
                     return found
-            for c in cells:
+            for c in range(s - 1, s + d - 1):
                 row[c] -= 1
         peaks[j] = saved_peak
         return None
 
-    area = place(0, area_lower_bound())
+    area = place(0, functools.reduce(operator.add, areas, 0.0))
     return None if area is None else (dict(zip(ids, starts)), area)
 
 
@@ -219,42 +235,26 @@ def oracle_best(
     max_nodes: int = 8,
 ) -> Design | Infeasible:
     """Exhaustively find the most reliable design meeting both bounds."""
-    _check_limits(dfg, max_nodes)
-    library.check_covers(dfg)
-    for cls, positions in dfg.class_positions.items():
-        if positions and len(library.versions_for(cls)) > MAX_VERSIONS_PER_CLASS:
-            raise OracleLimitError(
-                f"class {cls.value} has more than {MAX_VERSIONS_PER_CLASS} versions"
-            )
-    if bounds.latency_bound > MAX_LATENCY_BOUND:
-        raise OracleLimitError(
-            f"latency bound {bounds.latency_bound} exceeds oracle limit "
-            f"{MAX_LATENCY_BOUND}"
-        )
-
+    check_limits(dfg, library, bounds.latency_bound, max_nodes)
+    l_d, a_d = bounds.latency_bound, bounds.area_bound
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
     fastest = tuple(min(v.delay for v in versions) for versions in choices)
     span = _critical_paths(dfg)
-    if span(fastest) > bounds.latency_bound:
+    if span(fastest) > l_d:
         return Infeasible("latency", "exhaustive search found no design meeting both bounds")
 
-    @functools.cache
-    def area_ok(mask: int) -> bool:
-        """Whether one instance of each used version (bit k is
-        library.versions[k]) fits the area bound."""
-        area = 0.0  # library order, left to right: see _feasible_starts
-        for k, v in enumerate(library.versions):
-            if mask >> k & 1:
-                area += v.area
-        return area <= bounds.area_bound
-
-    position = {v.name: k for k, v in enumerate(library.versions)}
-    # Per node, per version: (log reliability, used-version mask bit, delay).
-    menus = [
-        [(math.log(v.reliability), 1 << position[v.name], v.delay) for v in versions]
-        for versions in choices
-    ]
+    # Per used-version mask (bit k is library.versions[k]), the area of one
+    # instance of each, summed in library order, left to right from 0.0; and
+    # per class, per version: (log reliability, mask bit, delay).
+    areas: dict[int, float] = {0: 0.0}
+    menu_of: dict[OpClass, list[tuple[float, int, int]]] = {}
+    for k, v in enumerate(library.versions):
+        if dfg.class_positions.get(v.op_class):
+            areas.update([(mask | 1 << k, area + v.area) for mask, area in areas.items()])
+            menu_of.setdefault(v.op_class, []).append((math.log(v.reliability), 1 << k, v.delay))
+    menus = [menu_of[n.op_class] for n in dfg.nodes]
     best = [max(menu)[0] for menu in menus]
+    rests = [best[depth + 1:] for depth in range(len(best))]  # summed after each key, in order
     # Heap entries (-bound, picks, key, delays, mask) for a prefix giving
     # node j < len(picks) version choices[j][picks[j]]: key sums their logs
     # left to right from 0, delays is its fastest completion's delay vector
@@ -266,13 +266,15 @@ def oracle_best(
         depth = len(picks)
         if depth < len(menus):
             for k, (log, bit, delay) in enumerate(menus[depth]):
-                child_delays = delays
+                if areas[mask | bit] > a_d:
+                    continue
+                child_delays = delays  # the parent's fastest completion, which meets L
                 if delay != delays[depth]:
                     child_delays = delays[:depth] + (delay,) + delays[depth + 1:]
-                if area_ok(mask | bit) and span(child_delays) <= bounds.latency_bound:
-                    bound = functools.reduce(operator.add, best[depth + 1:], key + log)
-                    child = (-bound, picks + (k,), key + log, child_delays, mask | bit)
-                    heapq.heappush(heap, child)
+                    if span(child_delays) > l_d:
+                        continue
+                bound = functools.reduce(operator.add, rests[depth], key + log)
+                heapq.heappush(heap, (-bound, picks + (k,), key + log, child_delays, mask | bit))
             continue
         assignment = {n.id: versions[k] for n, versions, k in zip(dfg.nodes, choices, picks)}
         used = [v for k, v in enumerate(library.versions) if mask >> k & 1]

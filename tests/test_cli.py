@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relsyn import cli
+from relsyn import cli, oracle
 from relsyn.model import data_text, nmr_reliability
 
 QCRIT = (
@@ -150,6 +150,57 @@ def test_sweep_with_oracle_method_on_small_graph(relsyn, workspace):
         h_status, h_rel = methods["ours"]
         if o_status == "feasible" and h_status == "feasible":
             assert float(o_rel) >= float(h_rel) - 1e-5
+
+
+EIGHT_NODES = (
+    "node a add\nnode b add\nnode c mul\nnode d mul\nnode e add\nnode f add\nnode g mul\n"
+    "node h add\nedge a c\nedge b c\nedge c e\nedge d e\nedge e g\nedge f g\nedge g h\n"
+)
+
+
+@pytest.mark.parametrize(
+    "dfg, latency, message",
+    [
+        ("eight.dfg", ("--latency", "3:13"), "error: latency bound 13 exceeds oracle limit 12\n"),
+        (  # L 3 and 14 only
+            "eight.dfg", ("--latency", "3:14", "--step-l", "11"),
+            "error: latency bound 14 exceeds oracle limit 12\n",
+        ),
+        ("diffeq.dfg", ("--latency", "4:6"), "error: 11 nodes exceeds oracle limit 8\n"),
+    ],
+)
+def test_sweep_refuses_oracle_limits_before_the_first_row(
+    relsyn, workspace, monkeypatch, dfg, latency, message
+):
+    # The rows below the oracle's limits used to run first, and were then
+    # thrown away with the exit code 2.
+    (workspace / "eight.dfg").write_text(EIGHT_NODES)
+    calls = []
+    oracle_best = oracle.oracle_best
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return oracle_best(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "oracle_best", counting)
+    code, out, err = relsyn(
+        "sweep", *latency, "--area", "1:60", "--step-a", "0.25", "--methods", "ours,oracle",
+        "--out", "rows.csv", dfg=dfg,
+    )
+    assert (code, out, err) == (2, "", message)
+    assert calls == []
+    assert not (workspace / "rows.csv").exists()
+
+
+def test_sweep_with_oracle_checks_the_last_latency_it_sweeps(relsyn, workspace):
+    # With step 3, L 6:13 sweeps 6, 9 and 12: every row is within the limit.
+    (workspace / "eight.dfg").write_text(EIGHT_NODES)
+    code, out, _ = relsyn(
+        "sweep", "--latency", "6:13", "--step-l", "3", "--area", "8:8", "--methods", "oracle",
+        dfg="eight.dfg",
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["6", "9", "12"]
 
 
 def test_sweep_empty_range_is_input_error(relsyn):

@@ -363,6 +363,37 @@ def test_oracle_tries_combinations_most_reliable_first(monkeypatch):
     assert tied > 0
 
 
+def test_oracle_work_counts(monkeypatch):
+    # The work of the 730 searches of _oracle_cases(83, 40), independent of
+    # the machine: start searches, critical paths computed (distinct delay
+    # vectors per call) and critical paths asked for.  A child that keeps its
+    # parent's fastest completion, which meets L, is not asked for.
+    searches, asked = [], []
+    feasible_starts, critical_paths = oracle._feasible_starts, oracle._critical_paths
+
+    def counting_starts(*args):
+        searches.append(args)
+        return feasible_starts(*args)
+
+    def counting_paths(dfg):
+        span, vectors = critical_paths(dfg), []
+        asked.append(vectors)
+
+        def lookup(delays):
+            vectors.append(delays)
+            return span(delays)
+
+        return lookup
+
+    monkeypatch.setattr(oracle, "_feasible_starts", counting_starts)
+    monkeypatch.setattr(oracle, "_critical_paths", counting_paths)
+    for dfg, lib, bounds in _oracle_cases(83, 40):
+        oracle.oracle_best(dfg, lib, bounds)
+    assert len(searches) == 747
+    assert sum(len(set(vectors)) for vectors in asked) == 4566
+    assert sum(len(vectors) for vectors in asked) == 6326
+
+
 def test_oracle_ignores_versions_of_unused_classes():
     # Twenty multipliers declared ahead of the adders put the adders at mask
     # bits 20-22; an area table over every subset would need 2**23 entries.
