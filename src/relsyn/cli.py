@@ -6,7 +6,8 @@ Subcommands:
   characterize critical charges -> SER ratios, failure rates, reliabilities
   eval         reliability of an explicit assignment or serialized design
 
-Exit codes: 0 success/feasible, 1 infeasible, 2 usage or input error.
+Exit codes: 0 success/feasible, 1 infeasible, 2 usage or input error,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 Diagnostics go to stderr; data goes to stdout or --out.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import IO, Sequence
@@ -451,7 +453,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (`relsyn synth ... | head -1`): point stdout at
+        # devnull so the flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         InputError,
         ParseError,

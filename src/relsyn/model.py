@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -56,7 +55,7 @@ _OP_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DfgNode:
     id: str
     op_class: OpClass
@@ -77,24 +76,28 @@ class Dfg:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValidationError("data-flow graph has no nodes")
-        index: dict[str, int] = {}
-        for pos, node in enumerate(self.nodes):
-            if node.id in index:
-                raise ValidationError(f"duplicate node id {node.id!r}")
-            index[node.id] = pos
+        index = {node.id: pos for pos, node in enumerate(self.nodes)}
+        if len(index) != len(self.nodes):
+            declared: set[str] = set()
+            for node in self.nodes:
+                if node.id in declared:
+                    raise ValidationError(f"duplicate node id {node.id!r}")
+                declared.add(node.id)
         preds: list[list[int]] = [[] for _ in self.nodes]
         succs: list[list[int]] = [[] for _ in self.nodes]
-        seen: set[tuple[str, str]] = set()
+        # Edges seen, by position pair: a successor-list scan is quadratic in fan-out.
+        n, seen = len(index), set[int]()
         for src, dst in self.edges:
             if src not in index:
                 raise ValidationError(f"edge references unknown node {src!r}")
             if dst not in index:
                 raise ValidationError(f"edge references unknown node {dst!r}")
-            if (src, dst) in seen:
+            s, d = index[src], index[dst]
+            if s * n + d in seen:
                 raise ValidationError(f"duplicate edge {src!r} -> {dst!r}")
-            seen.add((src, dst))
-            succs[index[src]].append(index[dst])
-            preds[index[dst]].append(index[src])
+            seen.add(s * n + d)
+            succs[s].append(d)
+            preds[d].append(s)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_ids", tuple(index))
         object.__setattr__(self, "pred_positions", tuple(map(tuple, preds)))
@@ -102,18 +105,14 @@ class Dfg:
         object.__setattr__(self, "topo_positions", self._toposort())
 
     def _toposort(self) -> tuple[int, ...]:
-        # Kahn's algorithm with declaration-order tie-break; also the
-        # acyclicity check.
+        # Kahn's algorithm, FIFO over `order`, ties in declaration order; also the acyclicity check.
         indeg = [len(preds) for preds in self.pred_positions]
-        ready = deque(k for k, n in enumerate(indeg) if not n)
-        order: list[int] = []
-        while ready:
-            k = ready.popleft()
-            order.append(k)
+        order = [k for k, n in enumerate(indeg) if not n]
+        for k in order:
             for succ in self.succ_positions[k]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
-                    ready.append(succ)
+                    order.append(succ)
         if len(order) != len(self.nodes):
             raise ValidationError("cycle detected in data-flow graph")
         return tuple(order)
@@ -338,17 +337,17 @@ def _reliability_product(votes: Iterable[tuple[float, int]]) -> float:
 # -- parsing ------------------------------------------------------------
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    lines = enumerate(text.splitlines(), start=1)
+    return [(lineno, fields) for lineno, raw in lines if (fields := raw.split("#", 1)[0].split())]
 
 
 def parse_dfg(text: str) -> Dfg:
     """Parse the line-oriented DFG format into a validated graph."""
     nodes: list[DfgNode] = []
     edges: list[tuple[str, str]] = []
+    # One str object per id, shared by its node and every edge naming it.
+    ids: dict[str, str] = {}
     for lineno, fields in _content_lines(text):
         kind = fields[0]
         if kind == "node":
@@ -357,11 +356,12 @@ def parse_dfg(text: str) -> Dfg:
             nid, op = fields[1], fields[2]
             if op not in _OP_ALIASES:
                 raise ParseError(f"line {lineno}: unknown operation {op!r}")
-            nodes.append(DfgNode(nid, _OP_ALIASES[op]))
+            nodes.append(DfgNode(ids.setdefault(nid, nid), _OP_ALIASES[op]))
         elif kind == "edge":
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected 'edge <src> <dst>'")
-            edges.append((fields[1], fields[2]))
+            src, dst = fields[1], fields[2]
+            edges.append((ids.setdefault(src, src), ids.setdefault(dst, dst)))
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
     if not nodes:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,28 @@ def test_synth_bad_input_file_exit_two(relsyn):
     code, _, err = relsyn("synth", "--latency", "11", "--area", "8", dfg="missing.dfg")
     assert code == 2
     assert "error" in err
+
+
+def test_synth_into_a_closed_pipe_exits_141_without_a_traceback(workspace):
+    # `relsyn synth ... | head -1`: 3,000 nodes, the second half each fed by one
+    # of the first, print about 136 kB, more than a pipe holds, so a write
+    # after the reader closes fails.
+    lines = [f"node v{k} {('add', 'mul')[k % 3 == 0]}" for k in range(3000)]
+    lines += [f"edge v{k} v{k + 1500}" for k in range(1500)]
+    (workspace / "wide.dfg").write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, "-m", "relsyn.cli", "synth", "--dfg", "wide.dfg"]
+    argv += ["--lib", "table1.lib", "--latency", "4", "--area", "100000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with open(workspace / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(argv, cwd=workspace, env=env, stdout=subprocess.PIPE, stderr=err)
+        try:
+            assert proc.stdout.readline() == b"latency 4\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+    assert (workspace / "stderr.txt").read_bytes() == b""
 
 
 def test_synth_empty_dfg_exit_two(relsyn, workspace):

@@ -89,6 +89,86 @@ def test_syntax_error_reports_line_number():
         parse_dfg("node x frobnicate\n")
 
 
+# (text, error type, whole message).  Every malformed line is reported
+# before any graph check, then duplicate nodes, then each edge in order
+# (unknown src, unknown dst, repeat), then cycles.
+DFG_ERRORS = {
+    "unknown directive": ("nod a add\n", ParseError, "line 1: unknown directive 'nod'"),
+    "short node": ("node a\n", ParseError, "line 1: expected 'node <id> <op>'"),
+    "long edge": ("node a add\nedge a a a\n", ParseError, "line 2: expected 'edge <src> <dst>'"),
+    "unknown op": ("node a frob\n", ParseError, "line 1: unknown operation 'frob'"),
+    "no nodes": ("# only a comment\n  \n", ParseError, "no nodes declared"),
+    "edges only": ("edge a b\n", ParseError, "no nodes declared"),
+    "malformed beats later duplicate": (
+        "node a add\nnode b\nnode a add\n", ParseError, "line 2: expected 'node <id> <op>'"
+    ),
+    "malformed beats earlier duplicate": (
+        "node a add\nnode a add\nedge a\n", ParseError, "line 3: expected 'edge <src> <dst>'"
+    ),
+    "unknown src before unknown dst": (
+        "node a add\nedge x y\n", ValidationError, "edge references unknown node 'x'"
+    ),
+    "unknown dst": ("node a add\nedge a y\n", ValidationError, "edge references unknown node 'y'"),
+    "duplicate node before dangling edge": (
+        "node a add\nedge a ghost\nnode a mul\n", ValidationError, "duplicate node id 'a'"
+    ),
+    "first duplicate node wins": (
+        "node b add\nnode a add\nnode a mul\nnode b mul\n",
+        ValidationError,
+        "duplicate node id 'a'",
+    ),
+    "duplicate edge before later unknown node": (
+        "node a add\nnode b add\nedge a b\nedge a b\nedge a ghost\n",
+        ValidationError,
+        "duplicate edge 'a' -> 'b'",
+    ),
+    "unknown node before cycle": (
+        "node a add\nedge a a\nedge a ghost\n",
+        ValidationError,
+        "edge references unknown node 'ghost'",
+    ),
+    "cycle": (
+        "node a add\nnode b add\nedge a b\nedge b a\n",
+        ValidationError,
+        "cycle detected in data-flow graph",
+    ),
+    "CRLF line numbers": (
+        "node a add\r\n\r\nedge a\r\n", ParseError, "line 3: expected 'edge <src> <dst>'"
+    ),
+    "comment and blank lines counted": (
+        "# c\n   \n\t\nnode a add\n  # indented\nnode b frob\n",
+        ParseError,
+        "line 6: unknown operation 'frob'",
+    ),
+    "# glued to an id": ("node a#b add\n", ParseError, "line 1: expected 'node <id> <op>'"),
+}
+
+
+@pytest.mark.parametrize("case", list(DFG_ERRORS))
+def test_parse_dfg_error_messages_verbatim(case):
+    text, error, message = DFG_ERRORS[case]
+    with pytest.raises(ValueError) as info:
+        parse_dfg(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_parse_dfg_accepts_crlf_tabs_comments_and_edges_first():
+    texts = (
+        "node a add\nnode b mul\nedge a b\n",
+        "node a add\r\nnode\tb\tmul \r\n\r\nedge a b\r\n",
+        "# header\n   \n\t\nnode a add#glued\n  # indented\nnode b mul # trailing\nedge a b#\n",
+        "edge a b\nnode a add\nnode b mul\n",
+    )
+    parsed = [parse_dfg(text) for text in texts]
+    assert all(dfg == parsed[0] for dfg in parsed)
+    assert [(n.id, n.op_class) for n in parsed[0].nodes] == [
+        ("a", OpClass.ADD),
+        ("b", OpClass.MUL),
+    ]
+    assert parsed[0].edges == (("a", "b"),)
+
+
 def test_parse_library_table1():
     lib = builtin_library()
     got = [(v.name, v.area, v.delay, v.reliability) for v in lib.versions]
@@ -156,6 +236,26 @@ def test_render_parse_round_trip():
     graphs += [builtin_benchmark(name) for name in ("fir16", "ew", "diffeq")]
     for dfg in graphs:
         assert parse_dfg(render_dfg(dfg)) == dfg
+
+
+def test_parsed_graphs_are_compact():
+    # 2,000 nodes n0, n1, ...; node j has up to two predecessors among the 20 before it.
+    rng = random.Random(31)
+    node_lines = [f"node n{k} {rng.choice(('add', 'mul'))}" for k in range(2000)]
+    edge_lines = [
+        f"edge n{i} n{j}"
+        for j in range(1, 2000)
+        for i in rng.sample(range(max(0, j - 20), j), min(j, 2))
+    ]
+    text = "\n".join(node_lines + edge_lines) + "\n"
+    dfg = parse_dfg(text)
+    assert render_dfg(dfg) == text
+    assert not hasattr(dfg.nodes[0], "__dict__")
+    # One str object per id, shared by its node and every edge naming it,
+    # also where edges come before the nodes they name.
+    for parsed in (dfg, parse_dfg("\n".join(edge_lines + node_lines))):
+        ids = {node.id: node.id for node in parsed.nodes}
+        assert all(src is ids[src] and dst is ids[dst] for src, dst in parsed.edges)
 
 
 def test_position_arrays_match_the_id_lookups():
