@@ -176,8 +176,8 @@ class ResourceVersion:
     reliability: float
 
     def __post_init__(self) -> None:
-        if not self.area > 0:
-            raise ValidationError(f"version {self.name!r}: area must be > 0")
+        if not 0 < self.area < math.inf:
+            raise ValidationError(f"version {self.name!r}: area must be finite and > 0")
         if not (isinstance(self.delay, int) and self.delay >= 1):
             raise ValidationError(f"version {self.name!r}: delay must be an integer >= 1")
         if not 0 < self.reliability <= 1:

@@ -13,7 +13,7 @@ The repair loops only ever shrink a node's version area, so they cannot
 discover designs that get cheaper by consolidating operations onto a
 shared *larger* version (e.g. serializing every multiplication onto one
 fast multiplier).  When area repair dead-ends, a final fallback walks
-the single-version-per-class assignments most reliable first and returns
+the single-version-per-class designs most reliable first and returns
 the most reliable one that fits both bounds.
 
 Every design goes through a `memo` dict.  Nothing in it depends on the
@@ -22,17 +22,18 @@ version names -> reliability and (version names, latency bound) ->
 scheduled, bound and priced `Design`, None if the bound is missed: a
 move between versions of equal delay re-binds without re-scheduling, and
 nothing met again is re-built or re-priced.  It keeps "single-version" ->
-the single-version assignments with their designs by latency bound, in
-library order and most reliable first; ("single-version", latency
-bound) -> the tuple of their designs; and latency bound -> walk:
-latency repair's Infeasible, or the (scheduling latency, design) pairs
-that latency repair, slack and area repair have met so far.  The walk is
-the same for every area bound, which only picks the design it stops at,
-the first that fits; a call grows it only when none fits, and it becomes
-a tuple once area repair dead-ends.  A caller that solves many bound
-pairs on one graph and library (a sweep) may pass the same memo to every
-call; without one, each call uses a memo of its own.  Whatever a shared
-memo holds is shared: treat it as read-only.
+the version per class of each single-version design, priced from the
+objective and made an assignment when first scheduled, with its designs
+by latency bound, in library order and most reliable first;
+("single-version", latency bound) -> the tuple of their designs; and
+latency bound -> walk: latency repair's Infeasible, or the (scheduling
+latency, design) pairs that latency repair, slack and area repair have
+met so far.  The walk is the same for every area bound, which only picks
+the design it stops at, the first that fits; a call grows it only when
+none fits, and it becomes a tuple once area repair dead-ends.  A caller
+that solves many bound pairs on one graph and library (a sweep) may pass
+the same memo to every call; without one, each call uses a memo of its
+own.  Whatever a shared memo holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterable, MutableMapping
 
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
-from .model import ResourceVersion, evaluate_reliability
+from .model import ResourceVersion, _reliability_product, evaluate_reliability
 from .scheduler import InfeasibleBoundError, _alap_starts, density_schedule
 
 
@@ -52,21 +53,31 @@ def _best(versions: Iterable[ResourceVersion]) -> ResourceVersion | None:
     return min(versions, key=lambda v: (-v.reliability, v.area, v.delay, v.name), default=None)
 
 
+def _by_position(dfg: Dfg, chosen: Iterable) -> list:
+    """Per node position, the item chosen for its class; `chosen` follows `OpClass` order."""
+    items = [None] * len(dfg.node_ids)
+    for positions, item in zip(dfg.class_positions.values(), chosen):
+        for k in positions:
+            items[k] = item
+    return items
+
+
 def _per_class(dfg: Dfg, chosen: Iterable[ResourceVersion | None]) -> dict[str, ResourceVersion]:
     """The assignment that gives each class's nodes the version chosen for
     that class; `chosen` follows `OpClass` order."""
-    ids = dfg.node_ids
-    assignment = dict.fromkeys(ids)
-    for positions, version in zip(dfg.class_positions.values(), chosen):
-        for k in positions:
-            assignment[ids[k]] = version
-    return assignment
+    return dict(zip(dfg.node_ids, _by_position(dfg, chosen)))
+
+
+@functools.cache
+def _preferred(library: ResourceLibrary) -> tuple[ResourceVersion | None, ...]:
+    """Each class's preferred version in `OpClass` order, None for a class without one."""
+    return tuple(_best(library.versions_for(cls)) for cls in OpClass)
 
 
 def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, ResourceVersion]:
     """Give every node the most reliable version of its class."""
     library.check_covers(dfg)
-    return _per_class(dfg, (_best(library.versions_for(cls)) for cls in OpClass))
+    return _per_class(dfg, _preferred(library))
 
 
 @functools.cache
@@ -95,9 +106,10 @@ def _design_at(
     bound and priced, or None if the scheduler cannot meet the bound;
     built once per memo.  The scheduler reads only delays, so assignments
     with equal delays share one schedule."""
-    names = (tuple(assignment[nid].name for nid in dfg.node_ids), latency_bound)
+    versions = [assignment[nid] for nid in dfg.node_ids]
+    names = (tuple(v.name for v in versions), latency_bound)
     if names not in memo:
-        delays = (tuple(assignment[nid].delay for nid in dfg.node_ids), latency_bound)
+        delays = (tuple(v.delay for v in versions), latency_bound)
         if delays not in memo:
             try:
                 memo[delays] = density_schedule(dfg, assignment, latency_bound)
@@ -126,18 +138,19 @@ def _reliability(dfg: Dfg, assignment: Assignment, names: tuple[str, ...], memo:
 
 
 def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, list]:
-    """Each single-version-per-class assignment as (reliability, assignment,
-    [(area, nodes x delay) per used version], {latency bound: design}), class
-    versions in library order; then the same most reliable first."""
+    """Each single-version-per-class choice as (reliability, version per class
+    in `OpClass` order, [(area, nodes x delay) per used version], {latency
+    bound: design}), class versions in library order; then the same most
+    reliable first.  Priced as `evaluate_reliability` prices its assignment."""
     if "single-version" not in memo:
         classes = dfg.class_positions
         menus = [library.versions_for(cls) if p else (None,) for cls, p in classes.items()]
+        slots = _by_position(dfg, range(len(classes)))  # each node's index in a choice
         candidates = []
         for combo in itertools.product(*menus):  # None: a class with no node
-            assignment = _per_class(dfg, combo)
-            names = tuple(v.name for v in assignment.values())  # in node order
             loads = [(v.area, len(p) * v.delay) for v, p in zip(combo, classes.values()) if p]
-            candidates.append((_reliability(dfg, assignment, names, memo), assignment, loads, {}))
+            reliability = _reliability_product((combo[c].reliability, 1) for c in slots)
+            candidates.append((reliability, combo, loads, {}))
         memo["single-version"] = candidates, sorted(candidates, key=lambda c: -c[0])  # stable
     return memo["single-version"]
 
@@ -152,8 +165,9 @@ def single_version_designs(
     key = ("single-version", latency_bound)
     if key not in memo:
         designs = []
-        for _, assignment, _, built in _candidates(dfg, library, memo)[0]:
+        for _, combo, _, built in _candidates(dfg, library, memo)[0]:
             if latency_bound not in built:
+                assignment = _per_class(dfg, combo)
                 built[latency_bound] = _design_at(dfg, library, assignment, latency_bound, memo)
             designs.append(built[latency_bound])
         memo[key] = tuple(d for d in designs if d is not None)
@@ -166,13 +180,13 @@ def _fallback(dfg: Dfg, library: ResourceLibrary, bounds: Bounds, memo: Memo) ->
     a candidate whose area floor, ceil(nodes x delay / L) instances per used
     version, exceeds the area bound past a relative 1e-9 rounding margin."""
     l_d, a_d, fits = bounds.latency_bound, bounds.area_bound, []
-    for reliability, assignment, loads, designs in _candidates(dfg, library, memo)[1]:
+    for reliability, combo, loads, designs in _candidates(dfg, library, memo)[1]:
         if fits and reliability < fits[0].reliability:
             break
         if l_d not in designs:
             if sum(area * max(1, -(-load // l_d)) for area, load in loads) * (1 - 1e-9) > a_d:
                 continue
-            designs[l_d] = _design_at(dfg, library, assignment, l_d, memo)
+            designs[l_d] = _design_at(dfg, library, _per_class(dfg, combo), l_d, memo)
         if designs[l_d] is not None and designs[l_d].area <= a_d:
             fits.append(designs[l_d])
     return min(fits, key=lambda d: (d.area, d.latency), default=None)  # the first minimum
@@ -202,7 +216,8 @@ def _repair_latency(
     until the latency bound is met; the assignment and its asap latency,
     or Infeasible once no critical-path node can go any faster.  The
     asap latency is the total delay of a critical path."""
-    versions = list(initial_allocation(dfg, library).values())  # in node order: by position
+    library.check_covers(dfg)
+    versions = _by_position(dfg, _preferred(library))
     preds, succs, moves = dfg.pred_positions, dfg.succ_positions, _moves(library)
     # Each node's total delay on its heaviest path to a sink: 1 - its latest start at L 0.
     tail = [1 - start for start in _alap_starts(dfg, [v.delay for v in versions], 0)]

@@ -605,6 +605,23 @@ INPUT_ERRORS = {
         SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A add one 1 0.9\n"},
         "line 1: could not convert string to float: 'one'",
     ),
+    "lib-area-inf": (
+        SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A1 add inf 1 0.99\n"},
+        "line 1: version 'A1': area must be finite and > 0",
+    ),
+    "lib-area-overflow": (
+        SYNTH + ("--lib", "bad.lib"), {"bad.lib": "resource A1 add 1e400 1 0.99\n"},
+        "line 1: version 'A1': area must be finite and > 0",
+    ),
+    "sweep-lib-area-inf": (
+        SWEEP + ("--lib", "bad.lib"), {"bad.lib": "resource A1 add inf 1 0.99\n"},
+        "line 1: version 'A1': area must be finite and > 0",
+    ),
+    "eval-lib-area-overflow": (
+        EVAL + ("--lib", "bad.lib"),
+        {"bad.lib": "resource A1 add 1e400 1 0.99\n", "bad.assign": "assign a A1\n"},
+        "line 1: version 'A1': area must be finite and > 0",
+    ),
     "qcrit-number": (
         CHAR_QS + ("--qcrit", "bad.txt"), {"bad.txt": "qcrit ripple many\n"},
         "line 1: could not convert string to float: 'many'",

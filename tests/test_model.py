@@ -194,6 +194,8 @@ def test_parse_library_single_line():
         ("resource x add 1 2 1.5", "reliability"),
         ("resource x add 1 2 0", "reliability"),
         ("resource x add 0 2 0.9", "area"),
+        ("resource x add inf 1 0.99", "^line 1: version 'x': area must be finite and > 0$"),
+        ("resource x add 1e400 1 0.99", "^line 1: version 'x': area must be finite and > 0$"),
     ],
 )
 def test_parse_library_field_validation(line, message):

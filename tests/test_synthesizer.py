@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 from collections import Counter
@@ -404,6 +405,85 @@ def test_fallback_builds_only_candidates_it_cannot_rule_out(monkeypatch):
     assert {v.name for v in result.assignment.values()} == {"Adder2", "Mult2"}
     assert (result.latency, result.area) == (10, 8)
     assert result.reliability == pytest.approx(0.48467, abs=5e-6)
+
+
+# Three versions per class, with reliabilities whose logs round unevenly.
+THREE_LIB = parse_library(
+    """
+    resource A1 add 1 3 0.9993
+    resource A2 add 2 2 0.98765
+    resource A3 add 3 1 0.9617
+    resource M1 mul 2 3 0.99871
+    resource M2 mul 3 2 0.97531
+    resource M3 mul 5 1 0.95
+    """
+)
+
+
+def test_candidate_price_is_exactly_the_evaluated_reliability():
+    # The fallback's stop compares a candidate's price with a built design's
+    # reliability, so the two must be the same float: check every
+    # single-version assignment of seeded graphs of one class and of both.
+    rng = random.Random(67)
+    checked = 0
+    for case in range(60):
+        dfg = random_dfg(rng, max_nodes=24, min_nodes=2)
+        if case % 3:
+            cls = (OpClass.ADD, OpClass.MUL)[case % 3 - 1]
+            dfg = Dfg(tuple(DfgNode(n.id, cls) for n in dfg.nodes), dfg.edges)
+        for library in (LIB, THREE_LIB):
+            used = [c for c in OpClass if dfg.class_counts()[c]]
+            menus = [library.versions_for(c) for c in used]
+            priced = {
+                tuple(v for v in combo if v is not None): reliability
+                for reliability, combo, _, _ in synthesizer._candidates(dfg, library, {})[0]
+            }
+            assert len(priced) == len(list(itertools.product(*menus)))
+            for chosen in itertools.product(*menus):
+                version = dict(zip(used, chosen))
+                assignment = {n.id: version[n.op_class] for n in dfg.nodes}
+                assert priced[chosen] == evaluate_reliability(dfg, assignment)
+                checked += 1
+    assert checked > 300
+
+
+def test_find_design_prices_only_what_it_binds(monkeypatch):
+    # Single-version candidates are ranked without building or pricing an
+    # assignment: every assignment that a call prices, it also binds.
+    priced, bound, fallbacks = [], [], []
+    evaluate, fallback = synthesizer.evaluate_reliability, synthesizer._fallback
+    schedules, bindings = _count_scheduling(monkeypatch)
+    counting_bind = synthesizer.bind
+
+    def recording_evaluate(dfg, assignment, *rest):
+        priced.append(tuple(assignment[n].name for n in dfg.node_ids))
+        return evaluate(dfg, assignment, *rest)
+
+    def recording_bind(dfg, sched, assignment):
+        bound.append(tuple(assignment[n].name for n in dfg.node_ids))
+        return counting_bind(dfg, sched, assignment)
+
+    def recording_fallback(*args):
+        fallbacks.append(fallback(*args))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(synthesizer, "evaluate_reliability", recording_evaluate)
+    monkeypatch.setattr(synthesizer, "bind", recording_bind)
+    monkeypatch.setattr(synthesizer, "_fallback", recording_fallback)
+    rng = random.Random(71)
+    for _ in range(120):
+        dfg = random_dfg(rng, max_nodes=8, min_nodes=6)
+        library = rng.choice((LIB, THREE_LIB))
+        fastest = {c: min(library.versions_for(c), key=lambda v: v.delay) for c in OpClass}
+        minimum = asap(dfg, {x.id: fastest[x.op_class] for x in dfg.nodes}).latency
+        bounds = Bounds(minimum + rng.randint(0, 4), rng.choice((3, 4, 5, 6, 8, 10, 12)))
+        del priced[:], bound[:]
+        find_design(dfg, library, bounds)
+        assert set(priced) <= set(bound)
+    # 79 of the 120 calls reach the fallback and 33 of those find a design;
+    # ranking the candidates adds no schedule and no binding.
+    assert (len(fallbacks), sum(d is not None for d in fallbacks)) == (79, 33)
+    assert (sum(schedules.values()), sum(bindings.values())) == (294, 214)
 
 
 def _repair_cases():
