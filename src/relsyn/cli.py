@@ -32,6 +32,8 @@ METHODS = ("ours", "nmr", "combined", "oracle")
 # `sweep` and `synth` accept: a typo fails at once, not after days or all of memory.
 MAX_SWEEP_POINTS = 100_000
 MAX_LATENCY_BOUND = 10_000
+# Largest NMR factor `eval` accepts: a vote's exact binomials cost time quadratic in N.
+MAX_NMR_FACTOR = 10_001
 
 # Keys `eval --design` needs; `reliability` is recomputed, never read.
 _DESIGN_KEYS = ("assignment", "schedule", "binding", "instances", "latency", "area")
@@ -294,6 +296,8 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
                 nmr[nid] = int(fields[4])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if nmr[nid] > MAX_NMR_FACTOR:
+                raise ParseError(f"line {lineno}: nmr factor {nmr[nid]} is above {MAX_NMR_FACTOR}")
         try:
             assignment[nid] = library.by_name(vname)
         except KeyError as exc:
@@ -350,6 +354,8 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         raise InputError(f"bad design JSON: {detail}") from exc
     if len({inst.id for inst in instances}) != len(instances):
         raise InputError("design instances repeat an id")
+    if any(inst.nmr_factor > MAX_NMR_FACTOR for inst in instances):
+        raise InputError(f"design has an nmr factor above {MAX_NMR_FACTOR}")
     busy: dict[int, set[int]] = {}
     for nid, inst in bound.items():
         version, start = assignment[nid], starts[nid]

@@ -21,7 +21,6 @@ import math
 
 from .binder import with_nmr
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
-from .model import evaluate_reliability, nmr_reliability  # noqa: F401
 from .synthesizer import Memo, find_design, single_version_designs
 
 
@@ -35,7 +34,7 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     log R(r, N+2) - log R(r, N) of its version's reliability r, computed
     once per (r, N) and process.  Schedule and latency are untouched.
     """
-    return _upgraded(design, *_price_upgrade(design, library, area_bound))
+    return _upgraded(design, *_pricing(design, library).price(area_bound))
 
 
 @functools.cache
@@ -91,6 +90,8 @@ class _Pricing:
         return gain / self.extra[iid]
 
     def price(self, area_bound: float) -> tuple[dict[int, int], float, float]:
+        """`greedy_nmr_upgrade`'s outcome at `area_bound`, unbuilt: the nmr factor
+        per instance id (read-only: it is kept), the area and the reliability."""
         for lo, hi, outcome in self.runs:
             if lo <= area_bound and (hi is None or area_bound < hi):
                 return outcome
@@ -144,15 +145,6 @@ def _pricing(design: Design, library: ResourceLibrary) -> _Pricing:
     return pricings.get(library) or pricings.setdefault(library, _Pricing(design, library))
 
 
-def _price_upgrade(
-    design: Design, library: ResourceLibrary, area_bound: float
-) -> tuple[dict[int, int], float, float]:
-    """What `greedy_nmr_upgrade` makes of `design`, without building it:
-    the nmr factor per instance id (read-only: it is kept), the area and
-    the reliability."""
-    return _pricing(design, library).price(area_bound)
-
-
 def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:
     binding = with_nmr(design.binding, nmr)
     return Design(design.assignment, design.schedule, binding, design.latency, area, reliability)
@@ -174,11 +166,11 @@ def baseline_nmr_synth(
     designs = single_version_designs(dfg, library, bounds.latency_bound, memo=memo)
     a_d, best = bounds.area_bound, ((-math.inf,), None, None)
     fits = [(_pricing(d, library), -i, d) for i, d in enumerate(designs) if d.area <= a_d]
-    for ceiling, order, d in sorted(((p.ceiling(a_d), o, d) for p, o, d in fits), reverse=True):
+    for ceiling, o, p, d in sorted(((p.ceiling(a_d), o, p, d) for p, o, d in fits), reverse=True):
         if ceiling < best[0][0] * (1 - 1e-9):  # 1e-9: rounding may pass a ceiling
             break  # no candidate left can reach the best priced reliability
-        priced = _price_upgrade(d, library, a_d)  # keyed in the docstring's order:
-        best = max(best, ((priced[2], -priced[1], -d.latency, order), d, priced))
+        priced = p.price(a_d)  # keyed in the docstring's order:
+        best = max(best, ((priced[2], -priced[1], -d.latency, o), d, priced))
     if best[1] is None:
         reason = "area" if designs else "latency"
         return Infeasible(reason, "no single-version combination meets both bounds")

@@ -17,23 +17,23 @@ the single-version-per-class designs most reliable first and returns
 the most reliable one that fits both bounds.
 
 Every design goes through a `memo` dict.  Nothing in it depends on the
-area bound, so the memo keeps (delays, latency bound) -> schedule,
-version names -> reliability and (version names, latency bound) ->
-scheduled, bound and priced `Design`, None if the bound is missed: a
-move between versions of equal delay re-binds without re-scheduling, and
-nothing met again is re-built or re-priced.  It keeps "single-version" ->
-the version per class of each single-version design, priced from the
-objective and made an assignment when first scheduled, with its designs
-by latency bound, in library order and most reliable first;
-("single-version", latency bound) -> the tuple of their designs; and
-latency bound -> walk: latency repair's Infeasible, or the (scheduling
-latency, design) pairs that latency repair, slack and area repair have
-met so far.  The walk is the same for every area bound, which only picks
-the design it stops at, the first that fits; a call grows it only when
-none fits, and it becomes a tuple once area repair dead-ends.  A caller
-that solves many bound pairs on one graph and library (a sweep) may pass
-the same memo to every call; without one, each call uses a memo of its
-own.  Whatever a shared memo holds is shared: treat it as read-only.
+area bound, so the memo keeps (delays, latency bound) -> schedule and
+(version names, latency bound) -> scheduled, bound and priced `Design`,
+None if the bound is missed: a move between versions of equal delay
+re-binds without re-scheduling, and nothing met again is re-built or
+re-priced.  It keeps "single-version" -> the version per class of each
+single-version design, priced from the objective and made an assignment
+when first scheduled, with its designs by latency bound, in library
+order and most reliable first; ("single-version", latency bound) -> the
+tuple of their designs; and latency bound -> walk: latency repair's
+Infeasible, or the (scheduling latency, design) pairs that latency
+repair, slack and area repair have met so far.  The walk is the same for
+every area bound, which only picks the design it stops at, the first
+that fits; a call grows it only when none fits, and it becomes a tuple
+once area repair dead-ends.  A caller that solves many bound pairs on
+one graph and library (a sweep) may pass the same memo to every call;
+without one, each call uses a memo of its own.  Whatever a shared memo
+holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Iterable, MutableMapping
 
 from .binder import bind, total_area
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
-from .model import ResourceVersion, _reliability_product, evaluate_reliability
+from .model import ResourceVersion, _reliability_product
 from .scheduler import InfeasibleBoundError, _alap_starts, density_schedule
 
 
@@ -103,9 +103,9 @@ def _design_at(
     dfg: Dfg, library: ResourceLibrary, assignment: Assignment, latency_bound: int, memo: Memo
 ) -> Design | None:
     """The design of `assignment` density-scheduled at `latency_bound`,
-    bound and priced, or None if the scheduler cannot meet the bound;
-    built once per memo.  The scheduler reads only delays, so assignments
-    with equal delays share one schedule."""
+    bound and priced (bind leaves every factor N at 1), or None if the
+    scheduler cannot meet the bound; built once per memo.  The scheduler
+    reads only delays, so assignments with equal delays share one schedule."""
     versions = [assignment[nid] for nid in dfg.node_ids]
     names = (tuple(v.name for v in versions), latency_bound)
     if names not in memo:
@@ -125,15 +125,8 @@ def _design_at(
                 binding=binding,
                 latency=schedule.latency,
                 area=total_area(binding, library),
-                reliability=_reliability(dfg, assignment, names[0], memo),
+                reliability=_reliability_product((v.reliability, 1) for v in versions),
             )
-    return memo[names]
-
-
-def _reliability(dfg: Dfg, assignment: Assignment, names: tuple[str, ...], memo: Memo) -> float:
-    """The reliability of `assignment`, with version `names` by node; priced once per memo."""
-    if names not in memo:
-        memo[names] = evaluate_reliability(dfg, assignment)  # bind makes every factor 1
     return memo[names]
 
 
@@ -141,7 +134,7 @@ def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, l
     """Each single-version-per-class choice as (reliability, version per class
     in `OpClass` order, [(area, nodes x delay) per used version], {latency
     bound: design}), class versions in library order; then the same most
-    reliable first.  Priced as `evaluate_reliability` prices its assignment."""
+    reliable first.  Priced as `_design_at` prices a design."""
     if "single-version" not in memo:
         classes = dfg.class_positions
         menus = [library.versions_for(cls) if p else (None,) for cls, p in classes.items()]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, parse_dfg
-from relsyn.redundancy import nmr_reliability
+from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, nmr_reliability, parse_dfg
 from relsyn.synthesizer import Design
 
 # Two sources joined into one chain of adders.

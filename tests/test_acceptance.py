@@ -20,10 +20,12 @@ from relsyn.model import (
     builtin_benchmark,
     builtin_library,
     data_text,
+    evaluate_reliability,
+    nmr_reliability,
     parse_library,
 )
 from relsyn.oracle import oracle_best
-from relsyn.redundancy import baseline_nmr_synth, evaluate_reliability, nmr_reliability
+from relsyn.redundancy import baseline_nmr_synth
 from relsyn.scheduler import asap
 from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, initial_allocation
 

@@ -525,6 +525,7 @@ REPEATED_ID_DESIGN = {
     "assignment": {"a": "Adder1"}, "schedule": {"a": 1}, "binding": {"a": 0},
     "latency": 2, "area": 1, "instances": [{"id": 0, "version": "Adder1", "nmr": 1}] * 2,
 }
+HUGE_NMR_INSTANCE = {"id": 0, "version": "Adder1", "nmr": 1_000_000_001}
 
 # Each case is an argv, the files it writes into the workspace first, and a
 # part of its message.  An option given again replaces the earlier one
@@ -566,9 +567,18 @@ INPUT_ERRORS = {
     "assign-unknown-version": (
         EVAL, {"bad.assign": "assign a Adder9\n"}, "line 1: unknown resource version 'Adder9'"
     ),
+    "assign-nmr-above-cap": (
+        EVAL, {"bad.assign": "assign a Adder1 nmr 1000000001\n"},
+        "line 1: nmr factor 1000000001 is above 10001",
+    ),
     "design-repeated-id": (
         ("eval", "--dfg", "one.dfg", "--design", "bad.json"),
         {"bad.json": json.dumps(REPEATED_ID_DESIGN)}, "design instances repeat an id",
+    ),
+    "design-nmr-above-cap": (
+        ("eval", "--dfg", "one.dfg", "--design", "bad.json"),
+        {"bad.json": json.dumps(dict(REPEATED_ID_DESIGN, instances=[HUGE_NMR_INSTANCE]))},
+        "design has an nmr factor above 10001",
     ),
     "design-malformed": (
         ("eval", "--design", "bad.json"), {"bad.json": "{"},

@@ -18,17 +18,12 @@ from relsyn.model import (
     ValidationError,
     builtin_benchmark,
     builtin_library,
+    evaluate_reliability,
+    nmr_reliability,
     parse_dfg,
     parse_library,
 )
-from relsyn.redundancy import (
-    _price_upgrade,
-    baseline_nmr_synth,
-    combined_synth,
-    evaluate_reliability,
-    greedy_nmr_upgrade,
-    nmr_reliability,
-)
+from relsyn.redundancy import baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from relsyn.scheduler import Schedule, asap, density_schedule
 from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, single_version_designs
 
@@ -522,7 +517,7 @@ def test_priced_upgrade_equals_a_fresh_greedy():
         for order in (bounds, bounds[::-1], rng.sample(bounds, len(bounds))):
             priced = replace(design)
             for area_bound in order:
-                assert _price_upgrade(priced, library, area_bound) == fresh[area_bound]
+                assert redundancy._pricing(priced, library).price(area_bound) == fresh[area_bound]
             kept.append(priced._nmr_pricing[library])
         # Each bound has one run, so every order keeps the same runs.
         assert all(sorted(p.runs, key=lambda run: run[0]) == kept[0].runs for p in kept)
@@ -531,10 +526,10 @@ def test_priced_upgrade_equals_a_fresh_greedy():
                 if area_bound > 0:
                     assert _greedy(pricing, area_bound) == outcome
         runs += len(kept[0].runs)
-        unbounded = _price_upgrade(priced, library, math.inf)
+        unbounded = redundancy._pricing(priced, library).price(math.inf)
         assert unbounded == _greedy(pricing, math.inf)
         count = len(kept[-1].runs)
-        assert _price_upgrade(priced, library, math.inf) == unbounded
+        assert redundancy._pricing(priced, library).price(math.inf) == unbounded
         assert len(kept[-1].runs) == count
     assert runs > 1000
 
@@ -564,7 +559,7 @@ def test_ceiling_bounds_every_priced_upgrade():
         pricing = redundancy._pricing(design, library)
         for k in range(400):
             area_bound = design.area + k / 4
-            reliability = _price_upgrade(design, library, area_bound)[2]
+            reliability = redundancy._pricing(design, library).price(area_bound)[2]
             ceiling = pricing.ceiling(area_bound)
             assert reliability <= ceiling * (1 + 1e-13), (area_bound, reliability, ceiling)
             checks, over = checks + 1, over + (reliability > ceiling)
@@ -576,7 +571,7 @@ def _unpruned_baseline(dfg, library, bounds):
     designs = single_version_designs(dfg, library, bounds.latency_bound)
     a_d = bounds.area_bound
     best = max(
-        ((d, _price_upgrade(d, library, a_d)) for d in designs if d.area <= a_d),
+        ((d, redundancy._pricing(d, library).price(a_d)) for d in designs if d.area <= a_d),
         key=lambda p: (p[1][2], -p[1][1], -p[0].latency),
         default=None,
     )

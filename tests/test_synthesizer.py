@@ -16,10 +16,10 @@ from relsyn.model import (
     ValidationError,
     builtin_benchmark,
     builtin_library,
+    evaluate_reliability,
     parse_dfg,
     parse_library,
 )
-from relsyn.redundancy import evaluate_reliability
 from relsyn.scheduler import asap
 from relsyn.synthesizer import (
     Bounds,
@@ -423,9 +423,10 @@ THREE_LIB = parse_library(
 def test_candidate_price_is_exactly_the_evaluated_reliability():
     # The fallback's stop compares a candidate's price with a built design's
     # reliability, so the two must be the same float: check every
-    # single-version assignment of seeded graphs of one class and of both.
+    # single-version assignment of seeded graphs of one class and of both,
+    # and every design that `find_design` builds on them, walk or fallback.
     rng = random.Random(67)
-    checked = 0
+    checked = built = from_fallback = 0
     for case in range(60):
         dfg = random_dfg(rng, max_nodes=24, min_nodes=2)
         if case % 3:
@@ -444,31 +445,39 @@ def test_candidate_price_is_exactly_the_evaluated_reliability():
                 assignment = {n.id: version[n.op_class] for n in dfg.nodes}
                 assert priced[chosen] == evaluate_reliability(dfg, assignment)
                 checked += 1
-    assert checked > 300
+            memo = {}
+            fastest = {c: min(library.versions_for(c), key=lambda v: v.delay) for c in OpClass}
+            minimum = asap(dfg, {x.id: fastest[x.op_class] for x in dfg.nodes}).latency
+            for latency_bound, area_bound in itertools.product((minimum, minimum + 2), (3, 6, 12)):
+                find_design(dfg, library, Bounds(latency_bound, area_bound), memo=memo)
+            for d in memo.values():
+                if isinstance(d, Design):
+                    assert d.reliability == evaluate_reliability(dfg, d.assignment, d.binding)
+                    built += 1
+            # The fallback keeps its designs by L in each candidate's last field.
+            for *_, designs in memo.get("single-version", ((), ()))[0]:
+                from_fallback += sum(d is not None for d in designs.values())
+    assert checked > 300 and built > 500 and from_fallback > 100
 
 
 def test_find_design_prices_only_what_it_binds(monkeypatch):
-    # Single-version candidates are ranked without building or pricing an
-    # assignment: every assignment that a call prices, it also binds.
-    priced, bound, fallbacks = [], [], []
-    evaluate, fallback = synthesizer.evaluate_reliability, synthesizer._fallback
+    # Single-version candidates are ranked without building an assignment,
+    # and a design is priced where it is built: `_design_at` takes one
+    # product per binding.
+    priced, fallbacks = [], []
+    product, fallback = synthesizer._reliability_product, synthesizer._fallback
     schedules, bindings = _count_scheduling(monkeypatch)
-    counting_bind = synthesizer.bind
 
-    def recording_evaluate(dfg, assignment, *rest):
-        priced.append(tuple(assignment[n].name for n in dfg.node_ids))
-        return evaluate(dfg, assignment, *rest)
-
-    def recording_bind(dfg, sched, assignment):
-        bound.append(tuple(assignment[n].name for n in dfg.node_ids))
-        return counting_bind(dfg, sched, assignment)
+    def recording_product(votes):
+        if sys._getframe(1).f_code.co_name == "_design_at":
+            priced.append(None)
+        return product(votes)
 
     def recording_fallback(*args):
         fallbacks.append(fallback(*args))
         return fallbacks[-1]
 
-    monkeypatch.setattr(synthesizer, "evaluate_reliability", recording_evaluate)
-    monkeypatch.setattr(synthesizer, "bind", recording_bind)
+    monkeypatch.setattr(synthesizer, "_reliability_product", recording_product)
     monkeypatch.setattr(synthesizer, "_fallback", recording_fallback)
     rng = random.Random(71)
     for _ in range(120):
@@ -477,13 +486,12 @@ def test_find_design_prices_only_what_it_binds(monkeypatch):
         fastest = {c: min(library.versions_for(c), key=lambda v: v.delay) for c in OpClass}
         minimum = asap(dfg, {x.id: fastest[x.op_class] for x in dfg.nodes}).latency
         bounds = Bounds(minimum + rng.randint(0, 4), rng.choice((3, 4, 5, 6, 8, 10, 12)))
-        del priced[:], bound[:]
         find_design(dfg, library, bounds)
-        assert set(priced) <= set(bound)
     # 79 of the 120 calls reach the fallback and 33 of those find a design;
-    # ranking the candidates adds no schedule and no binding.
+    # ranking the candidates adds no schedule and no binding, and each
+    # binding is priced once.
     assert (len(fallbacks), sum(d is not None for d in fallbacks)) == (79, 33)
-    assert (sum(schedules.values()), sum(bindings.values())) == (294, 214)
+    assert (sum(schedules.values()), sum(bindings.values()), len(priced)) == (294, 214, 214)
 
 
 def _repair_cases():
