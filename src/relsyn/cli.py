@@ -298,6 +298,8 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
                 raise ParseError(f"line {lineno}: {exc}") from exc
             if nmr[nid] > MAX_NMR_FACTOR:
                 raise ParseError(f"line {lineno}: nmr factor {nmr[nid]} is above {MAX_NMR_FACTOR}")
+            if nmr[nid] < 1 or nmr[nid] % 2 == 0:
+                raise ParseError(f"line {lineno}: nmr factor {nmr[nid]} must be odd and >= 1")
         try:
             assignment[nid] = library.by_name(vname)
         except KeyError as exc:

@@ -19,21 +19,21 @@ the most reliable one that fits both bounds.
 Every design goes through a `memo` dict.  Nothing in it depends on the
 area bound, so the memo keeps (delays, latency bound) -> schedule and
 (version names, latency bound) -> scheduled, bound and priced `Design`,
-None if the bound is missed: a move between versions of equal delay
-re-binds without re-scheduling, and nothing met again is re-built or
-re-priced.  It keeps "single-version" -> the version per class of each
-single-version design, priced from the objective and made an assignment
-when first scheduled, with its designs by latency bound, in library
-order and most reliable first; ("single-version", latency bound) -> the
-tuple of their designs; and latency bound -> walk: latency repair's
-Infeasible, or the (scheduling latency, design) pairs that latency
-repair, slack and area repair have met so far.  The walk is the same for
-every area bound, which only picks the design it stops at, the first
-that fits; a call grows it only when none fits, and it becomes a tuple
-once area repair dead-ends.  A caller that solves many bound pairs on
-one graph and library (a sweep) may pass the same memo to every call;
-without one, each call uses a memo of its own.  Whatever a shared memo
-holds is shared: treat it as read-only.
+None if the bound is missed.  The flows pass versions by node position,
+as these keys hold them, and a design's assignment dict is built once.  A
+move between versions of equal delay re-binds without re-scheduling, and
+nothing met again is re-built or re-priced.  It keeps "single-version" ->
+the version per class of each single-version design, priced from the
+objective, with its designs by latency bound, in library order and most
+reliable first; ("single-version", latency bound) -> the tuple of their
+designs; and latency bound -> walk: latency repair's Infeasible, or the
+(scheduling latency, design) pairs that latency repair, slack and area
+repair have met so far.  The walk is the same for every area bound, which
+only picks the design it stops at, the first that fits; a call grows it
+only when none fits, and it becomes a tuple once area repair dead-ends.
+A caller that solves many bound pairs on one graph and library (a sweep)
+may pass the same memo to every call; without one, each call uses a memo
+of its own.  Whatever a shared memo holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 from typing import Iterable, MutableMapping
 
 from .binder import bind, total_area
-from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
+from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
 from .model import ResourceVersion, _reliability_product
 from .scheduler import InfeasibleBoundError, _alap_starts, density_schedule
 
@@ -62,12 +62,6 @@ def _by_position(dfg: Dfg, chosen: Iterable) -> list:
     return items
 
 
-def _per_class(dfg: Dfg, chosen: Iterable[ResourceVersion | None]) -> dict[str, ResourceVersion]:
-    """The assignment that gives each class's nodes the version chosen for
-    that class; `chosen` follows `OpClass` order."""
-    return dict(zip(dfg.node_ids, _by_position(dfg, chosen)))
-
-
 @functools.cache
 def _preferred(library: ResourceLibrary) -> tuple[ResourceVersion | None, ...]:
     """Each class's preferred version in `OpClass` order, None for a class without one."""
@@ -77,7 +71,7 @@ def _preferred(library: ResourceLibrary) -> tuple[ResourceVersion | None, ...]:
 def initial_allocation(dfg: Dfg, library: ResourceLibrary) -> dict[str, ResourceVersion]:
     """Give every node the most reliable version of its class."""
     library.check_covers(dfg)
-    return _per_class(dfg, _preferred(library))
+    return dict(zip(dfg.node_ids, _by_position(dfg, _preferred(library))))
 
 
 @functools.cache
@@ -100,15 +94,15 @@ Memo = MutableMapping[object, object]
 
 
 def _design_at(
-    dfg: Dfg, library: ResourceLibrary, assignment: Assignment, latency_bound: int, memo: Memo
+    dfg: Dfg, library: ResourceLibrary, versions: list, latency_bound: int, memo: Memo
 ) -> Design | None:
-    """The design of `assignment` density-scheduled at `latency_bound`,
-    bound and priced (bind leaves every factor N at 1), or None if the
-    scheduler cannot meet the bound; built once per memo.  The scheduler
-    reads only delays, so assignments with equal delays share one schedule."""
-    versions = [assignment[nid] for nid in dfg.node_ids]
+    """The design of `versions` (by node position) density-scheduled at
+    `latency_bound`, bound and priced (bind leaves every N at 1), or None if
+    the scheduler misses the bound; built once per memo, its assignment in
+    node order.  The scheduler reads only delays; equal ones share a schedule."""
     names = (tuple(v.name for v in versions), latency_bound)
     if names not in memo:
+        assignment = dict(zip(dfg.node_ids, versions))
         delays = (tuple(v.delay for v in versions), latency_bound)
         if delays not in memo:
             try:
@@ -120,7 +114,7 @@ def _design_at(
         if schedule is not None:
             binding = bind(dfg, schedule, assignment)
             memo[names] = Design(
-                assignment=dict(assignment),
+                assignment=assignment,
                 schedule=schedule,
                 binding=binding,
                 latency=schedule.latency,
@@ -160,8 +154,8 @@ def single_version_designs(
         designs = []
         for _, combo, _, built in _candidates(dfg, library, memo)[0]:
             if latency_bound not in built:
-                assignment = _per_class(dfg, combo)
-                built[latency_bound] = _design_at(dfg, library, assignment, latency_bound, memo)
+                versions = _by_position(dfg, combo)
+                built[latency_bound] = _design_at(dfg, library, versions, latency_bound, memo)
             designs.append(built[latency_bound])
         memo[key] = tuple(d for d in designs if d is not None)
     return memo[key]
@@ -179,7 +173,7 @@ def _fallback(dfg: Dfg, library: ResourceLibrary, bounds: Bounds, memo: Memo) ->
         if l_d not in designs:
             if sum(area * max(1, -(-load // l_d)) for area, load in loads) * (1 - 1e-9) > a_d:
                 continue
-            designs[l_d] = _design_at(dfg, library, _per_class(dfg, combo), l_d, memo)
+            designs[l_d] = _design_at(dfg, library, _by_position(dfg, combo), l_d, memo)
         if designs[l_d] is not None and designs[l_d].area <= a_d:
             fits.append(designs[l_d])
     return min(fits, key=lambda d: (d.area, d.latency), default=None)  # the first minimum
@@ -204,11 +198,11 @@ def _heaviest_path(dfg: Dfg, tail: list[int]) -> list[int]:
 
 def _repair_latency(
     dfg: Dfg, library: ResourceLibrary, l_d: int
-) -> tuple[dict[str, ResourceVersion], int] | Infeasible:
+) -> tuple[list[ResourceVersion], int] | Infeasible:
     """Speed up the slowest critical-path node of the initial allocation
-    until the latency bound is met; the assignment and its asap latency,
-    or Infeasible once no critical-path node can go any faster.  The
-    asap latency is the total delay of a critical path."""
+    until the latency bound is met; the versions by node position and
+    their asap latency, or Infeasible once no critical-path node can go
+    any faster.  The asap latency is the total delay of a critical path."""
     library.check_covers(dfg)
     versions = _by_position(dfg, _preferred(library))
     preds, succs, moves = dfg.pred_positions, dfg.succ_positions, _moves(library)
@@ -218,7 +212,7 @@ def _repair_latency(
         path = _heaviest_path(dfg, tail)
         latency = tail[path[0]]
         if latency <= l_d:
-            return dict(zip(dfg.node_ids, versions)), latency
+            return versions, latency
         candidates = [(-versions[k].delay, k) for k in path if moves[versions[k].name][0]]
         if not candidates:
             return Infeasible(
@@ -256,8 +250,8 @@ def find_design(
     if walk is None:
         repaired = _repair_latency(dfg, library, l_d)
         if not isinstance(repaired, Infeasible):
-            assignment, latency = repaired
-            repaired = [(latency, _design_at(dfg, library, assignment, latency, memo))]
+            versions, latency = repaired
+            repaired = [(latency, _design_at(dfg, library, versions, latency, memo))]
         walk = memo[l_d] = repaired
     if isinstance(walk, Infeasible):
         return walk
@@ -267,28 +261,24 @@ def find_design(
         if design.area <= a_d:
             return design
     while isinstance(walk, list):
+        versions = list(design.assignment.values())  # in node order: `_design_at` built it
         if latency < l_d:
             # Latency slack: relaxing the schedule one cycle at a time lets
             # the binder serialize more operations onto fewer instances.
             latency += 1
-            assignment = design.assignment
         else:
             # Area repair: move the largest-version node, together with every
             # node sharing its instance, to a smaller version that is no slower.
-            assignment, moves = design.assignment, _moves(library)
-            candidates = [
-                (-assignment[nid].area, index, nid)
-                for index, nid in enumerate(dfg.node_ids) if moves[assignment[nid].name][1]
-            ]
+            moves = _moves(library)
+            candidates = [(-v.area, k) for k, v in enumerate(versions) if moves[v.name][1]]
             if not candidates:
                 memo[l_d] = tuple(walk)
                 break
-            victim = min(candidates)[2]
-            replacement = moves[assignment[victim].name][1]
-            assignment = dict(assignment)
-            for nid in design.binding.nodes_on(design.binding.node_to_instance[victim]):
-                assignment[nid] = replacement
-        design = _design_at(dfg, library, assignment, latency, memo)
+            victim = min(candidates)[1]
+            replacement, binding = moves[versions[victim].name][1], design.binding
+            for nid in binding.nodes_on(binding.node_to_instance[dfg.node_ids[victim]]):
+                versions[dfg.declaration_index(nid)] = replacement
+        design = _design_at(dfg, library, versions, latency, memo)
         walk.append((latency, design))
         if design.area <= a_d:
             return design

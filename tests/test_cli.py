@@ -571,6 +571,22 @@ INPUT_ERRORS = {
         EVAL, {"bad.assign": "assign a Adder1 nmr 1000000001\n"},
         "line 1: nmr factor 1000000001 is above 10001",
     ),
+    # Node a is the graph's first node (instance 0) but the file's line 2.
+    "assign-nmr-even": (
+        EVAL + ("--dfg", "two.dfg"),
+        {
+            "two.dfg": "node a add\nnode b add\n",
+            "bad.assign": "assign b Adder1\nassign a Adder1 nmr 2\n",
+        },
+        "line 2: nmr factor 2 must be odd and >= 1",
+    ),
+    "assign-nmr-zero": (
+        EVAL, {"bad.assign": "assign a Adder1 nmr 0\n"}, "line 1: nmr factor 0 must be odd and >= 1"
+    ),
+    "assign-nmr-negative": (
+        EVAL, {"bad.assign": "assign a Adder1 nmr -3\n"},
+        "line 1: nmr factor -3 must be odd and >= 1",
+    ),
     "design-repeated-id": (
         ("eval", "--dfg", "one.dfg", "--design", "bad.json"),
         {"bad.json": json.dumps(REPEATED_ID_DESIGN)}, "design instances repeat an id",

@@ -1,5 +1,6 @@
-"""The package's runtime import graph is a DAG, no function imports, and
-the log of a majority vote is taken in `model` only.
+"""The package's runtime import graph is a DAG, no function imports, no
+module but `__init__` imports a name it never uses, and the log of a
+majority vote is taken in `model` only.
 
 Every `src/relsyn/*.py` module is parsed with `ast`; imports under
 `if TYPE_CHECKING:` are type-only and left out of the graph.
@@ -126,3 +127,24 @@ def test_vote_logs_come_from_model(name):
     for node in ast.walk(_parse(name)):
         if _calls(node, "log") and any(_calls(arg, "nmr_reliability") for arg in node.args):
             pytest.fail(f"{name} takes the log of nmr_reliability at line {node.lineno}")
+
+
+def _bound_names(node) -> list[str]:
+    """The names one import statement binds in its module."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    return [a.asname or a.name for a in node.names]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__"])
+def test_no_unused_imports(name):
+    # `__init__` imports to re-export; elsewhere an imported name is read
+    # somewhere in the module, annotations included.
+    tree = _parse(name)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            unused = [b for b in _bound_names(node) if b not in used]
+            assert not unused, f"{name} imports {unused} at line {node.lineno} and never uses them"

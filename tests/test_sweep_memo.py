@@ -228,10 +228,10 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
     enumerated, upgraded = Counter(), Counter()
     design_at, with_nmr = synthesizer._design_at, redundancy.with_nmr
 
-    def counting_design_at(dfg, library, assignment, latency_bound, memo):
+    def counting_design_at(dfg, library, versions, latency_bound, memo):
         if sys._getframe(1).f_code.co_name == "single_version_designs":
-            enumerated[tuple(v.name for v in assignment.values()), latency_bound] += 1
-        return design_at(dfg, library, assignment, latency_bound, memo)
+            enumerated[tuple(v.name for v in versions), latency_bound] += 1
+        return design_at(dfg, library, versions, latency_bound, memo)
 
     def counting_with_nmr(binding, nmr_spec):
         upgraded["calls"] += 1
@@ -256,12 +256,12 @@ def test_sweep_walks_each_latency_bound_once(tmp_path, capsys, monkeypatch):
     reached = Counter()
     design_at = synthesizer._design_at
 
-    def counting_design_at(dfg, library, assignment, latency_bound, memo):
+    def counting_design_at(dfg, library, versions, latency_bound, memo):
         caller = sys._getframe(1)
         if caller.f_code.co_name != "single_version_designs":
-            names = tuple(v.name for v in assignment.values())
+            names = tuple(v.name for v in versions)
             reached[caller.f_locals["l_d"], names, latency_bound] += 1
-        return design_at(dfg, library, assignment, latency_bound, memo)
+        return design_at(dfg, library, versions, latency_bound, memo)
 
     monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
     _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
@@ -295,6 +295,7 @@ def test_design_at_stores_none_for_a_missed_bound(monkeypatch):
     # memo keeps that answer, so asking again schedules nothing.
     dfg = builtin_benchmark("ew")
     assignment = synthesizer.initial_allocation(dfg, LIB)
+    versions = [assignment[nid] for nid in dfg.node_ids]
     latency_bound = asap(dfg, assignment).latency - 1
     calls = Counter()
     schedule = synthesizer.density_schedule
@@ -305,9 +306,9 @@ def test_design_at_stores_none_for_a_missed_bound(monkeypatch):
 
     monkeypatch.setattr(synthesizer, "density_schedule", counting)
     memo = {}
-    assert synthesizer._design_at(dfg, LIB, assignment, latency_bound, memo) is None
+    assert synthesizer._design_at(dfg, LIB, versions, latency_bound, memo) is None
     assert calls["calls"] == 1
-    assert synthesizer._design_at(dfg, LIB, assignment, latency_bound, memo) is None
+    assert synthesizer._design_at(dfg, LIB, versions, latency_bound, memo) is None
     assert calls["calls"] == 1
 
 

@@ -388,10 +388,10 @@ def test_fallback_builds_only_candidates_it_cannot_rule_out(monkeypatch):
     built = []
     design_at = synthesizer._design_at
 
-    def counting_design_at(dfg, library, assignment, latency_bound, memo):
-        design = design_at(dfg, library, assignment, latency_bound, memo)
+    def counting_design_at(dfg, library, versions, latency_bound, memo):
+        design = design_at(dfg, library, versions, latency_bound, memo)
         if sys._getframe(1).f_code.co_name == "_fallback":
-            built.append((sorted({v.name for v in assignment.values()}), design is not None))
+            built.append((sorted({v.name for v in versions}), design is not None))
         return design
 
     monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
@@ -425,6 +425,8 @@ def test_candidate_price_is_exactly_the_evaluated_reliability():
     # reliability, so the two must be the same float: check every
     # single-version assignment of seeded graphs of one class and of both,
     # and every design that `find_design` builds on them, walk or fallback.
+    # Each design's assignment is in node order: the walk reads its values
+    # as versions by node position.
     rng = random.Random(67)
     checked = built = from_fallback = 0
     for case in range(60):
@@ -453,6 +455,7 @@ def test_candidate_price_is_exactly_the_evaluated_reliability():
             for d in memo.values():
                 if isinstance(d, Design):
                     assert d.reliability == evaluate_reliability(dfg, d.assignment, d.binding)
+                    assert list(d.assignment) == list(dfg.node_ids)
                     built += 1
             # The fallback keeps its designs by L in each candidate's last field.
             for *_, designs in memo.get("single-version", ((), ()))[0]:
@@ -534,8 +537,8 @@ def test_repair_latency_is_the_asap_latency():
             l_d: synthesizer._repair_latency(dfg, library, l_d) for l_d in range(1, top + 2)
         }
         repaired = {l_d: o for l_d, o in outcomes.items() if not isinstance(o, Infeasible)}
-        for l_d, (assignment, latency) in repaired.items():
-            assert latency == asap(dfg, assignment).latency <= l_d
+        for l_d, (versions, latency) in repaired.items():
+            assert latency == asap(dfg, dict(zip(dfg.node_ids, versions))).latency <= l_d
         minimum = min(latency for _, latency in repaired.values())
         assert min(repaired) == minimum
         for l_d, outcome in outcomes.items():
@@ -547,8 +550,8 @@ def test_repair_latency_is_the_asap_latency():
                 )
                 lines.append(repr((outcome.reason, outcome.detail)))
             else:
-                assignment, latency = outcome
-                lines.append(repr(([assignment[nid].name for nid in dfg.node_ids], latency)))
+                versions, latency = outcome
+                lines.append(repr(([v.name for v in versions], latency)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_REPAIRS_SHA256
 
@@ -556,7 +559,8 @@ def test_repair_latency_is_the_asap_latency():
 def _reference_repair(dfg, library, l_d):
     """Latency repair with every tail recomputed from scratch after each
     move, by node id: speed up the slowest node of the first heaviest
-    path (ties: declaration order) until the bound is met."""
+    path (ties: declaration order) until the bound is met; the versions
+    by node position and their latency, as `_repair_latency` returns them."""
     assignment = initial_allocation(dfg, library)
     while True:
         tail = {}
@@ -571,7 +575,7 @@ def _reference_repair(dfg, library, l_d):
             path.append(min(dfg.succs(path[-1]), key=heaviest_first))
         latency = tail[path[0]]
         if latency <= l_d:
-            return assignment, latency
+            return [assignment[nid] for nid in dfg.node_ids], latency
         faster = {n: synthesizer._moves(library)[assignment[n].name][0] for n in path}
         movable = [n for n in path if faster[n]]
         if not movable:
@@ -587,7 +591,7 @@ def _reference_repair(dfg, library, l_d):
 def test_repair_latency_matches_a_from_scratch_reference():
     # 200 seeded DAGs of 2-14 nodes with shuffled edge lists, over both
     # libraries, at every L from one below the all-fastest critical path
-    # to the initial allocation's: the same assignment and latency, or the
+    # to the initial allocation's: the same versions and latency, or the
     # same Infeasible detail.
     rng = random.Random(59)
     compared = infeasible = 0
