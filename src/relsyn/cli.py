@@ -172,6 +172,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in METHODS:
             raise InputError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if methods.count(m) > 1:
+            raise InputError(f"method {m!r} given twice")
     if not methods:
         raise InputError("no methods given")
     l_lo, l_hi = _parse_range(args.latency, "latency", integral=True)
@@ -197,9 +199,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     areas = _grid(a_lo, a_hi, args.step_a)
     for l_d in range(int(l_lo), int(l_hi) + 1, args.step_l):
         for a_d in areas:
-            point = f"{l_d},{_fmt_num(a_d)},"
+            point, bounds = f"{l_d},{_fmt_num(a_d)},", Bounds(l_d, a_d)
             for method in methods:
-                result = _run_method(method, dfg, library, Bounds(l_d, a_d), memo)
+                result = _run_method(method, dfg, library, bounds, memo)
                 if isinstance(result, Infeasible):
                     tail = f"infeasible:{result.reason},,,"
                 else:

@@ -10,16 +10,21 @@ reliability of every node bound to it to the majority-voting value
 
 Each design keeps its greedy upgrade per library (`_Pricing`), so pricing
 it at many area bounds, as a sweep does, runs the greedy once per interval
-of bounds on which its fit tests all answer the same.  The baseline prices
-its candidates best proven ceiling first (`_Pricing.ceiling`) until none can win.
+of bounds on which its fit tests all answer the same, and builds each
+run's upgraded design once, from instances shared per (id, N).  The greedy
+takes the best gain per unit area first, from gains kept per (id, N).  The
+baseline prices its candidates best proven ceiling first
+(`_Pricing.ceiling`) until none can win, and builds the winner only.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
+import operator
 
-from .binder import with_nmr
+from .binder import Binding, Instance
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
 from .synthesizer import Memo, find_design, single_version_designs
 
@@ -33,8 +38,11 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     An instance's gain adds, for each node on it, the step
     log R(r, N+2) - log R(r, N) of its version's reliability r, computed
     once per (r, N) and process.  Schedule and latency are untouched.
+    Bounds that one greedy run answers get the same design: treat it as
+    read-only.
     """
-    return _upgraded(design, *_pricing(design, library).price(area_bound))
+    pricing = _pricing(design, library)
+    return pricing.design(pricing.price(area_bound))
 
 
 @functools.cache
@@ -46,16 +54,22 @@ def _log_step(r: float, n: int) -> float:
 class _Pricing:
     """The greedy upgrade of one design under one library, at any area bound.
 
-    Each instance's extra area, node reliabilities and initial gain per unit
-    area are computed once.  The bound enters the greedy only through its
-    fit tests area + extra > bound, so each run is kept with the interval
-    [lo, hi) of bounds on which every test it made answers the same: lo is
-    the largest tested sum that fit, hi the smallest that did not (None if
-    every test fit).  A bound inside a kept interval gets that run's outcome.
+    Each instance's extra area and node reliabilities are computed once,
+    and its gain per unit area once per (instance id, N).  The bound enters
+    the greedy only through its fit tests area + extra > bound, so each run
+    is kept with the interval [lo, hi) of bounds on which every test it
+    made answers the same: lo is the largest tested sum that fit, hi the
+    smallest that did not (None if every test fit).  A bound inside a kept
+    interval gets that run's outcome, and the intervals are disjoint.  A
+    run's design is built once, when first asked for, from instances kept
+    per (id, N) and seeded with the design's own: an instance whose factor
+    is unchanged is the design's, and one met before is that object.
     """
 
     def __init__(self, design: Design, library: ResourceLibrary) -> None:
         binding, assignment = design.binding, design.assignment
+        self.binding, self.instances = binding, {}  # (id, N): Instance, from the first build on
+        self.frame = assignment, design.schedule, design.latency  # not the design: no cycle
         self.area, self.reliability, self.votes = design.area, design.reliability, {}
         self.nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
         self.extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
@@ -68,8 +82,12 @@ class _Pricing:
                 runs.append([r, 0])
             runs[-1][1] += 1
             self.node_votes.append(self.votes.setdefault((r, iid), len(self.votes)))
-        # By id, so that the greedy meets the lowest id of a tie first.
-        self.ratio = {iid: self._gain_per_area(iid, self.nmr[iid]) for iid in sorted(self.nmr)}
+        # (-gain per area, id) of each instance that gains, as a heap: it pops
+        # the best gain first and the lowest id of a tie.  Gains past the
+        # design's N are kept per (id, N) as runs meet them.
+        self.heap = [(-g, i) for i, n in self.nmr.items() if (g := self._gain_per_area(i, n)) > 0]
+        heapq.heapify(self.heap)
+        self.gains: dict[tuple[int, int], float] = {}
         self.pairs = []  # `ceiling`'s: per instance, its r > 1/2 nodes' (gain per area, most gain)
         for iid, runs in self.reliabilities.items():
             n, up, cap = self.nmr[iid], 0.0, 0.0
@@ -79,7 +97,7 @@ class _Pricing:
             if up > 0:
                 self.pairs.append((up / self.extra[iid], cap))
         self.pairs.sort(reverse=True)
-        self.runs: list[tuple[float, float | None, tuple[dict[int, int], float, float]]] = []
+        self.runs: list[tuple[float, float | None, list]] = []
 
     def _gain_per_area(self, iid: int, n: int) -> float:
         gain = 0.0  # node by node, not sum(): see model.nmr_reliability
@@ -89,41 +107,53 @@ class _Pricing:
                 gain += step
         return gain / self.extra[iid]
 
-    def price(self, area_bound: float) -> tuple[dict[int, int], float, float]:
-        """`greedy_nmr_upgrade`'s outcome at `area_bound`, unbuilt: the nmr factor
-        per instance id (read-only: it is kept), the area and the reliability."""
-        for lo, hi, outcome in self.runs:
+    def price(self, area_bound: float) -> list:
+        """`greedy_nmr_upgrade`'s outcome at `area_bound`: [nmr factor per
+        instance id, area, reliability, the design once `design` has built
+        it, else None].  It is kept: treat it as read-only."""
+        for lo, hi, outcome in reversed(self.runs):
             if lo <= area_bound and (hi is None or area_bound < hi):
                 return outcome
-        # Only an upgraded instance's gain changes.  The area only grows, so
-        # an instance that no longer fits never fits again.
-        nmr, ratio, area, extra = dict(self.nmr), dict(self.ratio), self.area, self.extra
-        lo, hi = -math.inf, None
-        while True:
-            iid, top = None, 0.0
-            for fit in list(ratio):
-                total = area + extra[fit]
-                if total > area_bound:
-                    if hi is None or total < hi:
-                        hi = total
-                    del ratio[fit]
-                else:
-                    if total > lo:
-                        lo = total
-                    if ratio[fit] > top:  # by id: the lowest id of a tie
-                        iid, top = fit, ratio[fit]
-            if iid is None:
-                break  # no upgrade that fits gains: r < 0.5, no node, or a saturated vote
-            nmr[iid] += 2
-            area += extra[iid]
-            ratio[iid] = self._gain_per_area(iid, nmr[iid])
+        # The area only grows, so an instance that no longer fits never fits again.
+        nmr, heap, area, extra = dict(self.nmr), list(self.heap), self.area, self.extra
+        lo, hi, gains = -math.inf, None, self.gains
+        while heap:
+            iid = heap[0][1]
+            total = area + extra[iid]
+            if total > area_bound:
+                hi = total if hi is None or total < hi else hi
+                heapq.heappop(heap)
+                continue
+            lo = area = total
+            n = nmr[iid] = nmr[iid] + 2
+            if (gain := gains.get((iid, n))) is None:
+                gain = gains[iid, n] = self._gain_per_area(iid, n)
+            if gain > 0:
+                heapq.heapreplace(heap, (-gain, iid))
+            else:  # r < 0.5, no node, or a saturated vote
+                heapq.heappop(heap)
         logs = [_log_vote(r, nmr[iid]) for r, iid in self.votes]
-        log_total = 0.0  # node by node, as model._reliability_product sums it
-        for k in self.node_votes:
-            log_total += logs[k]
-        outcome = nmr, area, math.exp(log_total)
+        # Node by node from 0.0, as model._reliability_product sums it.
+        log_total = functools.reduce(operator.add, map(logs.__getitem__, self.node_votes), 0.0)
+        outcome = [nmr, area, math.exp(log_total), None]
         self.runs.append((lo, hi, outcome))
         return outcome
+
+    def design(self, outcome: list) -> Design:
+        """The upgraded design of a kept `outcome`, built on first use."""
+        if outcome[3] is None:
+            nmr, area, reliability, _ = outcome
+            own = self.binding.instances
+            table = self.instances = self.instances or {(i.id, i.nmr_factor): i for i in own}
+            instances = tuple([
+                table.get(key) or table.setdefault(key, Instance(i.id, i.version, key[1]))
+                for i in own
+                for key in [(i.id, nmr[i.id])]
+            ])
+            assignment, schedule, latency = self.frame
+            binding = Binding(self.binding.node_to_instance, instances)
+            outcome[3] = Design(assignment, schedule, binding, latency, area, reliability)
+        return outcome[3]
 
     def ceiling(self, area_bound: float) -> float:
         """A bound, up to float rounding, on `price(area_bound)`'s reliability
@@ -143,11 +173,6 @@ class _Pricing:
 def _pricing(design: Design, library: ResourceLibrary) -> _Pricing:
     pricings = design._nmr_pricing
     return pricings.get(library) or pricings.setdefault(library, _Pricing(design, library))
-
-
-def _upgraded(design: Design, nmr: dict[int, int], area: float, reliability: float) -> Design:
-    binding = with_nmr(design.binding, nmr)
-    return Design(design.assignment, design.schedule, binding, design.latency, area, reliability)
 
 
 def baseline_nmr_synth(
@@ -170,11 +195,11 @@ def baseline_nmr_synth(
         if ceiling < best[0][0] * (1 - 1e-9):  # 1e-9: rounding may pass a ceiling
             break  # no candidate left can reach the best priced reliability
         priced = p.price(a_d)  # keyed in the docstring's order:
-        best = max(best, ((priced[2], -priced[1], -d.latency, o), d, priced))
+        best = max(best, ((priced[2], -priced[1], -d.latency, o), p, priced))
     if best[1] is None:
         reason = "area" if designs else "latency"
         return Infeasible(reason, "no single-version combination meets both bounds")
-    return _upgraded(best[1], *best[2])
+    return best[1].design(best[2])
 
 
 def combined_synth(

@@ -540,6 +540,7 @@ INPUT_ERRORS = {
         "unknown method 'best'; choose from ours, nmr, combined, oracle",
     ),
     "no-methods": (SWEEP + ("--methods", ","), {}, "no methods given"),
+    "method-twice": (SWEEP + ("--methods", "ours,nmr, ours"), {}, "method 'ours' given twice"),
     "step-l-zero": (SWEEP + ("--step-l", "0"), {}, "--step-l must be >= 1, got 0"),
     "step-a-inf": (SWEEP + ("--step-a", "inf"), {}, "--step-a must be finite and > 0, got inf"),
     "step-a-nan": (SWEEP + ("--step-a", "nan"), {}, "--step-a must be finite and > 0, got nan"),

@@ -9,13 +9,15 @@ import pytest
 
 from checks import validate_design
 from relsyn import redundancy
-from relsyn.binder import Binding, Instance, bind, total_area
+from relsyn.binder import Binding, Instance, bind, total_area, with_nmr
 from relsyn.cli import design_to_json
 from relsyn.model import (
     Dfg,
     DfgNode,
     OpClass,
     ValidationError,
+    _log_vote,
+    _reliability_product,
     builtin_benchmark,
     builtin_library,
     evaluate_reliability,
@@ -214,6 +216,7 @@ def test_greedy_upgrade_never_decreases_reliability_or_breaks_bound():
 EDGE_LIB = parse_library(
     "resource Fast add 2 1 0.9\nresource Slow add 1 2 0.95\nresource Tiny add 0.5 1 0.6\n"
 )
+EDGE_NAMES = ("Fast", "Tiny", "Slow")  # instances 0, 1 and 2
 GREEDY_EDGE_CASES = {
     # Instance 1 has no node: its gain is 0, so it is not upgraded even
     # when nothing else fits.
@@ -246,11 +249,11 @@ def _outcome(design):
     return nmr, design.area, repr(design.reliability)
 
 
-def _edge_design(node_to_instance):
+def _edge_design(node_to_instance, nmr=(1, 1, 1)):
     dfg = parse_dfg("node a add\nnode b add\nnode c add\nedge a b\n")
     fast, slow = EDGE_LIB.by_name("Fast"), EDGE_LIB.by_name("Slow")
     asg = {"a": fast, "b": slow, "c": fast}
-    instances = (Instance(0, "Fast"), Instance(1, "Tiny"), Instance(2, "Slow"))
+    instances = tuple(Instance(k, name, n) for k, (name, n) in enumerate(zip(EDGE_NAMES, nmr)))
     binding = Binding(node_to_instance, instances)
     return Design(
         asg, Schedule({"a": 1, "b": 2, "c": 2}, 3), binding, 3,
@@ -481,7 +484,8 @@ BUNDLED_LATENCIES = (("fir16", range(9, 17)), ("ew", range(14, 22)), ("diffeq", 
 def _priced_designs():
     """(design, library): every single-version design and every other
     find_design result of the bundled graphs over their sweep latency
-    ranges (areas 2-40), then the hand-built and r < 0.5 designs."""
+    ranges (areas 2-40), then the hand-built ones, also with instances at
+    N 3 and 5 already, and the r < 0.5 designs."""
     designs = []
     for name, latencies in BUNDLED_LATENCIES:
         dfg, memo = builtin_benchmark(name), {}
@@ -491,7 +495,8 @@ def _priced_designs():
                 result = find_design(dfg, LIB, Bounds(bound, area), memo=memo)
                 if isinstance(result, Design) and not any(result is d for d, _ in designs):
                     designs.append((result, LIB))
-    designs += [(_edge_design(n2i), EDGE_LIB) for n2i, _ in GREEDY_EDGE_CASES.values()]
+    for nmr in [(1, 1, 1), (3, 1, 5)]:
+        designs += [(_edge_design(n2i, nmr), EDGE_LIB) for n2i, _ in GREEDY_EDGE_CASES.values()]
     return designs + [(d, WEAK_LIB) for d in single_version_designs(WEAK_DFG, WEAK_LIB, 3)]
 
 
@@ -501,18 +506,57 @@ def _greedy(pricing, area_bound):
     return pricing.price(area_bound)
 
 
+def _scan_greedy(design, library, area_bound):
+    """The greedy upgrade as a plain scan over every instance at each step,
+    from the design alone: (nmr factor per instance id, area, reliability).
+    An instance's gain per area adds its nodes' log steps one by one."""
+    binding, assignment = design.binding, design.assignment
+    nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
+    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
+
+    def gain(iid):
+        total = 0.0
+        for nid in binding.nodes_on(iid):
+            r, n = assignment[nid].reliability, nmr[iid]
+            up = _log_vote(r, n + 2)
+            total += up - _log_vote(r, n) if up > -math.inf else -math.inf
+        return total / extra[iid]
+
+    ratio, area = {iid: gain(iid) for iid in sorted(nmr)}, design.area
+    while True:
+        best, top = None, 0.0
+        for iid in list(ratio):
+            if area + extra[iid] > area_bound:
+                del ratio[iid]  # the area only grows
+            elif ratio[iid] > top:
+                best, top = iid, ratio[iid]
+        if best is None:
+            return nmr, area, _reliability_product(
+                (assignment[nid].reliability, nmr[iid])
+                for nid, iid in binding.node_to_instance.items()
+            )
+        nmr[best] += 2
+        area += extra[best]
+        ratio[best] = gain(best)
+
+
 def test_priced_upgrade_equals_a_fresh_greedy():
     # A design keeps each greedy run with the interval of area bounds on
     # which every fit test answers the same.  Whatever order the bounds
     # come in, a kept run must be what a greedy run of its own gets at that
-    # bound, also at the ends of each kept interval.
+    # bound, and what the plain scan gets, also at the ends of each kept
+    # interval.  Bounds inside one run share its design, built as with_nmr
+    # builds it, and an instance whose factor the greedy did not change, or
+    # met before at the same N, is the same object.
     rng = random.Random(29)
     bounds = [2 + k / 2 for k in range(237)]
     assert bounds[-1] == 120
-    runs = 0
+    runs = shared = 0
     for design, library in _priced_designs():
         pricing = redundancy._Pricing(design, library)
         fresh = {a: _greedy(pricing, a) for a in bounds}
+        for area_bound in bounds:
+            assert tuple(fresh[area_bound][:3]) == _scan_greedy(design, library, area_bound)
         kept = []
         for order in (bounds, bounds[::-1], rng.sample(bounds, len(bounds))):
             priced = replace(design)
@@ -521,17 +565,33 @@ def test_priced_upgrade_equals_a_fresh_greedy():
             kept.append(priced._nmr_pricing[library])
         # Each bound has one run, so every order keeps the same runs.
         assert all(sorted(p.runs, key=lambda run: run[0]) == kept[0].runs for p in kept)
-        for lo, hi, outcome in kept[0].runs:
-            for area_bound in [lo] if hi is None else [lo, math.nextafter(hi, -math.inf)]:
-                if area_bound > 0:
-                    assert _greedy(pricing, area_bound) == outcome
+        instances = {(inst.id, inst.nmr_factor): inst for inst in design.binding.instances}
+        for lo, hi, outcome in kept[-1].runs:
+            ends = [lo, math.inf if hi is None else math.nextafter(hi, -math.inf)]
+            upgraded = set()
+            for area_bound in [a for a in ends if a > 0]:
+                assert _greedy(pricing, area_bound)[:3] == outcome[:3]
+                nmr, area, reliability = _scan_greedy(design, library, area_bound)
+                assert outcome[:3] == [nmr, area, reliability]
+                up = greedy_nmr_upgrade(priced, library, area_bound)
+                upgraded.add(id(up))
+                binding = with_nmr(design.binding, nmr)
+                built = Design(
+                    design.assignment, design.schedule, binding, design.latency, area, reliability
+                )
+                assert design_to_json(up) == design_to_json(built)
+                for inst in up.binding.instances:
+                    key = inst.id, inst.nmr_factor
+                    shared += key in instances
+                    assert instances.setdefault(key, inst) is inst
+            assert len(upgraded) == 1
         runs += len(kept[0].runs)
         unbounded = redundancy._pricing(priced, library).price(math.inf)
-        assert unbounded == _greedy(pricing, math.inf)
+        assert unbounded[:3] == _greedy(pricing, math.inf)[:3]
         count = len(kept[-1].runs)
-        assert redundancy._pricing(priced, library).price(math.inf) == unbounded
+        assert redundancy._pricing(priced, library).price(math.inf) is unbounded
         assert len(kept[-1].runs) == count
-    assert runs > 1000
+    assert runs > 1000 and shared > runs
 
 
 def test_log_steps_never_grow_with_n():
@@ -575,7 +635,10 @@ def _unpruned_baseline(dfg, library, bounds):
         key=lambda p: (p[1][2], -p[1][1], -p[0].latency),
         default=None,
     )
-    return best and redundancy._upgraded(best[0], *best[1])
+    if best is None:
+        return None
+    d, (nmr, area, reliability, _) = best
+    return Design(d.assignment, d.schedule, with_nmr(d.binding, nmr), d.latency, area, reliability)
 
 
 def _design_text(result):

@@ -224,21 +224,29 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
 ):
     # The single-version designs are enumerated once per L, however many
     # area bounds and flows read them, and the NMR baseline prices its
-    # candidates: only a returned design gets an NMR binding.
-    enumerated, upgraded = Counter(), Counter()
-    design_at, with_nmr = synthesizer._design_at, redundancy.with_nmr
+    # candidates: only a returned design gets built with its NMR binding,
+    # once per greedy run, however many rows return it.
+    enumerated, built, returned = Counter(), [], {}
+    design_at, design, run_method = synthesizer._design_at, redundancy.Design, cli._run_method
 
     def counting_design_at(dfg, library, versions, latency_bound, memo):
         if sys._getframe(1).f_code.co_name == "single_version_designs":
             enumerated[tuple(v.name for v in versions), latency_bound] += 1
         return design_at(dfg, library, versions, latency_bound, memo)
 
-    def counting_with_nmr(binding, nmr_spec):
-        upgraded["calls"] += 1
-        return with_nmr(binding, nmr_spec)
+    def counting_design(*fields):
+        built.append(design(*fields))
+        return built[-1]
+
+    def recording_run_method(method, *args):
+        result = run_method(method, *args)
+        if method != "ours" and not isinstance(result, Infeasible):
+            returned[id(result)] = result
+        return result
 
     monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)
-    monkeypatch.setattr(redundancy, "with_nmr", counting_with_nmr)
+    monkeypatch.setattr(redundancy, "Design", counting_design)
+    monkeypatch.setattr(cli, "_run_method", recording_run_method)
     csv = _sweep(tmp_path, capsys, "ew", "14:21", "6:40", "2")
     rows = [line.split(",") for line in csv.splitlines()[1:]]
     assert len(rows) == 432
@@ -246,7 +254,8 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
     assert set(enumerated.values()) == {1}
     feasible = [r for r in rows if r[2] in ("nmr", "combined") and r[3] == "feasible"]
     assert len(feasible) > 100
-    assert upgraded["calls"] == len(feasible)
+    assert {id(d) for d in built} == set(returned)
+    assert len(built) < len(feasible)  # rows inside one greedy run share its design
 
 
 def test_sweep_walks_each_latency_bound_once(tmp_path, capsys, monkeypatch):
