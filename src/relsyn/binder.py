@@ -36,7 +36,7 @@ class Binding:
     node_to_instance: Mapping[str, int]
     instances: tuple[Instance, ...]
 
-    # Lookup indexes, built on first use (many bindings are never queried).
+    # Lookup index, built on first use (many bindings are never queried).
     # cached_property writes the instance __dict__ directly, so it works on
     # this frozen, unslotted dataclass; fields, equality and repr ignore it.
     @cached_property
@@ -46,21 +46,11 @@ class Binding:
             by_id.setdefault(inst.id, inst)
         return by_id
 
-    @cached_property
-    def _nodes_on(self) -> dict[int, list[str]]:
-        nodes_on: dict[int, list[str]] = {}
-        for nid, iid in self.node_to_instance.items():
-            nodes_on.setdefault(iid, []).append(nid)
-        return nodes_on
-
     def instance(self, instance_id: int) -> Instance:
         try:
             return self._by_id[instance_id]
         except KeyError:
             raise KeyError(f"unknown instance id {instance_id}") from None
-
-    def nodes_on(self, instance_id: int) -> tuple[str, ...]:
-        return tuple(self._nodes_on.get(instance_id, ()))
 
 
 def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:

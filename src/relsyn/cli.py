@@ -281,13 +281,14 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
     """Lines 'assign <node-id> <version-name> [nmr <odd-int>]'."""
     assignment: dict[str, model.ResourceVersion] = {}
     nmr: dict[str, int] = {}
+    node_ids = set(dfg.node_ids)
     for lineno, fields in model._content_lines(text):
         if fields[0] != "assign" or len(fields) not in (3, 5):
             raise ParseError(
                 f"line {lineno}: expected 'assign <node-id> <version-name> [nmr <odd-int>]'"
             )
         nid, vname = fields[1], fields[2]
-        if nid not in dfg.node_ids:
+        if nid not in node_ids:
             raise ParseError(f"line {lineno}: node {nid!r} is not in the graph")
         if nid in assignment:
             raise ParseError(f"line {lineno}: node {nid!r} is assigned twice")

@@ -65,9 +65,9 @@ class DfgNode:
 class Dfg:
     """Directed acyclic graph of operations; declaration order is preserved
     and serves as the deterministic tie-break order everywhere downstream.
-    The scheduler, the binder and latency repair run on arrays by position
-    (k is nodes[k]), built once: `pred_positions` and `succ_positions` (in
-    edge order) and `topo_positions` with the edge and cycle checks,
+    It is read by position only (k is nodes[k], node_ids[k] its id), from
+    arrays built once: `pred_positions` and `succ_positions` (in edge
+    order) and `topo_positions` with the edge and cycle checks,
     `class_positions` and `class_peers` on first use."""
 
     nodes: tuple[DfgNode, ...]
@@ -98,7 +98,6 @@ class Dfg:
             seen.add(s * n + d)
             succs[s].append(d)
             preds[d].append(s)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_ids", tuple(index))
         object.__setattr__(self, "pred_positions", tuple(map(tuple, preds)))
         object.__setattr__(self, "succ_positions", tuple(map(tuple, succs)))
@@ -118,47 +117,21 @@ class Dfg:
         return tuple(order)
 
     @cached_property
-    def _classes(self) -> tuple[dict[OpClass, tuple[int, ...]], tuple[tuple[int, ...], ...]]:
-        # One attribute for both: a ninth instance attribute regrows the
-        # instance dict of every graph (about 400 bytes each).
-        classes = [n.op_class for n in self.nodes]
-        of_class = {cls: tuple(k for k, c in enumerate(classes) if c is cls) for cls in OpClass}
-        peers = {k: positions for positions in of_class.values() for k in positions}
-        return of_class, tuple(peers[k] for k in range(len(self.nodes)))
-
-    @property
     def class_positions(self) -> dict[OpClass, tuple[int, ...]]:
         """Per operation class, in `OpClass` order, its nodes' positions in
         declaration order; built on first use."""
-        return self._classes[0]
+        classes = [n.op_class for n in self.nodes]
+        return {cls: tuple(k for k, c in enumerate(classes) if c is cls) for cls in OpClass}
 
-    @property
+    @cached_property
     def class_peers(self) -> tuple[tuple[int, ...], ...]:
         """Per node position, its class's tuple from `class_positions`."""
-        return self._classes[1]
-
-    # -- lookup helpers -------------------------------------------------
-
-    def declaration_index(self, node_id: str) -> int:
-        return self._index[node_id]
-
-    def preds(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._ids[k] for k in self.pred_positions[self._index[node_id]])
-
-    def succs(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._ids[k] for k in self.succ_positions[self._index[node_id]])
+        peers = {k: positions for positions in self.class_positions.values() for k in positions}
+        return tuple(peers[k] for k in range(len(self.nodes)))
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         return self._ids
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        return tuple(self._ids[k] for k in self.topo_positions)
-
-    @property
-    def source_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid, preds in zip(self._ids, self.pred_positions) if not preds)
 
     def class_counts(self) -> dict[OpClass, int]:
         """Nodes per operation class, every class in `OpClass` order."""
@@ -262,7 +235,7 @@ class Design:
     reliability: float
 
     # The greedy NMR upgrade's state per library (see redundancy), built on
-    # first use like Binding's indexes: fields, equality and repr ignore it.
+    # first use like Binding's index: fields, equality and repr ignore it.
     @cached_property
     def _nmr_pricing(self) -> dict[ResourceLibrary, Any]:
         return {}

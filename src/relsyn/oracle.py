@@ -30,13 +30,16 @@ scheduling; Baptiste, Le Pape & Nuijten, 2001).  Every start vector
 occupies each compulsory part and packs its busy cycles into L cycles,
 so each count is at most the version's final peak concurrency; float
 products and left-to-right sums are monotone, so the bound never exceeds
-the area of a complete start vector.  Otherwise the search places nodes
-in topological order and drops a partial start vector once
+Σ area × peak of a complete start vector.  Otherwise the search places
+nodes in topological order and drops a partial start vector once
 Σ area × max(peak concurrency, 1) over the used versions exceeds the
-area bound (re-summed only when a placement raises a peak); with every
-node placed, that sum is the area.  Version areas are always summed in
-library declaration order, so the result does not depend on hash order
-and a returned design's area never exceeds the area bound.
+area bound (re-summed only when a placement raises a peak).  A complete
+vector is packed left edge onto instances, and fits only if the area of
+that binding, its instances' areas added in instance order as
+`binder.total_area` adds them, is also within the bound (on fractional
+areas the two sums can differ in the last bits); that is the area
+reported.  The bounds sum version areas in library declaration order,
+so the result does not depend on hash order.
 """
 
 from __future__ import annotations
@@ -86,17 +89,15 @@ def oracle_min_latency(dfg: Dfg, assignment: Assignment, *, max_nodes: int = 8) 
     """Minimum achievable latency by exhaustive path enumeration."""
     _check_limits(dfg, max_nodes)
     check_assignment(dfg, assignment)
-    best = 0
-    stack: list[tuple[str, int]] = [
-        (nid, assignment[nid].delay) for nid in dfg.source_ids
-    ]
+    best, delay = 0, [assignment[nid].delay for nid in dfg.node_ids]
+    stack = [(k, delay[k]) for k, preds in enumerate(dfg.pred_positions) if not preds]
     while stack:
-        nid, weight = stack.pop()
-        succs = dfg.succs(nid)
+        k, weight = stack.pop()
+        succs = dfg.succ_positions[k]
         if not succs:
             best = max(best, weight)
         for succ in succs:
-            stack.append((succ, weight + assignment[succ].delay))
+            stack.append((succ, weight + delay[succ]))
     return best
 
 
@@ -120,28 +121,28 @@ def _critical_paths(dfg: Dfg) -> Callable[[tuple[int, ...]], int]:
     return span
 
 
-def _left_edge_pack(
-    dfg: Dfg, assignment: Assignment, starts: dict[str, int]
-) -> tuple[dict[str, int], tuple[Instance, ...]]:
-    intervals = sorted((starts[nid], k, nid) for k, nid in enumerate(dfg.node_ids))
+def _pack(
+    versions: list[ResourceVersion], starts: list[int], a_d: float
+) -> tuple[list[int], list[int], list[ResourceVersion], float] | None:
+    """Left-edge packing: a copy of `starts`, each node position's instance
+    id, each instance id's version and their area, added in instance order;
+    None if that exceeds `a_d`."""
     free_at: list[int] = []
-    versions: list[str] = []
-    mapping: dict[str, int] = {}
-    for start, _, nid in intervals:
-        version = assignment[nid]
-        target = None
-        for iid, (vname, busy_until) in enumerate(zip(versions, free_at)):
-            if vname == version.name and busy_until < start:
-                target = iid
+    packed: list[ResourceVersion] = []
+    mapping = [0] * len(starts)
+    for start, k in sorted(zip(starts, range(len(starts)))):
+        version = versions[k]
+        for iid, (v, busy_until) in enumerate(zip(packed, free_at)):
+            if v is version and busy_until < start:
                 break
-        if target is None:
-            target = len(versions)
-            versions.append(version.name)
+        else:
+            iid = len(packed)
+            packed.append(version)
             free_at.append(0)
-        mapping[nid] = target
-        free_at[target] = start + version.delay - 1
-    instances = tuple(Instance(i, v) for i, v in enumerate(versions))
-    return {nid: mapping[nid] for nid in dfg.node_ids}, instances
+        mapping[k] = iid
+        free_at[iid] = start + version.delay - 1
+    area = functools.reduce(operator.add, [v.area for v in packed], 0.0)
+    return None if area > a_d else (list(starts), mapping, packed, area)
 
 
 def _root_bound(
@@ -164,13 +165,13 @@ def _root_bound(
 
 def _feasible_starts(
     dfg: Dfg, assignment: Assignment, used: list[ResourceVersion], bounds: Bounds
-) -> tuple[dict[str, int], float] | None:
-    """Search start vectors in topological order; the first that fits and
-    its shared-hardware area, or None if nothing fits.  The module docstring
-    gives the root bound that can refuse the search and the bound that
-    prunes partial vectors (every used version needs at least one
-    instance); `used` lists the assigned versions in library order, the
-    order both bounds sum them in."""
+) -> tuple[list[int], list[int], list[ResourceVersion], float] | None:
+    """Search start vectors in topological order; the first that fits, as
+    `_pack` returns it, or None if nothing fits.  The module docstring
+    gives the root bound that can refuse the search, the bound that prunes
+    partial vectors (every used version needs at least one instance) and
+    the test a complete vector must pass; `used` lists the assigned
+    versions in library order, the order both bounds sum them in."""
     l_d, a_d = bounds.latency_bound, bounds.area_bound
     ids, order, preds = dfg.node_ids, dfg.topo_positions, dfg.pred_positions
     versions = [assignment[nid] for nid in ids]  # by node position
@@ -195,9 +196,9 @@ def _feasible_starts(
     starts = [0] * len(ids)
     steps = [(k, slot[k], usage[slot[k]], delay[k], preds[k], latest[k] + 1) for k in order]
 
-    def place(pos: int, bound: float) -> float | None:
-        """The area of the first fitting completion of the placed prefix,
-        whose area lower bound is `bound`."""
+    def place(pos: int, bound: float) -> tuple | None:
+        """The first fitting completion of the placed prefix, as
+        `_feasible_starts` returns it; `bound` is the prefix's area bound."""
         k, j, row, d, pk, stop = steps[pos]
         saved_peak = peaks[j]
         first = 1
@@ -215,7 +216,8 @@ def _feasible_starts(
             if peak > saved_peak:  # left to right, as the root bound
                 area = functools.reduce(operator.add, map(operator.mul, areas, peaks), 0.0)
             if area <= a_d:
-                found = area if pos + 1 == len(steps) else place(pos + 1, area)
+                last = pos + 1 == len(steps)
+                found = _pack(versions, starts, a_d) if last else place(pos + 1, area)
                 if found is not None:
                     return found
             for c in range(s - 1, s + d - 1):
@@ -223,8 +225,7 @@ def _feasible_starts(
         peaks[j] = saved_peak
         return None
 
-    area = place(0, functools.reduce(operator.add, areas, 0.0))
-    return None if area is None else (dict(zip(ids, starts)), area)
+    return place(0, functools.reduce(operator.add, areas, 0.0))
 
 
 def oracle_best(
@@ -281,13 +282,13 @@ def oracle_best(
         found = _feasible_starts(dfg, assignment, used, bounds)
         if found is None:
             continue
-        starts, area = found
-        node_to_instance, instances = _left_edge_pack(dfg, assignment, starts)
-        latency = max(starts[nid] + assignment[nid].delay - 1 for nid in starts)
+        starts, mapping, packed, area = found
+        latency = max(s + v.delay - 1 for s, v in zip(starts, assignment.values()))
+        instances = tuple(Instance(iid, v.name) for iid, v in enumerate(packed))
         return Design(
             assignment=assignment,
-            schedule=Schedule({nid: starts[nid] for nid in dfg.node_ids}, latency),
-            binding=Binding(node_to_instance, instances),
+            schedule=Schedule(dict(zip(dfg.node_ids, starts)), latency),
+            binding=Binding(dict(zip(dfg.node_ids, mapping)), instances),
             latency=latency,
             area=area,
             reliability=math.exp(key),

@@ -51,12 +51,21 @@ def _log_step(r: float, n: int) -> float:
     return upgraded - _log_vote(r, n) if upgraded > -math.inf else -math.inf
 
 
+@functools.cache
+def _doubled(library: ResourceLibrary) -> tuple[dict[str, float], float]:
+    """Per version name, twice its area, and `_Pricing.exact_from`: a fit test
+    adds one term, exact in any order for whole numbers below 2**53, and from
+    `exact_from` on re-sums area x N as binder.total_area does: the area stated."""
+    whole = all(v.area.is_integer() for v in library.versions)
+    return {v.name: 2 * v.area for v in library.versions}, 2.0**53 if whole else -math.inf
+
+
 class _Pricing:
     """The greedy upgrade of one design under one library, at any area bound.
 
     Each instance's extra area and node reliabilities are computed once,
     and its gain per unit area once per (instance id, N).  The bound enters
-    the greedy only through its fit tests area + extra > bound, so each run
+    the greedy only through its fit tests, stepped area > bound, so each run
     is kept with the interval [lo, hi) of bounds on which every test it
     made answers the same: lo is the largest tested sum that fit, hi the
     smallest that did not (None if every test fit).  A bound inside a kept
@@ -72,8 +81,9 @@ class _Pricing:
         self.frame = assignment, design.schedule, design.latency  # not the design: no cycle
         self.area, self.reliability, self.votes = design.area, design.reliability, {}
         self.nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
-        self.extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
-        # Per instance, its nodes' reliabilities in nodes_on order as [r, count] runs;
+        doubled, self.exact_from = _doubled(library)
+        self.extra = {inst.id: doubled[inst.version] for inst in binding.instances}
+        # Per instance, its nodes' reliabilities in node order as [r, count] runs;
         # per node in binding order, its index in `votes`, the distinct (r, instance id).
         self.reliabilities, self.node_votes = {iid: [] for iid in self.nmr}, []
         for nid, iid in binding.node_to_instance.items():
@@ -116,10 +126,15 @@ class _Pricing:
                 return outcome
         # The area only grows, so an instance that no longer fits never fits again.
         nmr, heap, area, extra = dict(self.nmr), list(self.heap), self.area, self.extra
-        lo, hi, gains = -math.inf, None, self.gains
+        lo, hi, gains, exact_from = -math.inf, None, self.gains, self.exact_from
         while heap:
             iid = heap[0][1]
             total = area + extra[iid]
+            if total >= exact_from:  # e / 2 is the unit area, exactly
+                nmr[iid] += 2
+                terms = [e / 2 * n for e, n in zip(extra.values(), nmr.values())]
+                total = functools.reduce(operator.add, terms, 0.0)
+                nmr[iid] -= 2
             if total > area_bound:
                 hi = total if hi is None or total < hi else hi
                 heapq.heappop(heap)

@@ -275,9 +275,9 @@ def find_design(
                 memo[l_d] = tuple(walk)
                 break
             victim = min(candidates)[1]
-            replacement, binding = moves[versions[victim].name][1], design.binding
-            for nid in binding.nodes_on(binding.node_to_instance[dfg.node_ids[victim]]):
-                versions[dfg.declaration_index(nid)] = replacement
+            replacement = moves[versions[victim].name][1]
+            iids = list(design.binding.node_to_instance.values())  # in node order, as above
+            versions = [replacement if iid == iids[victim] else v for v, iid in zip(versions, iids)]
         design = _design_at(dfg, library, versions, latency, memo)
         walk.append((latency, design))
         if design.area <= a_d:

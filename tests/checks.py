@@ -38,6 +38,30 @@ def random_dfg(
     return Dfg(nodes, tuple(edges))
 
 
+def successors(dfg: Dfg) -> dict[str, list[str]]:
+    """Per node id, in declaration order, its successors' ids in edge order,
+    read from the edge list alone."""
+    succs: dict[str, list[str]] = {nid: [] for nid in dfg.node_ids}
+    for src, dst in dfg.edges:
+        succs[src].append(dst)
+    return succs
+
+
+def tails(dfg: Dfg, assignment) -> dict[str, int]:
+    """Per node id, the total delay of its heaviest path to a sink, read
+    from the edge list alone."""
+    succs, tail = successors(dfg), {}
+
+    def of(nid: str) -> int:
+        if nid not in tail:
+            tail[nid] = assignment[nid].delay + max(map(of, succs[nid]), default=0)
+        return tail[nid]
+
+    for nid in succs:
+        of(nid)
+    return tail
+
+
 def validate_design(
     dfg: Dfg,
     library: ResourceLibrary,

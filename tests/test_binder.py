@@ -111,7 +111,7 @@ def test_no_overlap_invariant_on_random_schedules():
         binding = bind(dfg, sched, asg)
         for inst in binding.instances:
             busy: set[int] = set()
-            for nid in binding.nodes_on(inst.id):
+            for nid in [n for n, iid in binding.node_to_instance.items() if iid == inst.id]:
                 assert asg[nid].name == inst.version
                 cells = set(
                     range(sched.starts[nid], sched.starts[nid] + asg[nid].delay)

@@ -271,11 +271,10 @@ def test_position_arrays_match_the_id_lookups():
         dfg = Dfg(tuple(nodes), tuple(edges))
         ids = dfg.node_ids
         for k, nid in enumerate(ids):
-            assert dfg.declaration_index(nid) == k
             preds = tuple(ids[p] for p in dfg.pred_positions[k])
             succs = tuple(ids[s] for s in dfg.succ_positions[k])
-            assert preds == dfg.preds(nid) == tuple(src for src, dst in edges if dst == nid)
-            assert succs == dfg.succs(nid) == tuple(dst for src, dst in edges if src == nid)
+            assert preds == tuple(src for src, dst in edges if dst == nid)
+            assert succs == tuple(dst for src, dst in edges if src == nid)
         # Kahn's algorithm over the edge list, ties in declaration order.
         indeg = {nid: sum(dst == nid for _, dst in edges) for nid in ids}
         ready, order = [nid for nid in ids if not indeg[nid]], []
@@ -286,7 +285,7 @@ def test_position_arrays_match_the_id_lookups():
                     indeg[dst] -= 1
                     if not indeg[dst]:
                         ready.append(dst)
-        assert [ids[k] for k in dfg.topo_positions] == list(dfg.topo_order) == order
+        assert [ids[k] for k in dfg.topo_positions] == order
         assert list(dfg.class_positions) == list(OpClass)
         for cls, positions in dfg.class_positions.items():
             assert positions == tuple(k for k, n in enumerate(dfg.nodes) if n.op_class is cls)
@@ -297,7 +296,7 @@ def test_topological_order_exists_for_accepted_graphs():
     rng = random.Random(8)
     for _ in range(30):
         dfg = random_dfg(rng, min_nodes=1, max_nodes=10, edge_p=0.3)
-        order = dfg.topo_order
+        order = [dfg.node_ids[k] for k in dfg.topo_positions]
         assert sorted(order) == sorted(dfg.node_ids)
         position = {nid: i for i, nid in enumerate(order)}
         for src, dst in dfg.edges:

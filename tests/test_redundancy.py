@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from checks import validate_design
+from checks import random_dfg, validate_design
 from relsyn import redundancy
 from relsyn.binder import Binding, Instance, bind, total_area, with_nmr
 from relsyn.cli import design_to_json
@@ -15,6 +15,8 @@ from relsyn.model import (
     Dfg,
     DfgNode,
     OpClass,
+    ResourceLibrary,
+    ResourceVersion,
     ValidationError,
     _log_vote,
     _reliability_product,
@@ -25,6 +27,7 @@ from relsyn.model import (
     parse_dfg,
     parse_library,
 )
+from relsyn.oracle import oracle_best
 from relsyn.redundancy import baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from relsyn.scheduler import Schedule, asap, density_schedule
 from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, single_version_designs
@@ -516,7 +519,7 @@ def _scan_greedy(design, library, area_bound):
 
     def gain(iid):
         total = 0.0
-        for nid in binding.nodes_on(iid):
+        for nid in [n for n, i in binding.node_to_instance.items() if i == iid]:
             r, n = assignment[nid].reliability, nmr[iid]
             up = _log_vote(r, n + 2)
             total += up - _log_vote(r, n) if up > -math.inf else -math.inf
@@ -688,3 +691,61 @@ def test_ranked_scan_keeps_the_first_of_tied_candidates():
         result = baseline_nmr_synth(dfg, lib, bounds)
         assert _design_text(result) == _design_text(_unpruned_baseline(dfg, lib, bounds))
         assert [v.name for v in result.assignment.values()] == ["B", "B"], area_bound
+
+
+def test_stated_area_is_the_bindings_own_on_fractional_areas():
+    # Areas of one decimal do not add exactly, so a flow that states its
+    # area as a running sum in another order than total_area's can state
+    # less than its binding gives, and exceed the bound when recomputed.
+    # Seeded 3-8 node graphs with two versions per class.
+    rng = random.Random(31)
+    checked = Counter()
+    for _ in range(300):
+        dfg = random_dfg(rng, min_nodes=3, max_nodes=8)
+        lib = ResourceLibrary(tuple(
+            ResourceVersion(
+                f"{cls.value}{i}", cls, rng.randint(1, 30) / 10, rng.randint(1, 3),
+                rng.uniform(0.9, 0.999),
+            )
+            for cls in OpClass
+            for i in range(2)
+        ))
+        bounds, memo = Bounds(rng.randint(3, 9), rng.randint(10, 200) / 10), {}
+        designs = {
+            "nmr": baseline_nmr_synth(dfg, lib, bounds, memo=memo),
+            "combined": combined_synth(dfg, lib, bounds, memo=memo),
+            "oracle": oracle_best(dfg, lib, bounds),
+        }
+        found = find_design(dfg, lib, bounds, memo=memo)
+        if not isinstance(found, Infeasible):
+            designs["greedy"] = greedy_nmr_upgrade(found, lib, bounds.area_bound)
+        for flow, d in designs.items():
+            if not isinstance(d, Infeasible):
+                assert d.area == total_area(d.binding, lib) <= bounds.area_bound, flow
+                validate_design(dfg, lib, d, bounds.latency_bound, bounds.area_bound)
+                checked[flow] += 1
+    assert min(checked.values()) > 150, checked
+    # One multiplier of area 0.4: 0.4 × 7 is 2.8000000000000003, above 2.8.
+    lib = parse_library("resource A1 add 1.0 1 0.99\nresource M1 mul 0.4 1 0.98\n")
+    d = baseline_nmr_synth(parse_dfg("node n0 mul\n"), lib, Bounds(1, 2.8))
+    assert [inst.nmr_factor for inst in d.binding.instances] == [5]
+    assert d.area == 2
+    # Whole areas round too from 2**53 on: 1 × 3 + 2**53 is 2**53 + 4.
+    lib = parse_library("resource A add 1 1 0.9\nresource M mul 9007199254740992 1 0.9\n")
+    dfg = parse_dfg("node a add\nnode m mul\n")
+    for area_bound in [2.0**53 + 2 * k for k in range(40)]:
+        d = combined_synth(dfg, lib, Bounds(1, area_bound))
+        assert d.area == total_area(d.binding, lib) <= area_bound
+    # The oracle prunes on Σ area × peak in library order, 6.3999999999999995
+    # for its first fitting start vector here, whose binding sums to 6.4: it
+    # must search on, and finds a vector of the same versions on 4 instances.
+    dfg = parse_dfg(
+        "node n0 mul\nnode n1 mul\nnode n2 add\nnode n3 mul\nnode n4 add\nnode n5 add\n"
+        "edge n3 n4\nedge n1 n5\nedge n2 n5\nedge n3 n5\nedge n4 n5\n"
+    )
+    lib = parse_library(
+        "resource a0 add 0.6 1 0.95\nresource a1 add 1.4 3 0.98\n"
+        "resource m0 mul 0.1 1 0.91\nresource m1 mul 1.2 1 0.97\n"
+    )
+    d = oracle_best(dfg, lib, Bounds(8, 6.3999999999999995))
+    assert d.area == total_area(d.binding, lib) == 5.199999999999999

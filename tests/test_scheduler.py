@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from checks import random_dfg
+from checks import random_dfg, successors, tails
 from relsyn import scheduler
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
 from relsyn.model import parse_library
@@ -30,11 +30,10 @@ def chain(n, version):
 
 
 def critical_path(dfg, asg):
-    """`_heaviest_path` on tails computed here: each node's delay plus its
-    heaviest successor's tail; node positions mapped back to ids."""
-    tail = {}
-    for nid in reversed(dfg.topo_order):
-        tail[nid] = asg[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+    """`_heaviest_path` on tails computed here from the edge list: each
+    node's delay plus its heaviest successor's tail; node positions mapped
+    back to ids."""
+    tail = tails(dfg, asg)
     path = _heaviest_path(dfg, [tail[nid] for nid in dfg.node_ids])
     return [dfg.node_ids[k] for k in path]
 
@@ -195,17 +194,17 @@ def test_critical_path_is_first_heaviest_path_by_enumeration():
         rng.shuffle(edges)
         dfg = Dfg(base.nodes, tuple(edges))
         asg = _random_assignment(dfg, rng, WIDE_LIB)
-        paths = [[nid] for nid in dfg.source_ids]
+        succs, index = successors(dfg), {nid: k for k, nid in enumerate(dfg.node_ids)}
+        paths = [[nid] for nid in dfg.node_ids if all(dst != nid for _, dst in dfg.edges)]
         complete = []
         while paths:
             path = paths.pop()
-            if dfg.succs(path[-1]):
-                paths += [path + [s] for s in dfg.succs(path[-1])]
+            if succs[path[-1]]:
+                paths += [path + [s] for s in succs[path[-1]]]
             else:
                 complete.append(path)
         expected = min(
-            complete,
-            key=lambda p: (-sum(asg[n].delay for n in p), [dfg.declaration_index(n) for n in p]),
+            complete, key=lambda p: (-sum(asg[n].delay for n in p), [index[n] for n in p])
         )
         assert critical_path(dfg, asg) == expected
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from checks import FANIN_CHAIN, random_dfg, validate_design
+from checks import FANIN_CHAIN, random_dfg, successors, tails, validate_design
 from test_scheduler import WIDE_LIB
 from relsyn import synthesizer
 from relsyn.model import (
@@ -562,17 +562,16 @@ def _reference_repair(dfg, library, l_d):
     path (ties: declaration order) until the bound is met; the versions
     by node position and their latency, as `_repair_latency` returns them."""
     assignment = initial_allocation(dfg, library)
+    succs, index = successors(dfg), {nid: k for k, nid in enumerate(dfg.node_ids)}
     while True:
-        tail = {}
-        for nid in reversed(dfg.topo_order):
-            tail[nid] = assignment[nid].delay + max((tail[s] for s in dfg.succs(nid)), default=0)
+        tail = tails(dfg, assignment)
 
         def heaviest_first(n):
-            return -tail[n], dfg.declaration_index(n)
+            return -tail[n], index[n]
 
         path = [min(dfg.node_ids, key=heaviest_first)]
-        while dfg.succs(path[-1]):
-            path.append(min(dfg.succs(path[-1]), key=heaviest_first))
+        while succs[path[-1]]:
+            path.append(min(succs[path[-1]], key=heaviest_first))
         latency = tail[path[0]]
         if latency <= l_d:
             return [assignment[nid] for nid in dfg.node_ids], latency
@@ -584,7 +583,7 @@ def _reference_repair(dfg, library, l_d):
                 f"minimum latency {latency} exceeds bound {l_d} and no "
                 "critical-path node has a faster version",
             )
-        victim = min(movable, key=lambda n: (-assignment[n].delay, dfg.declaration_index(n)))
+        victim = min(movable, key=lambda n: (-assignment[n].delay, index[n]))
         assignment = {**assignment, victim: faster[victim]}
 
 
