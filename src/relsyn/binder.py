@@ -65,16 +65,19 @@ def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:
     starts = [schedule.starts[nid] for nid in ids]
     names: list[str] = []  # version name per instance id
     last_busy: list[int] = []  # last busy cycle per instance id
+    ids_of: dict[str, list[int]] = {}  # per version name, its instance ids in ascending order
     node_to_instance = [0] * len(ids)
     for k in sorted(range(len(ids)), key=starts.__getitem__):  # stable: ties by position
         version, start = assignment[ids[k]], starts[k]
-        for iid, name in enumerate(names):
-            if name == version.name and last_busy[iid] < start:
+        own = ids_of.setdefault(version.name, [])
+        for iid in own:
+            if last_busy[iid] < start:
                 break
         else:
             iid = len(names)
             names.append(version.name)
             last_busy.append(start)
+            own.append(iid)
         node_to_instance[k] = iid
         last_busy[iid] = start + version.delay - 1
     instances = tuple(Instance(iid, name) for iid, name in enumerate(names))

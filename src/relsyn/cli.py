@@ -377,10 +377,10 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
             raise InputError(f"schedule breaks edge {src} -> {dst}")
     latency = max(starts[nid] + assignment[nid].delay - 1 for nid in dfg.node_ids)
     area = total_area(binding, library)
-    if stated_latency != latency or not math.isclose(stated_area, area, rel_tol=1e-9):
+    if stated_latency != latency or stated_area != area:  # every flow states total_area exactly
         raise InputError(
-            f"design states latency {stated_latency} and area {stated_area:g}, "
-            f"its schedule and binding give {latency} and {area:g}"
+            f"design states latency {stated_latency} and area {stated_area!r}, "
+            f"its schedule and binding give {latency} and {area!r}"
         )
     return evaluate_reliability(dfg, assignment, binding)
 

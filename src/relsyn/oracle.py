@@ -36,10 +36,12 @@ nodes in topological order and drops a partial start vector once
 area bound (re-summed only when a placement raises a peak).  A complete
 vector is packed left edge onto instances, and fits only if the area of
 that binding, its instances' areas added in instance order as
-`binder.total_area` adds them, is also within the bound (on fractional
-areas the two sums can differ in the last bits); that is the area
+`binder.total_area` adds them, is within the area bound; that is the area
 reported.  The bounds sum version areas in library declaration order,
-so the result does not depend on hash order.
+so the result does not depend on hash order; as on fractional areas
+they can exceed the binding's sum in the last bits (2.6 + 1.1 × 2 + 3.8
+is 8.600000000000001, 2.6 + 1.1 + 3.8 + 1.1 is 8.6), they prune only
+above the area bound times `_PRUNE_FACTOR`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ from .binder import Binding, Instance
 from .model import Assignment, Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
 from .model import ResourceVersion, check_assignment
 from .scheduler import Schedule
+
+
+_PRUNE_FACTOR = 1 + 1e-9  # far above the rounding of a reordered sum of a few areas
 
 
 class OracleLimitError(ValueError):
@@ -188,7 +193,8 @@ def _feasible_starts(
             if latest[s] < latest[k]:
                 latest[k] = latest[s]
         latest[k] -= delay[k]
-    if _root_bound(used, slot, delay, earliest, latest, l_d) > a_d:
+    cap = a_d * _PRUNE_FACTOR
+    if _root_bound(used, slot, delay, earliest, latest, l_d) > cap:
         return None
     usage = [[0] * l_d for _ in used]  # per used version, placed operations per cycle
     areas = [v.area for v in used]
@@ -215,7 +221,7 @@ def _feasible_starts(
             area = bound
             if peak > saved_peak:  # left to right, as the root bound
                 area = functools.reduce(operator.add, map(operator.mul, areas, peaks), 0.0)
-            if area <= a_d:
+            if area <= cap:
                 last = pos + 1 == len(steps)
                 found = _pack(versions, starts, a_d) if last else place(pos + 1, area)
                 if found is not None:
@@ -237,7 +243,7 @@ def oracle_best(
 ) -> Design | Infeasible:
     """Exhaustively find the most reliable design meeting both bounds."""
     check_limits(dfg, library, bounds.latency_bound, max_nodes)
-    l_d, a_d = bounds.latency_bound, bounds.area_bound
+    l_d, cap = bounds.latency_bound, bounds.area_bound * _PRUNE_FACTOR
     choices = [library.versions_for(n.op_class) for n in dfg.nodes]
     fastest = tuple(min(v.delay for v in versions) for versions in choices)
     span = _critical_paths(dfg)
@@ -267,7 +273,7 @@ def oracle_best(
         depth = len(picks)
         if depth < len(menus):
             for k, (log, bit, delay) in enumerate(menus[depth]):
-                if areas[mask | bit] > a_d:
+                if areas[mask | bit] > cap:
                     continue
                 child_delays = delays  # the parent's fastest completion, which meets L
                 if delay != delays[depth]:

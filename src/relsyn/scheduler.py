@@ -21,10 +21,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import add
 from typing import Iterable, Mapping
 
 from .model import Assignment, Dfg, check_assignment
+
+
+SCALE = 1 << 22  # the density filter's fixed point: a window of width w adds SCALE // w
 
 
 class InfeasibleBoundError(ValueError):
@@ -113,10 +116,9 @@ def _fold(
     start adds its 1.0 by index.  Nodes that miss the row add nothing.
     """
     n = len(row)
-    for u in nodes:
+    end = first + n
+    for u in [u for u in nodes if lo[u] < end and hi[u] + delay[u] > first]:
         a, b, d = lo[u] - first, hi[u] - first, delay[u]
-        if a >= n or b + d <= 0:
-            continue
         s = share[b - a]
         if a == b:
             for i in range(a if a > 0 else 0, a + d if a + d < n else n):
@@ -150,7 +152,7 @@ def _show(
             diff[a + d] += q
             diff[b + d + 1] -= q
             a, b = lo[u], hi[u]
-            q = (1 << 64) // (b - a + 1)
+            q = SCALE // (b - a + 1)
             diff[a] += q
             diff[b + 1] -= q
             diff[a + d] -= q
@@ -159,13 +161,15 @@ def _show(
 
 
 def _slack(score: int, terms: int) -> int:
-    """Bound on |2**64 * float score - score| (see density_schedule)."""
+    """Bound on |SCALE * float score - score| (see density_schedule)."""
     return terms + (terms * (score + terms) >> 52) + 1
 
 
 def _filter_pick(scores: list[int], terms: int) -> int | None:
     """Index of the start the float fold must pick, or None if unsure."""
     best = min(scores)
+    if scores.count(best) > 1:  # the runner-up ties the best
+        return None
     k = scores.index(best)
     runner_up = min(scores[:k] + scores[k + 1 :])
     return k if best + _slack(best, terms) < runner_up - _slack(runner_up, terms) else None
@@ -193,65 +197,68 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     recomputation (ties: earliest cycle).  No window empties once the
     ASAP check passes: a start in [lo, hi] lifts a descendant's earliest
     start to at most hi plus the delays between, within its latest
-    start, and lowers an ancestor's latest likewise.
+    start, and lowers an ancestor's latest likewise.  On each edge w -> u
+    the windows keep lo[u] >= lo[w] + d_w and hi[u] >= hi[w] + d_w, so a
+    node with one start, placed or not, neither moves nor is moved by a
+    placement; it never enters the heap.
 
     A filter decides the rounds where class size times starts is 64 or
     more, folding only on near ties.  From its first round, each class
-    keeps its density times 2**64 as second differences by cycle: a
-    window [lo, hi] of width w and delay d adds q = floor(2**64 / w) at
-    lo and hi+d+1 and -q at hi+1 and lo+d.  A start's fixed score F has
-    at most N = d * (total delay) terms q, so 0 <= 2**64 E - F < N for
-    its exact score E.  The fold rounds each 1/w and adds each term into
-    a cell and each cell into the score, at most N roundings per term,
-    so its score S has |S - E| <= gamma_N E <= 2**-52 N E (Higham,
+    keeps its density times SCALE = 2**22 as second differences by cycle:
+    a window [lo, hi] of width w and delay d adds q = floor(SCALE / w) at
+    lo and hi+d+1 and -q at hi+1 and lo+d, so two prefix sums give each
+    cycle's occupancy, and a start's fixed score F adds its d cells.  F
+    has at most N = d * (total delay) terms q, so 0 <= SCALE E - F < N
+    for its exact score E.  The fold rounds each 1/w and adds each term
+    into a cell and each cell into the score, at most N roundings per
+    term, so its score S has |S - E| <= gamma_N E <= 2**-52 N E (Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
-    |2**64 S - F| <= `_slack(F, N)`.  A start whose F beats every other
-    by both slacks is the fold's pick; else float rounding, not the exact
-    density, breaks ties, which only the starts of `_open_span` can reach:
-    past them, 2**64 S > F_best + slack >= 2**64 S_best.
+    |SCALE S - F| <= `_slack(F, N)` at any scale.  A start whose F beats
+    every other by both slacks is the fold's pick; else float rounding,
+    not the exact density, breaks ties, which only the starts of
+    `_open_span` can reach: past them, SCALE S > F_best + slack >=
+    SCALE S_best.  At 2**22 a class of up to 128 delay-2 windows scores
+    below 2**30, one machine digit of a Python int.
     """
     delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
     hi = _alap_starts(dfg, delay, latency_bound)
     preds, succs, peers = dfg.pred_positions, dfg.succ_positions, dfg.class_peers
     share = [1.0 / (width + 1) for width in range(latency_bound)]
     diff_of = None  # per node, its class's second differences; built on first use
-    placed = [False] * len(delay)
-    heap = [(hi[i] - lo[i], i) for i in range(len(delay))]
+    heap = [(hi[i] - lo[i], i) for i in range(len(delay)) if hi[i] > lo[i]]
     heapq.heapify(heap)
     while heap:
         width, v = heapq.heappop(heap)
-        if placed[v] or width != hi[v] - lo[v]:
+        if width != hi[v] - lo[v]:
             continue  # stale entry: placed already, or its window shrank
-        best_start = lo[v]
-        if width:  # more than one candidate start
-            d, k, first, last = delay[v], None, 0, width
-            if len(peers[v]) * (width + 1) >= 64:  # smaller folds cost less than the filter
-                if diff_of is None:
-                    diff_of, shown, terms = [], [(0, 0, 0)] * len(delay), sum(delay)
-                    for u, head in enumerate(nodes[0] for nodes in peers):  # a list per class
-                        diff_of.append(diff_of[head] if head < u else [0] * (latency_bound + 3))
-                    _show(diff_of, shown, range(len(delay)), lo, hi, delay)
-                total = list(accumulate(accumulate(accumulate(diff_of[v][: hi[v] + d]))))
-                scores = list(map(sub, total[lo[v] + d - 1 :], total[lo[v] - 1 : hi[v]]))
-                k = _filter_pick(scores, d * terms)
-                first, last = _open_span(scores, d * terms) if k is None else (k, k)
-            if k is None:
-                row = [0.0] * (last - first + d)  # cycles lo[v]+first..lo[v]+last+d-1
-                _fold(row, lo[v] + first, peers[v], lo, hi, delay, share)
-                # Each start's score adds its cells left to right, as from 0.0.
-                scores = row[: last - first + 1]
-                for j in range(1, d):
-                    scores = [score + c for score, c in zip(scores, row[j:])]
-                k = first + scores.index(min(scores))  # ties: earliest cycle
-            best_start += k
-        placed[v] = True
-        lo[v] = hi[v] = best_start
+        d, k, first, last = delay[v], None, 0, width
+        if len(peers[v]) * (width + 1) >= 64:  # smaller folds cost less than the filter
+            if diff_of is None:
+                diff_of, shown, terms = [], [(0, 0, 0)] * len(delay), sum(delay)
+                for u, head in enumerate(nodes[0] for nodes in peers):  # a list per class
+                    diff_of.append(diff_of[head] if head < u else [0] * (latency_bound + 3))
+                _show(diff_of, shown, range(len(delay)), lo, hi, delay)
+            cells = list(accumulate(accumulate(diff_of[v][: hi[v] + d])))
+            scores = cells[lo[v] : hi[v] + 1]
+            for j in range(1, d):
+                scores = list(map(add, scores, cells[lo[v] + j : hi[v] + j + 1]))
+            k = _filter_pick(scores, d * terms)
+            first, last = _open_span(scores, d * terms) if k is None else (k, k)
+        if k is None:
+            row = [0.0] * (last - first + d)  # cycles lo[v]+first..lo[v]+last+d-1
+            _fold(row, lo[v] + first, peers[v], lo, hi, delay, share)
+            # Each start's score adds its cells left to right, as from 0.0.
+            scores = row[: last - first + 1]
+            for j in range(1, d):
+                scores = [score + c for score, c in zip(scores, row[j:])]
+            k = first + scores.index(min(scores))  # ties: earliest cycle
+        lo[v] = hi[v] = lo[v] + k
         moved = []
         stack = [v]
         while stack:
             w = stack.pop()
             for u in succs[w]:
-                if not placed[u] and lo[u] < lo[w] + delay[w]:
+                if lo[u] < lo[w] + delay[w]:
                     lo[u] = lo[w] + delay[w]
                     moved.append(u)
                     stack.append(u)
@@ -259,12 +266,13 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
         while stack:
             w = stack.pop()
             for u in preds[w]:
-                if not placed[u] and hi[u] > hi[w] - delay[u]:
+                if hi[u] > hi[w] - delay[u]:
                     hi[u] = hi[w] - delay[u]
                     moved.append(u)
                     stack.append(u)
         for u in moved:
-            heapq.heappush(heap, (hi[u] - lo[u], u))
+            if hi[u] > lo[u]:
+                heapq.heappush(heap, (hi[u] - lo[u], u))
         if diff_of:
             _show(diff_of, shown, [v, *moved], lo, hi, delay)
-    return _as_schedule(dfg, lo, delay)  # every node placed: lo holds the starts
+    return _as_schedule(dfg, lo, delay)  # every window is one start: lo holds the starts

@@ -12,7 +12,22 @@ import math
 import random
 
 from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, nmr_reliability, parse_dfg
+from relsyn.model import parse_library
 from relsyn.synthesizer import Design
+
+# Versions of 1-4 cycles, so windows fold over multi-cell intervals and
+# starts are scored over up to four cells; the bundled library stops at 2.
+WIDE_LIB = parse_library(
+    """
+    resource A1 add 1 4 0.999
+    resource A2 add 2 3 0.99
+    resource A3 add 3 2 0.98
+    resource A4 add 5 1 0.97
+    resource M1 mul 2 4 0.999
+    resource M2 mul 3 3 0.99
+    resource M3 mul 6 1 0.97
+    """
+)
 
 # Two sources joined into one chain of adders.
 FANIN_CHAIN = parse_dfg(

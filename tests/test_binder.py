@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from checks import WIDE_LIB
 from relsyn.binder import Binding, Instance, bind, total_area, with_nmr
 from relsyn.model import (
     Dfg,
@@ -147,3 +148,36 @@ def test_area_monotone_under_upgrades():
         if binding.instances:
             upgraded = with_nmr(binding, {binding.instances[0].id: 3})
             assert total_area(upgraded, LIB) > base
+
+
+def _reference_bind(dfg, sched, asg):
+    """Left edge by scanning every instance in id order for a free one of
+    the node's version."""
+    names, last_busy, mapping = [], [], {}
+    for nid in sorted(dfg.node_ids, key=lambda nid: sched.starts[nid]):
+        version, start = asg[nid], sched.starts[nid]
+        free = [i for i, name in enumerate(names) if name == version.name and last_busy[i] < start]
+        iid = free[0] if free else len(names)
+        if not free:
+            names.append(version.name)
+            last_busy.append(0)
+        mapping[nid] = iid
+        last_busy[iid] = start + version.delay - 1
+    return Binding(mapping, tuple(Instance(i, name) for i, name in enumerate(names)))
+
+
+@pytest.mark.parametrize("library", ["LIB", "WIDE_LIB"])
+def test_bind_matches_an_all_instances_scan(library):
+    # Random start vectors, precedence ignored, over 1-60 nodes of mixed
+    # versions: the lowest-id free instance of a node's version wins.
+    lib = LIB if library == "LIB" else WIDE_LIB
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        dfg = Dfg(
+            tuple(DfgNode(f"n{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)), ()
+        )
+        asg = {x.id: rng.choice(lib.versions_for(x.op_class)) for x in dfg.nodes}
+        starts = {nid: rng.randint(1, 12) for nid in dfg.node_ids}
+        sched = Schedule(starts, max(starts[nid] + asg[nid].delay - 1 for nid in starts))
+        assert bind(dfg, sched, asg) == _reference_bind(dfg, sched, asg)

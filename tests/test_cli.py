@@ -486,6 +486,10 @@ BAD_DESIGNS = {
     "before-cycle-one": (_shift_before_cycle_one, "before cycle 1"),
     "false-latency": (lambda d: d.update(latency=d["latency"] + 1), "states latency"),
     "false-area": (lambda d: d.update(area=d["area"] + 1), "states latency"),
+    "nearly-equal-area": (  # 5e-10 off in relative terms; both areas shown by repr
+        lambda d: d.update(area=d["area"] + 5.5e-9),
+        "area 11.0000000055, its schedule and binding give 11 and 11.0\n",
+    ),
     "fractional-latency": (lambda d: d.update(latency=d["latency"] + 0.5), "not an integer"),
     "fractional-start": (
         lambda d: d["schedule"].update(m1=d["schedule"]["m1"] + 0.9), "not an integer"

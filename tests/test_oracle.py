@@ -539,3 +539,23 @@ def test_root_bound_refuses_only_combinations_that_cannot_fit(monkeypatch):
     assert len(refused) > 0
     for (_, _, latency), (area, dfg, versions) in refused.items():
         assert _cheapest_start_vector(dfg, versions, latency) > area
+
+
+def test_oracle_finds_a_design_whose_binding_sums_to_the_area_bound():
+    # Library order sums add1's two instances first, 2.6 + 1.1 * 2 + 3.8 =
+    # 8.600000000000001; find_design's binding sums 2.6 + 1.1 + 3.8 + 1.1 =
+    # 8.6.  Pruning on the library-order sum at A 8.6 would drop that
+    # design and return one of reliability 0.80470.
+    dfg = parse_dfg("node v0 add\nnode v1 mul\nnode v2 add\nnode v3 add\nedge v0 v1\nedge v0 v3\n")
+    lib = parse_library(
+        "resource add0 add 2.6 1 0.9194\nresource add1 add 1.1 3 0.9583\n"
+        "resource mul0 mul 3.8 1 0.9934\n"
+    )
+    heuristic = find_design(dfg, lib, Bounds(5, 8.6))
+    assert isinstance(heuristic, Design) and heuristic.area == 8.6
+    result = oracle_best(dfg, lib, Bounds(5, 8.6))
+    assert isinstance(result, Design)
+    validate_design(dfg, lib, result, latency_bound=5, area_bound=8.6)
+    assert result.area <= 8.6
+    assert result.reliability >= heuristic.reliability
+    assert round(result.reliability, 5) == 0.83875

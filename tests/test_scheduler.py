@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from checks import random_dfg, successors, tails
+from checks import WIDE_LIB, random_dfg, successors, tails
 from relsyn import scheduler
 from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
-from relsyn.model import parse_library
 from relsyn.scheduler import InfeasibleBoundError, alap, asap, density_schedule
 from relsyn.synthesizer import _heaviest_path
 
@@ -307,20 +306,6 @@ def test_density_schedule_golden_digest():
     assert _schedules_digest(cases) == GOLDEN_SCHEDULES_SHA256
 
 
-# Versions of 1-4 cycles, so windows fold over multi-cell intervals and
-# starts are scored over up to four cells; the bundled library stops at 2.
-WIDE_LIB = parse_library(
-    """
-    resource A1 add 1 4 0.999
-    resource A2 add 2 3 0.99
-    resource A3 add 3 2 0.98
-    resource A4 add 5 1 0.97
-    resource M1 mul 2 4 0.999
-    resource M2 mul 3 3 0.99
-    resource M3 mul 6 1 0.97
-    """
-)
-
 # sha256 of the wide-delay cases' (starts, latency), captured from the
 # scheduler that folded every covering start with its own `+=`.
 GOLDEN_WIDE_SCHEDULES_SHA256 = "4cdcf4b25c852de44f86d895b8e634469382403ab5e16785dcb9fec5dbc6e4ef"
@@ -399,21 +384,29 @@ def _sixteen_adds():
     return dfg, {nid: ADDER1 for nid in dfg.node_ids}
 
 
+# sha256 of the LIB golden cases' (starts, latency) at 8 times their bound,
+# captured from the scheduler that scored filter rounds at 2**64.
+GOLDEN_LONG_SCHEDULES_SHA256 = "7526bc3ecf50b7549094333329f13f57aa2f1aa55b78c5e9316484c279a3f7b7"
+
+
 def _corpus(name):
     """The filtered corpus `name` and the golden digest of its schedules."""
     if name == "LIB":
         return list(_golden_cases()), GOLDEN_SCHEDULES_SHA256
+    if name == "LIB_LONG":  # wide windows: many starts per round
+        cases = [(dfg, asg, 8 * bound) for dfg, asg, bound in _golden_cases()]
+        return cases, GOLDEN_LONG_SCHEDULES_SHA256
     if name == "WIDE_LIB":
         return list(_random_golden_cases(random.Random(43), WIDE_LIB)), GOLDEN_WIDE_SCHEDULES_SHA256
     return [(*_sixteen_adds(), 8)], None
 
 
-@pytest.mark.parametrize("library", ["LIB", "WIDE_LIB"])
+@pytest.mark.parametrize("library", ["LIB", "WIDE_LIB", "LIB_LONG"])
 def test_filter_margin_is_sound(monkeypatch, library):
     # Every round the fixed-point filter scores, over the golden corpora:
-    # each fixed score F is floor-weighted, 0 <= 2**64 E - F < N for the
+    # each fixed score F is floor-weighted, 0 <= SCALE E - F < N for the
     # exact score E; each float fold score S is within the stated slack,
-    # |2**64 S - F| <= _slack(F, N); a start the filter picks is the
+    # |SCALE S - F| <= _slack(F, N); a start the filter picks is the
     # fold's argmin; and the filter decides at least half the rounds.
     cases, golden = _corpus(library)
     rounds, digest = _filtered_rounds(monkeypatch, cases)
@@ -421,8 +414,8 @@ def test_filter_margin_is_sound(monkeypatch, library):
     decided = 0
     for fixed, terms, k, _, floats, _, exact, lcm in rounds:
         for f, s, e in zip(fixed, floats, exact):
-            assert 0 <= e * 2**64 - f * lcm < terms * lcm
-            assert abs(Fraction(s) * 2**64 - f) <= scheduler._slack(f, terms)
+            assert 0 <= e * scheduler.SCALE - f * lcm < terms * lcm
+            assert abs(Fraction(s) * scheduler.SCALE - f) <= scheduler._slack(f, terms)
         if k is not None:
             decided += 1
             assert floats.index(min(floats)) == k
@@ -470,3 +463,40 @@ def test_fold_breaks_an_exact_tie_the_filter_leaves_open(monkeypatch):
     monkeypatch.undo()
     sched = density_schedule(dfg, asg, 8)
     assert [sched.starts[f"v{i}"] for i in range(3)] == [1, 7, 3]
+
+
+def _sparse_large_cases():
+    """Seeded 300-400 node DAGs where node i has, with probability 1/10, one
+    predecessor among all the earlier nodes: wide classes whose fixed
+    scores pass 2**30.  Mixed versions of LIB and WIDE_LIB at the minimum,
+    the minimum + 2 and the minimum + n/8 bound."""
+    rng = random.Random(47)
+    for library in (LIB, WIDE_LIB):
+        for n in (300, 350, 400):
+            nodes = tuple(
+                DfgNode(f"v{i}", rng.choice((OpClass.ADD, OpClass.MUL))) for i in range(n)
+            )
+            edges = [(f"v{rng.randrange(j)}", f"v{j}") for j in range(1, n) if rng.random() < 0.1]
+            dfg = Dfg(nodes, tuple(edges))
+            asg = _random_assignment(dfg, rng, library)
+            minimum = asap(dfg, asg).latency
+            for bound in (minimum, minimum + 2, minimum + n // 8):
+                yield dfg, asg, bound
+
+
+def test_filtered_schedules_equal_fold_only_on_large_graphs(monkeypatch):
+    # Scores past one 30-bit digit take the same filter path: the filter
+    # and open span give the schedules of folding every start of every round.
+    cases = list(_sparse_large_cases())
+    real_pick, high = scheduler._filter_pick, []
+
+    def pick(scores, terms):
+        high.append(max(scores) >= 2**30)
+        return real_pick(scores, terms)
+
+    monkeypatch.setattr(scheduler, "_filter_pick", pick)
+    filtered = _schedules_digest(cases)
+    assert any(high) and len(high) > 1000
+    monkeypatch.setattr(scheduler, "_filter_pick", lambda scores, terms: None)
+    monkeypatch.setattr(scheduler, "_open_span", lambda scores, terms: (0, len(scores) - 1))
+    assert _schedules_digest(cases) == filtered
