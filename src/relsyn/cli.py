@@ -309,12 +309,9 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
             raise ParseError(f"line {lineno}: {exc.args[0]}") from exc
     model.check_assignment(dfg, assignment)
     # Each node gets its own instance; nmr applies per node.
-    instances = []
-    node_to_instance = {}
-    for i, nid in enumerate(dfg.node_ids):
-        instances.append(Instance(i, assignment[nid].name, nmr.get(nid, 1)))
-        node_to_instance[nid] = i
-    return assignment, Binding(node_to_instance, tuple(instances))
+    ids = {nid: i for i, nid in enumerate(dfg.node_ids)}
+    instances = tuple(Instance(i, assignment[nid].name, nmr.get(nid, 1)) for nid, i in ids.items())
+    return assignment, Binding(ids, instances)
 
 
 def _node_table(payload: dict, key: str, dfg: Dfg) -> dict:
@@ -361,17 +358,16 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         raise InputError("design instances repeat an id")
     if any(inst.nmr_factor > MAX_NMR_FACTOR for inst in instances):
         raise InputError(f"design has an nmr factor above {MAX_NMR_FACTOR}")
-    busy: dict[int, set[int]] = {}
     for nid, inst in bound.items():
-        version, start = assignment[nid], starts[nid]
-        if inst.version != version.name:
-            raise InputError(f"node {nid!r} is {version.name}, its instance {inst.version}")
-        if start < 1:
+        if inst.version != assignment[nid].name:
+            raise InputError(f"node {nid!r} is {assignment[nid].name}, its instance {inst.version}")
+        if starts[nid] < 1:
             raise InputError(f"node {nid!r} starts before cycle 1")
-        cycles = set(range(start, start + version.delay))
-        if busy.setdefault(inst.id, set()) & cycles:
+    last: dict[int, int] = {}  # per instance, its last busy cycle: its nodes share one delay
+    for nid, inst in sorted(bound.items(), key=lambda item: starts[item[0]]):
+        if starts[nid] <= last.get(inst.id, 0):
             raise InputError(f"instance {inst.id} is double-booked at node {nid!r}")
-        busy[inst.id] |= cycles
+        last[inst.id] = starts[nid] + assignment[nid].delay - 1
     for src, dst in dfg.edges:
         if starts[dst] < starts[src] + assignment[src].delay:
             raise InputError(f"schedule breaks edge {src} -> {dst}")

@@ -26,7 +26,7 @@ import operator
 
 from .binder import Binding, Instance
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
-from .synthesizer import Memo, find_design, single_version_designs
+from .synthesizer import Memo, _candidate_at, _candidates, find_design
 
 
 def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: float) -> Design:
@@ -202,9 +202,9 @@ def baseline_nmr_synth(
     smaller latency, then enumeration order).  `memo` is as for
     `find_design`.  Candidates are priced, and only the winner is built.
     """
-    library.check_covers(dfg)
-    designs = single_version_designs(dfg, library, bounds.latency_bound, memo=memo)
-    a_d, best = bounds.area_bound, ((-math.inf,), None, None)
+    l_d, a_d, memo = bounds.latency_bound, bounds.area_bound, {} if memo is None else memo
+    candidates, best = _candidates(dfg, library, memo)[0], ((-math.inf,), None, None)
+    designs = [d for c in candidates if (d := _candidate_at(dfg, library, c, l_d, memo))]
     fits = [(_pricing(d, library), -i, d) for i, d in enumerate(designs) if d.area <= a_d]
     for ceiling, o, p, d in sorted(((p.ceiling(a_d), o, p, d) for p, o, d in fits), reverse=True):
         if ceiling < best[0][0] * (1 - 1e-9):  # 1e-9: rounding may pass a ceiling

@@ -24,16 +24,16 @@ as these keys hold them, and a design's assignment dict is built once.  A
 move between versions of equal delay re-binds without re-scheduling, and
 nothing met again is re-built or re-priced.  It keeps "single-version" ->
 the version per class of each single-version design, priced from the
-objective, with its designs by latency bound, in library order and most
-reliable first; ("single-version", latency bound) -> the tuple of their
-designs; and latency bound -> walk: latency repair's Infeasible, or the
-(scheduling latency, design) pairs that latency repair, slack and area
-repair have met so far.  The walk is the same for every area bound, which
-only picks the design it stops at, the first that fits; a call grows it
-only when none fits, and it becomes a tuple once area repair dead-ends.
-A caller that solves many bound pairs on one graph and library (a sweep)
-may pass the same memo to every call; without one, each call uses a memo
-of its own.  Whatever a shared memo holds is shared: treat it as read-only.
+objective, with its designs by latency bound, in library order (the NMR
+baseline's) and most reliable first (the fallback's); and latency bound ->
+walk: latency repair's Infeasible, or the (scheduling latency, design)
+pairs that latency repair, slack and area repair have met so far.  The
+walk is the same for every area bound, which only picks the design it
+stops at, the first that fits; a call grows it only when none fits, and it
+becomes a tuple once area repair dead-ends.  A caller that solves many
+bound pairs on one graph and library (a sweep) may pass the same memo to
+every call; without one, each call uses a memo of its own.  Whatever a
+shared memo holds is shared: treat it as read-only.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, l
     """Each single-version-per-class choice as (reliability, version per class
     in `OpClass` order, [(area, nodes x delay) per used version], {latency
     bound: design}), class versions in library order; then the same most
-    reliable first.  Priced as `_design_at` prices a design."""
+    reliable first.  Priced as `_design_at` prices; checks library coverage."""
     if "single-version" not in memo:
+        library.check_covers(dfg)
         classes = dfg.class_positions
         menus = [library.versions_for(cls) if p else (None,) for cls, p in classes.items()]
         slots = _by_position(dfg, range(len(classes)))  # each node's index in a choice
@@ -142,23 +143,13 @@ def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, l
     return memo["single-version"]
 
 
-def single_version_designs(
-    dfg: Dfg, library: ResourceLibrary, latency_bound: int, *, memo: Memo | None = None
-) -> tuple[Design, ...]:
-    """The tuple of every single-version-per-class design that meets
-    `latency_bound`, density-scheduled and bound, with class versions in
-    library order.  `memo` is as for `find_design`; it keeps the tuple."""
-    memo = {} if memo is None else memo
-    key = ("single-version", latency_bound)
-    if key not in memo:
-        designs = []
-        for _, combo, _, built in _candidates(dfg, library, memo)[0]:
-            if latency_bound not in built:
-                versions = _by_position(dfg, combo)
-                built[latency_bound] = _design_at(dfg, library, versions, latency_bound, memo)
-            designs.append(built[latency_bound])
-        memo[key] = tuple(d for d in designs if d is not None)
-    return memo[key]
+def _candidate_at(
+    dfg: Dfg, library: ResourceLibrary, candidate: tuple, l_d: int, memo: Memo
+) -> Design | None:
+    """A `_candidates` entry's design at `l_d` by `_design_at`, kept in its {L: design}."""
+    if l_d not in candidate[3]:
+        candidate[3][l_d] = _design_at(dfg, library, _by_position(dfg, candidate[1]), l_d, memo)
+    return candidate[3][l_d]
 
 
 def _fallback(dfg: Dfg, library: ResourceLibrary, bounds: Bounds, memo: Memo) -> Design | None:
@@ -167,15 +158,15 @@ def _fallback(dfg: Dfg, library: ResourceLibrary, bounds: Bounds, memo: Memo) ->
     a candidate whose area floor, ceil(nodes x delay / L) instances per used
     version, exceeds the area bound past a relative 1e-9 rounding margin."""
     l_d, a_d, fits = bounds.latency_bound, bounds.area_bound, []
-    for reliability, combo, loads, designs in _candidates(dfg, library, memo)[1]:
+    for candidate in _candidates(dfg, library, memo)[1]:
+        reliability, _, loads, built = candidate
         if fits and reliability < fits[0].reliability:
             break
-        if l_d not in designs:
+        if l_d not in built:
             if sum(area * max(1, -(-load // l_d)) for area, load in loads) * (1 - 1e-9) > a_d:
                 continue
-            designs[l_d] = _design_at(dfg, library, _by_position(dfg, combo), l_d, memo)
-        if designs[l_d] is not None and designs[l_d].area <= a_d:
-            fits.append(designs[l_d])
+        if (design := _candidate_at(dfg, library, candidate, l_d, memo)) and design.area <= a_d:
+            fits.append(design)
     return min(fits, key=lambda d: (d.area, d.latency), default=None)  # the first minimum
 
 

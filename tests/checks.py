@@ -1,18 +1,22 @@
-"""Shared test helpers: test graphs, and from-scratch re-validation of
-synthesis results.
+"""Shared test helpers: test graphs, from-scratch re-validation of
+synthesis results, and a reference enumeration of single-version designs.
 
 The validation recomputes invariants directly from schedule/binding
 contents using plain loops, independent of the package's scheduling and
-binding code paths.
+binding code paths.  The reference builds each design from the scheduler,
+the binder and the reliability model alone, not through the synthesizer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
-from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, nmr_reliability, parse_dfg
-from relsyn.model import parse_library
+from relsyn.binder import bind, total_area
+from relsyn.model import Dfg, DfgNode, OpClass, ResourceLibrary, evaluate_reliability
+from relsyn.model import nmr_reliability, parse_dfg, parse_library
+from relsyn.scheduler import InfeasibleBoundError, density_schedule
 from relsyn.synthesizer import Design
 
 # Versions of 1-4 cycles, so windows fold over multi-cell intervals and
@@ -131,3 +135,24 @@ def validate_design(
         assert design.latency <= latency_bound
     if area_bound is not None:
         assert design.area <= area_bound + 1e-9
+
+
+def single_version_reference(dfg: Dfg, library: ResourceLibrary, latency_bound: int) -> list:
+    """Every single-version-per-class design that meets `latency_bound`, one
+    per choice of a version for each class the graph uses (the product of
+    their versions in library order, classes in `OpClass` order), each
+    density-scheduled, bound and priced anew: no candidate list or memo."""
+    used = [cls for cls in OpClass if dfg.class_counts()[cls]]
+    designs = []
+    for combo in itertools.product(*(library.versions_for(cls) for cls in used)):
+        version = dict(zip(used, combo))
+        assignment = {node.id: version[node.op_class] for node in dfg.nodes}
+        try:
+            schedule = density_schedule(dfg, assignment, latency_bound)
+        except InfeasibleBoundError:
+            continue
+        binding = bind(dfg, schedule, assignment)
+        area = total_area(binding, library)
+        reliability = evaluate_reliability(dfg, assignment, binding)
+        designs.append(Design(assignment, schedule, binding, schedule.latency, area, reliability))
+    return designs

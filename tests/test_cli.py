@@ -516,6 +516,30 @@ def test_eval_rejects_inconsistent_design(relsyn, tmp_path, case):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "b_start, code, out, err",
+    [
+        (10**12 + 1, 0, "reliability 0.98010\n", ""),
+        (10**12, 2, "", "error: instance 0 is double-booked at node 'b'\n"),
+    ],
+    ids=["back-to-back", "double-booked"],
+)
+def test_eval_design_on_a_huge_delay(relsyn, workspace, b_start, code, out, err):
+    # Two nodes on one instance of a 10^12-cycle adder: the bookings are
+    # compared by their first and last cycles, not cycle by cycle.
+    delay = 10**12
+    (workspace / "two.dfg").write_text("node a add\nnode b add\n")
+    (workspace / "slow.lib").write_text(f"resource Slow add 1 {delay} 0.99\n")
+    design = {
+        "assignment": {"a": "Slow", "b": "Slow"}, "schedule": {"a": 1, "b": b_start},
+        "binding": {"a": 0, "b": 0}, "instances": [{"id": 0, "version": "Slow", "nmr": 1}],
+        "latency": b_start + delay - 1, "area": 1.0,
+    }
+    (workspace / "slow.json").write_text(json.dumps(design))
+    result = relsyn("eval", "--design", "slow.json", dfg="two.dfg", lib="slow.lib")
+    assert result == (code, out, err)
+
+
 # -- input errors: exit 2 and one `error:` line, never a traceback ----------
 
 SYNTH = ("synth", "--latency", "11", "--area", "12")

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from checks import random_dfg, validate_design
+from checks import random_dfg, single_version_reference, validate_design
 from relsyn import redundancy
 from relsyn.binder import Binding, Instance, bind, total_area, with_nmr
 from relsyn.cli import design_to_json
@@ -30,7 +30,7 @@ from relsyn.model import (
 from relsyn.oracle import oracle_best
 from relsyn.redundancy import baseline_nmr_synth, combined_synth, greedy_nmr_upgrade
 from relsyn.scheduler import Schedule, asap, density_schedule
-from relsyn.synthesizer import Bounds, Design, Infeasible, find_design, single_version_designs
+from relsyn.synthesizer import Bounds, Design, Infeasible, find_design
 
 LIB = builtin_library()
 ADDER1 = LIB.by_name("Adder1")
@@ -361,6 +361,17 @@ def test_baseline_infeasible_when_area_too_small():
     assert isinstance(result, Infeasible)
 
 
+def test_baseline_refuses_a_library_without_a_used_class():
+    # The check runs where the memo's single-version choices are first built.
+    dfg = parse_dfg("node a add\nnode m mul\n")
+    lib = parse_library("resource only add 3 1 0.5\n")
+    memo = {}
+    for shared in (None, memo, memo):  # a refusal leaves nothing in the memo to skip it
+        with pytest.raises(ValidationError, match="no version for class mul"):
+            baseline_nmr_synth(dfg, lib, Bounds(4, 10), memo=shared)
+    assert memo == {}
+
+
 def test_baseline_uses_one_version_per_class():
     rng = random.Random(61)
     for _ in range(10):
@@ -471,7 +482,7 @@ def test_greedy_upgrade_golden_digest():
     ):
         dfg = builtin_benchmark(name)
         for bound in latencies:
-            for design in single_version_designs(dfg, LIB, bound):
+            for design in single_version_reference(dfg, LIB, bound):
                 for area in GREEDY_AREAS:
                     up = greedy_nmr_upgrade(design, LIB, area)
                     nmr = tuple(inst.nmr_factor for inst in up.binding.instances)
@@ -493,14 +504,15 @@ def _priced_designs():
     for name, latencies in BUNDLED_LATENCIES:
         dfg, memo = builtin_benchmark(name), {}
         for bound in latencies:
-            designs += [(d, LIB) for d in single_version_designs(dfg, LIB, bound, memo=memo)]
+            designs += [(d, LIB) for d in single_version_reference(dfg, LIB, bound)]
             for area in range(2, 41):
                 result = find_design(dfg, LIB, Bounds(bound, area), memo=memo)
-                if isinstance(result, Design) and not any(result is d for d, _ in designs):
+                # Equal, not the same object: the reference builds designs of its own.
+                if isinstance(result, Design) and not any(result == d for d, _ in designs):
                     designs.append((result, LIB))
     for nmr in [(1, 1, 1), (3, 1, 5)]:
         designs += [(_edge_design(n2i, nmr), EDGE_LIB) for n2i, _ in GREEDY_EDGE_CASES.values()]
-    return designs + [(d, WEAK_LIB) for d in single_version_designs(WEAK_DFG, WEAK_LIB, 3)]
+    return designs + [(d, WEAK_LIB) for d in single_version_reference(WEAK_DFG, WEAK_LIB, 3)]
 
 
 def _greedy(pricing, area_bound):
@@ -631,7 +643,7 @@ def test_ceiling_bounds_every_priced_upgrade():
 
 def _unpruned_baseline(dfg, library, bounds):
     """The NMR baseline as a maximum over every priced candidate that fits."""
-    designs = single_version_designs(dfg, library, bounds.latency_bound)
+    designs = single_version_reference(dfg, library, bounds.latency_bound)
     a_d = bounds.area_bound
     best = max(
         ((d, redundancy._pricing(d, library).price(a_d)) for d in designs if d.area <= a_d),

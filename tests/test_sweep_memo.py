@@ -219,18 +219,28 @@ def test_sweep_builds_each_design_once(tmp_path, capsys, monkeypatch):
     assert len({names for names, _ in bound}) < len(bound)
 
 
+def _called_from(name):
+    """Whether `name` is on the stack above the caller: the NMR baseline
+    reaches `_design_at` by way of `_candidate_at` and, before Python 3.12,
+    a comprehension's frame."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != name:
+        frame = frame.f_back
+    return frame is not None
+
+
 def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
     tmp_path, capsys, monkeypatch
 ):
-    # The single-version designs are enumerated once per L, however many
-    # area bounds and flows read them, and the NMR baseline prices its
-    # candidates: only a returned design gets built with its NMR binding,
-    # once per greedy run, however many rows return it.
+    # The NMR baseline builds each single-version design once per L, however
+    # many area bounds and flows read it, and prices its candidates: only a
+    # returned design gets built with its NMR binding, once per greedy run,
+    # however many rows return it.
     enumerated, built, returned = Counter(), [], {}
     design_at, design, run_method = synthesizer._design_at, redundancy.Design, cli._run_method
 
     def counting_design_at(dfg, library, versions, latency_bound, memo):
-        if sys._getframe(1).f_code.co_name == "single_version_designs":
+        if _called_from("baseline_nmr_synth"):
             enumerated[tuple(v.name for v in versions), latency_bound] += 1
         return design_at(dfg, library, versions, latency_bound, memo)
 
@@ -261,15 +271,15 @@ def test_sweep_builds_single_version_designs_once_and_only_nmr_winners(
 def test_sweep_walks_each_latency_bound_once(tmp_path, capsys, monkeypatch):
     # find_design's slack and area-repair walk does not depend on the area
     # bound, so each of its designs is reached once per latency bound L,
-    # however many area bounds and flows stop on or pass it.
+    # however many area bounds and flows stop on or pass it.  The NMR
+    # baseline's builds are no walk steps.
     reached = Counter()
     design_at = synthesizer._design_at
 
     def counting_design_at(dfg, library, versions, latency_bound, memo):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name != "single_version_designs":
-            names = tuple(v.name for v in versions)
-            reached[caller.f_locals["l_d"], names, latency_bound] += 1
+        if not _called_from("baseline_nmr_synth"):
+            l_d = sys._getframe(1).f_locals["l_d"]  # find_design's or `_candidate_at`'s bound
+            reached[l_d, tuple(v.name for v in versions), latency_bound] += 1
         return design_at(dfg, library, versions, latency_bound, memo)
 
     monkeypatch.setattr(synthesizer, "_design_at", counting_design_at)

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from checks import FANIN_CHAIN, random_dfg, successors, tails, validate_design
+from checks import FANIN_CHAIN, random_dfg, single_version_reference, successors, tails
+from checks import validate_design
 from test_scheduler import WIDE_LIB
 from relsyn import synthesizer
 from relsyn.model import (
@@ -20,6 +21,7 @@ from relsyn.model import (
     parse_dfg,
     parse_library,
 )
+from relsyn.redundancy import baseline_nmr_synth
 from relsyn.scheduler import asap
 from relsyn.synthesizer import (
     Bounds,
@@ -27,7 +29,6 @@ from relsyn.synthesizer import (
     Infeasible,
     find_design,
     initial_allocation,
-    single_version_designs,
 )
 
 LIB = builtin_library()
@@ -269,11 +270,13 @@ def test_area_repair_rebinds_without_rescheduling(monkeypatch):
 
 
 def test_single_version_designs_schedule_each_delay_vector_once(monkeypatch):
-    # Six assignments but four delay vectors, as Adder2 and Adder3 are
-    # both one cycle.  Both Adder1 vectors miss L = 12 (minimum 17-18).
+    # The NMR baseline builds every single-version design at L = 12: six
+    # assignments but four delay vectors, as Adder2 and Adder3 are both one
+    # cycle.  Both Adder1 vectors miss L = 12 (minimum 17-18).
     schedules, bindings = _count_scheduling(monkeypatch)
-    fir = builtin_benchmark("fir16")
-    designs = list(single_version_designs(fir, LIB, 12))
+    fir, memo = builtin_benchmark("fir16"), {}
+    assert isinstance(baseline_nmr_synth(fir, LIB, Bounds(12, 20), memo=memo), Design)
+    designs = [d for *_, built in memo["single-version"][0] if (d := built[12]) is not None]
     assert len(schedules) == 4 and set(schedules.values()) == {1}
     assert len(designs) == len(bindings) == 4
     assert set(bindings.values()) == {1}
@@ -301,10 +304,10 @@ TIE_LIB = parse_library(
 )
 
 
-def _reference_fallback(dfg, library, l_d, a_d, memo=None):
-    """The most reliable single-version design that fits, ties to smaller
-    area, then smaller latency, then the earliest: every design built."""
-    fits = (d for d in single_version_designs(dfg, library, l_d, memo=memo) if d.area <= a_d)
+def _reference_fallback(designs, a_d):
+    """The most reliable of `single_version_reference`'s `designs` that fits
+    `a_d`, ties to smaller area, then smaller latency, then the earliest."""
+    fits = (d for d in designs if d.area <= a_d)
     return max(fits, key=lambda d: (d.reliability, -d.area, -d.latency), default=None)
 
 
@@ -340,9 +343,10 @@ def test_fallback_returns_the_reference_design():
     for dfg, library, latencies, areas in _fallback_cases():
         points = [(l_d, a_d) for l_d in latencies for a_d in areas]
         rng.shuffle(points)
-        memo, reference_memo = {}, {}
+        memo = {}
+        references = {l_d: single_version_reference(dfg, library, l_d) for l_d in latencies}
         for l_d, a_d in points:
-            expected = _summary(_reference_fallback(dfg, library, l_d, a_d, reference_memo))
+            expected = _summary(_reference_fallback(references[l_d], a_d))
             assert _summary(synthesizer._fallback(dfg, library, Bounds(l_d, a_d), {})) == expected
             assert _summary(synthesizer._fallback(dfg, library, Bounds(l_d, a_d), memo)) == expected
             checked += expected is not None
@@ -360,7 +364,7 @@ def test_fallback_margin_keeps_a_design_on_its_floor():
     area = sum([0.1] * 10)
     assert area < 0.1 * 10
     for a_d in (area, 1.0, 0.1 * 9, 10.0):
-        expected = _summary(_reference_fallback(dfg, lib, 1, a_d))
+        expected = _summary(_reference_fallback(single_version_reference(dfg, lib, 1), a_d))
         assert _summary(synthesizer._fallback(dfg, lib, Bounds(1, a_d), {})) == expected
     assert _summary(synthesizer._fallback(dfg, lib, Bounds(1, area), {}))[0] == ("Tenth",) * 10
 
@@ -372,7 +376,7 @@ def test_single_version_area_floor_is_sound():
     for name, latencies, _ in BUNDLED_GRIDS:
         dfg = builtin_benchmark(name)
         for l_d in latencies:
-            for design in single_version_designs(dfg, LIB, l_d):
+            for design in single_version_reference(dfg, LIB, l_d):
                 used = Counter(design.assignment.values())
                 floor = sum(v.area * max(1, -(-n * v.delay // l_d)) for v, n in used.items())
                 assert design.area >= floor
@@ -390,7 +394,7 @@ def test_fallback_builds_only_candidates_it_cannot_rule_out(monkeypatch):
 
     def counting_design_at(dfg, library, versions, latency_bound, memo):
         design = design_at(dfg, library, versions, latency_bound, memo)
-        if sys._getframe(1).f_code.co_name == "_fallback":
+        if sys._getframe(2).f_code.co_name == "_fallback":  # by way of `_candidate_at`
             built.append((sorted({v.name for v in versions}), design is not None))
         return design
 
