@@ -30,8 +30,8 @@ class CharInput:
     q_critical: float
 
     def __post_init__(self) -> None:
-        if not self.q_critical > 0:
-            raise ValidationError(f"{self.name!r}: q_critical must be > 0")
+        if not 0 < self.q_critical < math.inf:
+            raise ValidationError(f"{self.name!r}: q_critical must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class CharModel:
     t: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.q_s > 0:
-            raise ValidationError("q_s must be > 0")
+        if not 0 < self.q_s < math.inf:
+            raise ValidationError("q_s must be > 0 and finite")
         if not 0 < self.reference_reliability < 1:
             raise ValidationError("reference reliability must be in (0, 1)")
         if not 0 < self.t < math.inf:
@@ -94,9 +94,10 @@ def calibrate_qs(
 
         q_s = (q_ref - q_other) / ln(lambda_other / lambda_ref)
 
-    with lambda = -ln(R) / t.  The result is positive exactly when the
-    component with the higher critical charge is the more reliable one;
-    any other ordering contradicts the model and raises.
+    with lambda = -ln(R) / t, so t cancels.  The result is positive
+    exactly when the component with the higher critical charge is the
+    more reliable one; any other ordering contradicts the model and
+    raises, as does a fit past the float range.
     """
     (q_ref, r_ref), (q_other, r_other) = ref, other
     if not 0 < t < math.inf:
@@ -106,18 +107,19 @@ def calibrate_qs(
             raise ValidationError("critical charges must be positive")
         if not 0 < r < 1:
             raise ValidationError("calibration reliabilities must be in (0, 1)")
-    if r_ref == r_other:
+    log_ratio = math.log(math.log(r_other) / math.log(r_ref))  # ln(lambda_other / lambda_ref)
+    if log_ratio == 0:
         raise ValidationError("calibration requires distinct reliabilities")
     if q_ref == q_other:
         raise ValidationError("calibration requires distinct critical charges")
-    lam_ref = -math.log(r_ref) / t
-    lam_other = -math.log(r_other) / t
-    q_s = (q_ref - q_other) / math.log(lam_other / lam_ref)
+    q_s = (q_ref - q_other) / log_ratio
     if q_s <= 0:
         raise ValidationError(
             "inconsistent calibration points: higher critical charge must "
             "pair with higher reliability"
         )
+    if q_s == math.inf:
+        raise ValidationError("calibration gives a q_s past the float range")
     return q_s
 
 
@@ -135,8 +137,15 @@ def characterize(inputs: Sequence[CharInput], model: CharModel) -> list[CharReco
     lam_ref = -math.log(model.reference_reliability) / model.t
     records = []
     for inp in inputs:
-        ratio = ser_ratio(inp.q_critical, q_ref, model.q_s)
+        try:
+            ratio = ser_ratio(inp.q_critical, q_ref, model.q_s)
+        except OverflowError:  # exp past the float range
+            ratio = math.inf
         failure_rate = lam_ref * ratio
+        if not math.isfinite(failure_rate):
+            raise ValidationError(
+                f"{inp.name!r}: SER ratio {ratio:g} and failure rate {failure_rate:g} must be finite"
+            )
         if inp.name == model.reference:
             reliability = model.reference_reliability
         else:

@@ -217,8 +217,8 @@ class Bounds:
     area_bound: float
 
     def __post_init__(self) -> None:
-        if self.latency_bound < 1:
-            raise ValidationError("latency bound must be >= 1")
+        if not (isinstance(self.latency_bound, int) and self.latency_bound >= 1):
+            raise ValidationError("latency bound must be an integer >= 1")
         if not self.area_bound > 0:
             raise ValidationError("area bound must be > 0")
 

@@ -3,11 +3,12 @@
 The density scheduler is force-directed scheduling (Paulin & Knight,
 1989) in the incremental form of Verhaegh et al.: windows are computed
 once and tightened only where a placement moves them, and each round
-scores one node's starts by its class's occupancy density: by a
-fixed-point filter where that pays and decides, else by a float fold
-with the additions per cell of a start-by-start sum.  Its schedules
-equal those of the round-by-round form bit for bit, tie-breaks
-included.  It reads each node's delay and class, never its version name.
+scores one node's starts by its class's occupancy density, a float sum
+with the additions per cell of a start-by-start sum.  Where that pays,
+a fixed-point filter first keeps open only the starts that sum can
+pick, and one open start decides the round.  Its schedules equal those
+of the round-by-round form bit for bit, tie-breaks included.  It reads
+each node's delay and class, never its version name.
 
 Cycles are 1-based.  A node with start s and delay d occupies the
 execution interval [s, s+d-1]; functional units are non-pipelined, so a
@@ -165,19 +166,10 @@ def _slack(score: int, terms: int) -> int:
     return terms + (terms * (score + terms) >> 52) + 1
 
 
-def _filter_pick(scores: list[int], terms: int) -> int | None:
-    """Index of the start the float fold must pick, or None if unsure."""
-    best = min(scores)
-    if scores.count(best) > 1:  # the runner-up ties the best
-        return None
-    k = scores.index(best)
-    runner_up = min(scores[:k] + scores[k + 1 :])
-    return k if best + _slack(best, terms) < runner_up - _slack(runner_up, terms) else None
-
-
 def _open_span(scores: list[int], terms: int) -> tuple[int, int]:
     """The first and last start whose F exceeds the least by at most its and the largest's slack."""
-    cap = min(scores) + _slack(min(scores), terms) + _slack(max(scores), terms)
+    best = min(scores)
+    cap = best + _slack(best, terms) + _slack(max(scores), terms)
     open_starts = [k for k, score in enumerate(scores) if score <= cap]
     return open_starts[0], open_starts[-1]
 
@@ -202,23 +194,23 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     node with one start, placed or not, neither moves nor is moved by a
     placement; it never enters the heap.
 
-    A filter decides the rounds where class size times starts is 64 or
-    more, folding only on near ties.  From its first round, each class
-    keeps its density times SCALE = 2**22 as second differences by cycle:
-    a window [lo, hi] of width w and delay d adds q = floor(SCALE / w) at
-    lo and hi+d+1 and -q at hi+1 and lo+d, so two prefix sums give each
-    cycle's occupancy, and a start's fixed score F adds its d cells.  F
-    has at most N = d * (total delay) terms q, so 0 <= SCALE E - F < N
-    for its exact score E.  The fold rounds each 1/w and adds each term
-    into a cell and each cell into the score, at most N roundings per
-    term, so its score S has |S - E| <= gamma_N E <= 2**-52 N E (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
-    |SCALE S - F| <= `_slack(F, N)` at any scale.  A start whose F beats
-    every other by both slacks is the fold's pick; else float rounding,
-    not the exact density, breaks ties, which only the starts of
-    `_open_span` can reach: past them, SCALE S > F_best + slack >=
-    SCALE S_best.  At 2**22 a class of up to 128 delay-2 windows scores
-    below 2**30, one machine digit of a Python int.
+    A filter bounds the fold where class size times starts is 64 or more.
+    From its first round, each class keeps its density times SCALE = 2**22
+    as second differences by cycle: a window [lo, hi] of width w and delay
+    d adds q = floor(SCALE / w) at lo and hi+d+1 and -q at hi+1 and lo+d,
+    so two prefix sums give each cycle's occupancy, and a start's fixed
+    score F adds its d cells.  F has at most N = d * (total delay) terms q,
+    so 0 <= SCALE E - F < N for its exact score E.  The fold rounds each
+    1/w and adds each term into a cell and each cell into the score, at
+    most N roundings per term, so its score S has |S - E| <= gamma_N E <=
+    2**-52 N E (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2), and |SCALE S - F| <= `_slack(F, N)`, rising in F, at any
+    scale.  So a start whose F tops the least, F_best, by more than the
+    slacks of F_best and of the largest F has SCALE S >= F - slack >
+    F_best + slack >= SCALE S_best, and only the starts of `_open_span`
+    can be the fold's pick: one decides the round, else float rounding,
+    not the exact density, may break their tie and the fold scores them
+    alone.  At 2**22 a class of 128 delay-2 windows scores in one int digit.
     """
     delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
     hi = _alap_starts(dfg, delay, latency_bound)
@@ -231,7 +223,7 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
         width, v = heapq.heappop(heap)
         if width != hi[v] - lo[v]:
             continue  # stale entry: placed already, or its window shrank
-        d, k, first, last = delay[v], None, 0, width
+        d, first, last = delay[v], 0, width
         if len(peers[v]) * (width + 1) >= 64:  # smaller folds cost less than the filter
             if diff_of is None:
                 diff_of, shown, terms = [], [(0, 0, 0)] * len(delay), sum(delay)
@@ -242,17 +234,16 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
             scores = cells[lo[v] : hi[v] + 1]
             for j in range(1, d):
                 scores = list(map(add, scores, cells[lo[v] + j : hi[v] + j + 1]))
-            k = _filter_pick(scores, d * terms)
-            first, last = _open_span(scores, d * terms) if k is None else (k, k)
-        if k is None:
+            first, last = _open_span(scores, d * terms)
+        if first < last:
             row = [0.0] * (last - first + d)  # cycles lo[v]+first..lo[v]+last+d-1
             _fold(row, lo[v] + first, peers[v], lo, hi, delay, share)
             # Each start's score adds its cells left to right, as from 0.0.
             scores = row[: last - first + 1]
             for j in range(1, d):
                 scores = [score + c for score, c in zip(scores, row[j:])]
-            k = first + scores.index(min(scores))  # ties: earliest cycle
-        lo[v] = hi[v] = lo[v] + k
+            first += scores.index(min(scores))  # ties: earliest cycle
+        lo[v] = hi[v] = lo[v] + first
         moved = []
         stack = [v]
         while stack:

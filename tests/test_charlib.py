@@ -88,6 +88,49 @@ def test_calibrate_qs_rejects_bad_inputs():
             CharModel(8.6e-21, "ripple", 0.999, t)
 
 
+def test_charges_must_be_positive_and_finite():
+    for q in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="q_s must be > 0 and finite"):
+            CharModel(q, "ripple", 0.999)
+        with pytest.raises(ValidationError, match="'a': q_critical must be > 0 and finite"):
+            CharInput("a", q)
+
+
+def test_calibrate_qs_refuses_a_fit_past_the_float_range():
+    with pytest.raises(ValidationError, match="q_s past the float range"):
+        calibrate_qs((1e-300, 0.5), (1e300, 0.5000000001))
+    # Distinct reliabilities whose logarithms, and so failure rates, are equal.
+    r = math.nextafter(1e-300, 1)
+    assert r != 1e-300 and math.log(r) == math.log(1e-300)
+    with pytest.raises(ValidationError, match="distinct reliabilities"):
+        calibrate_qs((Q_RIPPLE, r), (Q_BRENTKUNG, 1e-300))
+
+
+def test_calibrate_qs_does_not_depend_on_the_time_horizon():
+    # t cancels in the fit, so neither a tiny nor a huge horizon overflows it.
+    q_s = calibrate_qs((Q_RIPPLE, 0.999), (Q_BRENTKUNG, 0.969))
+    for t in (1e-310, 0.5, 3.0, 1e308):
+        assert calibrate_qs((Q_RIPPLE, 0.999), (Q_BRENTKUNG, 0.969), t) == q_s
+
+
+@pytest.mark.parametrize("q_b, reference, q_s, t, message", [
+    (1000.0, "b", 0.001, 1.0, "'a': SER ratio inf and failure rate inf"),  # exp overflows
+    (2.0, "b", 1e-320, 1.0, "'a': SER ratio inf and failure rate inf"),  # its exponent is inf
+    (2.0, "b", 0.02, 1e-300, "'a': SER ratio 5.18471e[+]21 and failure rate inf"),
+    (2.0, "a", 1.0, 1e-310, "'a': SER ratio 1 and failure rate inf"),  # the reference's own
+])
+def test_characterize_refuses_a_rate_past_the_float_range(q_b, reference, q_s, t, message):
+    inputs = [CharInput("a", 1.0), CharInput("b", q_b)]
+    with pytest.raises(ValidationError, match=message):
+        characterize(inputs, CharModel(q_s, reference, 0.5, t))
+
+
+def test_characterize_keeps_a_reliability_that_underflows_to_zero():
+    records = characterize([CharInput("a", 1.0), CharInput("b", 2.0)], CharModel(0.002, "b", 0.5))
+    assert records[0].failure_rate == pytest.approx(math.exp(500) * math.log(2))
+    assert [r.reliability for r in records] == [0.0, 0.5]
+
+
 def _three_adders():
     return [
         CharInput("ripple", Q_RIPPLE),

@@ -340,6 +340,21 @@ def test_characterize_unknown_reference(relsyn):
     assert "carrylook" in err
 
 
+def test_characterize_reliability_that_underflows_to_zero_is_json(relsyn, workspace):
+    # exp(500) times ln 2 is a finite failure rate whose reliability is 0.0.
+    (workspace / "q.txt").write_text("qcrit a 1\nqcrit b 2\n")
+    code, out, err = relsyn(
+        "characterize", "--qcrit", "q.txt", "--ref", "b=0.5", "--qs", "0.002", "--format", "json"
+    )
+    assert (code, err) == (0, "")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    records = json.loads(out, parse_constant=refuse)["records"]
+    assert [r["reliability"] for r in records] == [0.0, 0.5]
+
+
 def _write_fir16_assignment(path, chain_version="Adder2"):
     # 16 nodes on 0.999 versions, 7 accumulations on the given version.
     lines = [f"assign s{i} {chain_version}" for i in range(1, 8)]
@@ -685,6 +700,10 @@ INPUT_ERRORS = {
         CHAR_QS + ("--qcrit", "bad.txt"), {"bad.txt": "qcrit ripple -1e-21\n"},
         "line 1: 'ripple': q_critical must be > 0",
     ),
+    "qcrit-inf": (  # printed "q_critical": Infinity
+        CHAR_QS + ("--qcrit", "bad.txt"), {"bad.txt": "qcrit ripple inf\n"},
+        "line 1: 'ripple': q_critical must be > 0 and finite",
+    ),
     "qs-negative": (CHAR_QS + ("--qs", "-1"), {}, "q_s must be > 0"),
     "ref-reliability": (
         CHAR_QS + ("--ref", "ripple=1"), {}, "reference reliability must be in (0, 1)"
@@ -697,6 +716,28 @@ INPUT_ERRORS = {
     "calibrate-reliability": (
         CHAR_CAL + ("--calibrate", "brentkung=1"), {},
         "calibration reliabilities must be in (0, 1)",
+    ),
+    # Past the float range these raised OverflowError (exit 1) or printed
+    # Infinity, which is not JSON.
+    "ser-ratio-overflow": (
+        CHAR_QS + ("--qcrit", "q.txt", "--ref", "b=0.999", "--qs", "0.001"),
+        {"q.txt": "qcrit a 1\nqcrit b 1000\n"},
+        "'a': SER ratio inf and failure rate inf must be finite",
+    ),
+    "failure-rate-inf": (
+        CHAR_QS + ("--qcrit", "q.txt", "--ref", "b=0.5", "--qs", "0.02", "--time", "1e-300"),
+        {"q.txt": "qcrit a 1\nqcrit b 2\n"},
+        "'a': SER ratio 5.18471e+21 and failure rate inf must be finite",
+    ),
+    "ser-ratio-inf": (
+        CHAR_QS + ("--qcrit", "q.txt", "--ref", "b=0.5", "--qs", "1e-320", "--format", "json"),
+        {"q.txt": "qcrit a 1\nqcrit b 2\n"},
+        "'a': SER ratio inf and failure rate inf must be finite",
+    ),
+    "calibrated-qs-inf": (
+        CHAR_CAL + ("--qcrit", "q.txt", "--ref", "a=0.5", "--calibrate", "b=0.5000000001"),
+        {"q.txt": "qcrit a 1e-300\nqcrit b 1e300\n"},
+        "calibration gives a q_s past the float range",
     ),
 }
 

@@ -169,6 +169,15 @@ def test_parse_dfg_accepts_crlf_tabs_comments_and_edges_first():
     assert parsed[0].edges == (("a", "b"),)
 
 
+@pytest.mark.parametrize("latency_bound", [11.5, 11.0, 0, "11"])
+def test_bounds_refuse_a_latency_bound_that_is_not_a_positive_integer(latency_bound):
+    # Else a float bound reaches the scheduler's range() as a TypeError, or
+    # comes back Infeasible("area"), by the path the flow takes.
+    with pytest.raises(ValidationError, match="latency bound must be an integer >= 1"):
+        Bounds(latency_bound, 9)
+    assert Bounds(11, 9).latency_bound == 11
+
+
 def test_parse_library_table1():
     lib = builtin_library()
     got = [(v.name, v.area, v.delay, v.reliability) for v in lib.versions]

@@ -325,21 +325,18 @@ def test_infeasible_bound_messages():
 
 
 def _filtered_rounds(monkeypatch, cases):
-    """Schedule `cases` with every filter pick recorded and then refused,
-    and every open span recorded and then widened to the whole window, so
-    each filtered round folds every start.  Per filtered round: the fixed
-    scores, the term bound, the filter's pick, the open span (first, last),
-    the fold's float scores, the open-span fold's float scores and the
-    exact scores times the lcm of the widths (the same fold on integers),
-    with that lcm.  Returns them and the schedules' digest."""
-    real_pick, real_span, real_fold = scheduler._filter_pick, scheduler._open_span, scheduler._fold
+    """Schedule `cases` with every open span recorded and then widened to
+    the whole window, so each filtered round folds every start.  Per
+    filtered round: the fixed scores, the term bound, the start a one-start
+    open span decides (else None), the open span (first, last), the fold's
+    float scores, the open-span fold's float scores and the exact scores
+    times the lcm of the widths (the same fold on integers), with that lcm.
+    Returns them and the schedules' digest."""
+    real_span, real_fold = scheduler._open_span, scheduler._fold
     pending, rounds = [], []
 
-    def pick(scores, terms):
-        pending.append((scores, terms, real_pick(scores, terms), real_span(scores, terms)))
-        return None
-
     def span(scores, terms):
+        pending.append((scores, terms, real_span(scores, terms)))
         return 0, len(scores) - 1
 
     def left_to_right(row, starts, d):  # as density_schedule adds
@@ -355,7 +352,8 @@ def _filtered_rounds(monkeypatch, cases):
         real_fold(row, first, nodes, lo, hi, delay, share)
         if not pending:
             return  # a round the filter does not score: a small class or few starts
-        fixed, terms, k, (first_open, last_open) = pending.pop()
+        fixed, terms, (first_open, last_open) = pending.pop()
+        k = first_open if first_open == last_open else None
         width = len(fixed) - 1
         d = len(row) - width
         lcm = math.lcm(*range(1, len(share) + 1))
@@ -369,7 +367,6 @@ def _filtered_rounds(monkeypatch, cases):
             left_to_right(narrow, last_open - first_open + 1, d), exact_scores, lcm,
         ))
 
-    monkeypatch.setattr(scheduler, "_filter_pick", pick)
     monkeypatch.setattr(scheduler, "_open_span", span)
     monkeypatch.setattr(scheduler, "_fold", fold)
     digest = _schedules_digest(cases)
@@ -406,8 +403,8 @@ def test_filter_margin_is_sound(monkeypatch, library):
     # Every round the fixed-point filter scores, over the golden corpora:
     # each fixed score F is floor-weighted, 0 <= SCALE E - F < N for the
     # exact score E; each float fold score S is within the stated slack,
-    # |SCALE S - F| <= _slack(F, N); a start the filter picks is the
-    # fold's argmin; and the filter decides at least half the rounds.
+    # |SCALE S - F| <= _slack(F, N); a one-start open span is the fold's
+    # argmin; and such a span decides at least half the rounds.
     cases, golden = _corpus(library)
     rounds, digest = _filtered_rounds(monkeypatch, cases)
     assert digest == golden  # the fold alone gives the golden schedules
@@ -485,18 +482,51 @@ def _sparse_large_cases():
 
 
 def test_filtered_schedules_equal_fold_only_on_large_graphs(monkeypatch):
-    # Scores past one 30-bit digit take the same filter path: the filter
-    # and open span give the schedules of folding every start of every round.
+    # Scores past one 30-bit digit take the same filter path: the open
+    # span gives the schedules of folding every start of every round.
     cases = list(_sparse_large_cases())
-    real_pick, high = scheduler._filter_pick, []
+    real_span, high = scheduler._open_span, []
 
-    def pick(scores, terms):
+    def span(scores, terms):
         high.append(max(scores) >= 2**30)
-        return real_pick(scores, terms)
+        return real_span(scores, terms)
 
-    monkeypatch.setattr(scheduler, "_filter_pick", pick)
+    monkeypatch.setattr(scheduler, "_open_span", span)
     filtered = _schedules_digest(cases)
     assert any(high) and len(high) > 1000
-    monkeypatch.setattr(scheduler, "_filter_pick", lambda scores, terms: None)
     monkeypatch.setattr(scheduler, "_open_span", lambda scores, terms: (0, len(scores) - 1))
     assert _schedules_digest(cases) == filtered
+
+
+# Per filtered corpus: filtered rounds, rounds decided without a fold and
+# the open spans' total starts, captured from the scheduler that ran a
+# separate pick rule before the open span.
+FILTER_WORK = {
+    "LIB": (2470, 1516, 8806), "WIDE_LIB": (1323, 901, 7686), "LIB_LONG": (3633, 1843, 191527)
+}
+
+
+@pytest.mark.parametrize("library", list(FILTER_WORK))
+def test_filter_work_per_corpus(monkeypatch, library):
+    # A one-start open span places its node without a fold, so widening
+    # every span to the whole window adds one fold per decided round.  A
+    # looser span would show here as fewer decided rounds or more starts.
+    cases, golden = _corpus(library)
+    real_span, real_fold = scheduler._open_span, scheduler._fold
+
+    def run(widen):
+        spans, folds = [], []
+
+        def span(scores, terms):
+            spans.append(real_span(scores, terms))
+            return (0, len(scores) - 1) if widen else spans[-1]
+
+        monkeypatch.setattr(scheduler, "_open_span", span)
+        monkeypatch.setattr(scheduler, "_fold", lambda *args: folds.append(real_fold(*args)))
+        assert _schedules_digest(cases) == golden
+        return spans, len(folds)
+
+    spans, folds = run(widen=False)
+    _, widened_folds = run(widen=True)
+    starts = sum(last - first + 1 for first, last in spans)
+    assert (len(spans), widened_folds - folds, starts) == FILTER_WORK[library]
