@@ -10,8 +10,8 @@ of each operation bound to it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .model import Assignment, Dfg, ResourceLibrary, ValidationError, check_assignment
@@ -22,35 +22,24 @@ from .scheduler import Schedule
 class Instance:
     """A functional unit; nmr_factor N > 1 means N voted copies."""
 
-    id: int
     version: str
     nmr_factor: int = 1
 
     def __post_init__(self) -> None:
         if self.nmr_factor < 1 or self.nmr_factor % 2 == 0:
-            raise ValidationError(f"instance {self.id}: nmr_factor must be odd and >= 1")
+            raise ValidationError(f"{self.version}: nmr_factor must be odd and >= 1")
+
+
+# One shared object per (version, N); call it with both arguments, so each has one key.
+_unit = functools.cache(Instance)
 
 
 @dataclass(frozen=True)
 class Binding:
+    """Nodes on functional units: instance ids are positions in `instances`."""
+
     node_to_instance: Mapping[str, int]
     instances: tuple[Instance, ...]
-
-    # Lookup index, built on first use (many bindings are never queried).
-    # cached_property writes the instance __dict__ directly, so it works on
-    # this frozen, unslotted dataclass; fields, equality and repr ignore it.
-    @cached_property
-    def _by_id(self) -> dict[int, Instance]:
-        by_id: dict[int, Instance] = {}
-        for inst in self.instances:
-            by_id.setdefault(inst.id, inst)
-        return by_id
-
-    def instance(self, instance_id: int) -> Instance:
-        try:
-            return self._by_id[instance_id]
-        except KeyError:
-            raise KeyError(f"unknown instance id {instance_id}") from None
 
 
 def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:
@@ -80,7 +69,7 @@ def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:
             own.append(iid)
         node_to_instance[k] = iid
         last_busy[iid] = start + version.delay - 1
-    instances = tuple(Instance(iid, name) for iid, name in enumerate(names))
+    instances = tuple(_unit(name, 1) for name in names)
     return Binding(dict(zip(ids, node_to_instance)), instances)
 
 
@@ -101,13 +90,13 @@ def total_area(binding: Binding, library: ResourceLibrary) -> float:
 
 def with_nmr(binding: Binding, nmr_spec: Mapping[int, int]) -> Binding:
     """Return a copy of `binding` with redundancy factors applied (Instance checks each change)."""
-    known = {inst.id for inst in binding.instances}
+    instances = binding.instances
     for iid in nmr_spec:
-        if iid not in known:
+        if not 0 <= iid < len(instances):
             raise ValidationError(f"nmr spec references unknown instance {iid}")
     instances = tuple(
-        inst if nmr_spec.get(inst.id, inst.nmr_factor) == inst.nmr_factor
-        else Instance(inst.id, inst.version, nmr_spec[inst.id])
-        for inst in binding.instances
+        inst if (n := nmr_spec.get(iid, inst.nmr_factor)) == inst.nmr_factor
+        else _unit(inst.version, n)
+        for iid, inst in enumerate(instances)
     )
     return Binding(binding.node_to_instance, instances)

@@ -70,17 +70,20 @@ def ser_ratio(q_crit_a: float, q_crit_b: float, q_s: float) -> float:
     """Soft-error-rate ratio SER_a / SER_b for two same-process components.
 
     Larger critical charge means a smaller error rate:
-    ratio = exp((q_crit_b - q_crit_a) / q_s).
+    ratio = exp((q_crit_b - q_crit_a) / q_s), inf past the float range.
     """
-    if q_crit_a <= 0 or q_crit_b <= 0 or q_s <= 0:
-        raise ValidationError("ser_ratio requires positive inputs")
-    return math.exp((q_crit_b - q_crit_a) / q_s)
+    if not all(0 < q < math.inf for q in (q_crit_a, q_crit_b, q_s)):
+        raise ValidationError("ser_ratio requires finite positive inputs")
+    try:
+        return math.exp((q_crit_b - q_crit_a) / q_s)
+    except OverflowError:
+        return math.inf
 
 
 def reliability_from_failure_rate(failure_rate: float, t: float) -> float:
     """R(t) = exp(-lambda * t)."""
-    if failure_rate < 0 or t < 0:
-        raise ValidationError("failure rate and time must be non-negative")
+    if not (0 <= failure_rate < math.inf and 0 <= t < math.inf):
+        raise ValidationError("failure rate and time must be non-negative and finite")
     return math.exp(-failure_rate * t)
 
 
@@ -103,8 +106,8 @@ def calibrate_qs(
     if not 0 < t < math.inf:
         raise ValidationError("time horizon must be finite and > 0")
     for q, r in (ref, other):
-        if q <= 0:
-            raise ValidationError("critical charges must be positive")
+        if not 0 < q < math.inf:
+            raise ValidationError("critical charges must be positive and finite")
         if not 0 < r < 1:
             raise ValidationError("calibration reliabilities must be in (0, 1)")
     log_ratio = math.log(math.log(r_other) / math.log(r_ref))  # ln(lambda_other / lambda_ref)
@@ -137,10 +140,7 @@ def characterize(inputs: Sequence[CharInput], model: CharModel) -> list[CharReco
     lam_ref = -math.log(model.reference_reliability) / model.t
     records = []
     for inp in inputs:
-        try:
-            ratio = ser_ratio(inp.q_critical, q_ref, model.q_s)
-        except OverflowError:  # exp past the float range
-            ratio = math.inf
+        ratio = ser_ratio(inp.q_critical, q_ref, model.q_s)
         failure_rate = lam_ref * ratio
         if not math.isfinite(failure_rate):
             raise ValidationError(

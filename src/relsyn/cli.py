@@ -78,8 +78,8 @@ def design_to_json(design: Design) -> dict:
         "schedule": dict(design.schedule.starts),
         "binding": dict(design.binding.node_to_instance),
         "instances": [
-            {"id": inst.id, "version": inst.version, "nmr": inst.nmr_factor}
-            for inst in design.binding.instances
+            {"id": iid, "version": inst.version, "nmr": inst.nmr_factor}
+            for iid, inst in enumerate(design.binding.instances)
         ],
         "latency": design.latency,
         "area": design.area,
@@ -97,8 +97,8 @@ def _print_design_text(design: Design, out: IO[str]) -> None:
         for nid, value in record[key].items():
             print(f"  {nid} {value}", file=out)
     print("instances:", file=out)
-    for inst in design.binding.instances:
-        print(f"  {inst.id} {inst.version} nmr {inst.nmr_factor}", file=out)
+    for iid, inst in enumerate(design.binding.instances):
+        print(f"  {iid} {inst.version} nmr {inst.nmr_factor}", file=out)
 
 
 def _emit_result(result: Design | Infeasible, fmt: str, out: IO[str]) -> int:
@@ -310,7 +310,7 @@ def _parse_assignment_file(text: str, dfg: Dfg, library: ResourceLibrary):
     model.check_assignment(dfg, assignment)
     # Each node gets its own instance; nmr applies per node.
     ids = {nid: i for i, nid in enumerate(dfg.node_ids)}
-    instances = tuple(Instance(i, assignment[nid].name, nmr.get(nid, 1)) for nid, i in ids.items())
+    instances = tuple(Instance(assignment[nid].name, nmr.get(nid, 1)) for nid in ids)
     return assignment, Binding(ids, instances)
 
 
@@ -340,13 +340,17 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         for key in ("id", "version"):  # named here: a KeyError below is a lookup's message
             if any(key not in it for it in payload["instances"]):
                 raise ValueError(f"missing key {key!r}")
-        instances = tuple(
-            Instance(_int(it["id"]), library.by_name(it["version"]).name, _int(it.get("nmr", 1)))
+        listed = {  # per JSON id, its instance; the binding refers to positions
+            _int(it["id"]): Instance(library.by_name(it["version"]).name, _int(it.get("nmr", 1)))
             for it in payload["instances"]
-        )
-        ids = _node_table(payload, "binding", dfg)
-        binding = Binding({nid: _int(iid) for nid, iid in ids.items()}, instances)
-        bound = {nid: binding.instance(iid) for nid, iid in binding.node_to_instance.items()}
+        }
+        ids = {nid: _int(iid) for nid, iid in _node_table(payload, "binding", dfg).items()}
+        for iid in ids.values():
+            if iid not in listed:
+                raise KeyError(f"unknown instance id {iid}")
+        position = {iid: k for k, iid in enumerate(listed)}
+        binding = Binding({nid: position[iid] for nid, iid in ids.items()}, tuple(listed.values()))
+        bound = {nid: listed[iid] for nid, iid in ids.items()}
         starts = {nid: _int(s) for nid, s in _node_table(payload, "schedule", dfg).items()}
         stated_latency, stated_area = _int(payload["latency"]), payload["area"]
         if type(stated_area) not in (int, float):
@@ -354,9 +358,9 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) else exc  # a lookup's message, unquoted
         raise InputError(f"bad design JSON: {detail}") from exc
-    if len({inst.id for inst in instances}) != len(instances):
+    if len(listed) != len(payload["instances"]):
         raise InputError("design instances repeat an id")
-    if any(inst.nmr_factor > MAX_NMR_FACTOR for inst in instances):
+    if any(inst.nmr_factor > MAX_NMR_FACTOR for inst in listed.values()):
         raise InputError(f"design has an nmr factor above {MAX_NMR_FACTOR}")
     for nid, inst in bound.items():
         if inst.version != assignment[nid].name:
@@ -364,10 +368,10 @@ def _design_reliability(payload: object, dfg: Dfg, library: ResourceLibrary) -> 
         if starts[nid] < 1:
             raise InputError(f"node {nid!r} starts before cycle 1")
     last: dict[int, int] = {}  # per instance, its last busy cycle: its nodes share one delay
-    for nid, inst in sorted(bound.items(), key=lambda item: starts[item[0]]):
-        if starts[nid] <= last.get(inst.id, 0):
-            raise InputError(f"instance {inst.id} is double-booked at node {nid!r}")
-        last[inst.id] = starts[nid] + assignment[nid].delay - 1
+    for nid, iid in sorted(ids.items(), key=lambda item: starts[item[0]]):
+        if starts[nid] <= last.get(iid, 0):
+            raise InputError(f"instance {iid} is double-booked at node {nid!r}")
+        last[iid] = starts[nid] + assignment[nid].delay - 1
     for src, dst in dfg.edges:
         if starts[dst] < starts[src] + assignment[src].delay:
             raise InputError(f"schedule breaks edge {src} -> {dst}")

@@ -293,9 +293,11 @@ def evaluate_reliability(
     check_assignment(dfg, assignment)
     if binding is None:
         return _reliability_product((assignment[nid].reliability, 1) for nid in dfg.node_ids)
+    ids, instances = binding.node_to_instance, binding.instances
+    if bad := [ids[nid] for nid in dfg.node_ids if ids[nid] not in range(len(instances))]:
+        raise ValidationError(f"unknown instance id {bad[0]}")
     return _reliability_product(
-        (assignment[nid].reliability, binding.instance(binding.node_to_instance[nid]).nmr_factor)
-        for nid in dfg.node_ids
+        (assignment[nid].reliability, instances[ids[nid]].nmr_factor) for nid in dfg.node_ids
     )
 
 

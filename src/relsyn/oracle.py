@@ -290,7 +290,7 @@ def oracle_best(
             continue
         starts, mapping, packed, area = found
         latency = max(s + v.delay - 1 for s, v in zip(starts, assignment.values()))
-        instances = tuple(Instance(iid, v.name) for iid, v in enumerate(packed))
+        instances = tuple(Instance(v.name) for v in packed)
         return Design(
             assignment=assignment,
             schedule=Schedule(dict(zip(dfg.node_ids, starts)), latency),

@@ -11,8 +11,8 @@ reliability of every node bound to it to the majority-voting value
 Each design keeps its greedy upgrade per library (`_Pricing`), so pricing
 it at many area bounds, as a sweep does, runs the greedy once per interval
 of bounds on which its fit tests all answer the same, and builds each
-run's upgraded design once, from instances shared per (id, N).  The greedy
-takes the best gain per unit area first, from gains kept per (id, N).  The
+run's upgraded design once, from interned instances.  The greedy takes
+the best gain per unit area first, from gains kept per (id, N).  The
 baseline prices its candidates best proven ceiling first
 (`_Pricing.ceiling`) until none can win, and builds the winner only.
 """
@@ -24,7 +24,7 @@ import heapq
 import math
 import operator
 
-from .binder import Binding, Instance
+from .binder import Binding, _unit
 from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
 from .synthesizer import Memo, _candidate_at, _candidates, find_design
 
@@ -63,29 +63,28 @@ def _doubled(library: ResourceLibrary) -> tuple[dict[str, float], float]:
 class _Pricing:
     """The greedy upgrade of one design under one library, at any area bound.
 
-    Each instance's extra area and node reliabilities are computed once,
-    and its gain per unit area once per (instance id, N).  The bound enters
-    the greedy only through its fit tests, stepped area > bound, so each run
-    is kept with the interval [lo, hi) of bounds on which every test it
-    made answers the same: lo is the largest tested sum that fit, hi the
-    smallest that did not (None if every test fit).  A bound inside a kept
-    interval gets that run's outcome, and the intervals are disjoint.  A
-    run's design is built once, when first asked for, from instances kept
-    per (id, N) and seeded with the design's own: an instance whose factor
-    is unchanged is the design's, and one met before is that object.
+    Each instance's extra area and node reliabilities are computed once, in
+    lists indexed by instance id, and its gain per unit area once per (id,
+    N).  The bound enters the greedy only through its fit tests, stepped
+    area > bound, so each run is kept with the interval [lo, hi) of bounds
+    on which every test it made answers the same: lo is the largest tested
+    sum that fit, hi the smallest that did not (None if every test fit).  A
+    bound inside a kept interval gets that run's outcome, and the intervals
+    are disjoint.  A run's design is built once, when first asked for: an
+    instance whose factor is unchanged is the design's, any other is
+    `binder._unit`'s one object per (version, N).
     """
 
     def __init__(self, design: Design, library: ResourceLibrary) -> None:
         binding, assignment = design.binding, design.assignment
-        self.binding, self.instances = binding, {}  # (id, N): Instance, from the first build on
-        self.frame = assignment, design.schedule, design.latency  # not the design: no cycle
+        self.frame = assignment, design.schedule, binding, design.latency  # no Design: no cycle
         self.area, self.reliability, self.votes = design.area, design.reliability, {}
-        self.nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
+        self.nmr = [inst.nmr_factor for inst in binding.instances]
         doubled, self.exact_from = _doubled(library)
-        self.extra = {inst.id: doubled[inst.version] for inst in binding.instances}
+        self.extra = [doubled[inst.version] for inst in binding.instances]
         # Per instance, its nodes' reliabilities in node order as [r, count] runs;
         # per node in binding order, its index in `votes`, the distinct (r, instance id).
-        self.reliabilities, self.node_votes = {iid: [] for iid in self.nmr}, []
+        self.reliabilities, self.node_votes = [[] for _ in self.nmr], []
         for nid, iid in binding.node_to_instance.items():
             r, runs = assignment[nid].reliability, self.reliabilities[iid]
             if not runs or runs[-1][0] != r:
@@ -95,11 +94,12 @@ class _Pricing:
         # (-gain per area, id) of each instance that gains, as a heap: it pops
         # the best gain first and the lowest id of a tie.  Gains past the
         # design's N are kept per (id, N) as runs meet them.
-        self.heap = [(-g, i) for i, n in self.nmr.items() if (g := self._gain_per_area(i, n)) > 0]
+        per_area = map(self._gain_per_area, range(len(self.nmr)), self.nmr)
+        self.heap = [(-g, iid) for iid, g in enumerate(per_area) if g > 0]
         heapq.heapify(self.heap)
         self.gains: dict[tuple[int, int], float] = {}
         self.pairs = []  # `ceiling`'s: per instance, its r > 1/2 nodes' (gain per area, most gain)
-        for iid, runs in self.reliabilities.items():
+        for iid, runs in enumerate(self.reliabilities):
             n, up, cap = self.nmr[iid], 0.0, 0.0
             for r, count in runs:
                 if r > 0.5:  # a vote of r <= 1/2 never gains
@@ -125,14 +125,14 @@ class _Pricing:
             if lo <= area_bound and (hi is None or area_bound < hi):
                 return outcome
         # The area only grows, so an instance that no longer fits never fits again.
-        nmr, heap, area, extra = dict(self.nmr), list(self.heap), self.area, self.extra
+        nmr, heap, area, extra = list(self.nmr), list(self.heap), self.area, self.extra
         lo, hi, gains, exact_from = -math.inf, None, self.gains, self.exact_from
         while heap:
             iid = heap[0][1]
             total = area + extra[iid]
             if total >= exact_from:  # e / 2 is the unit area, exactly
                 nmr[iid] += 2
-                terms = [e / 2 * n for e, n in zip(extra.values(), nmr.values())]
+                terms = [e / 2 * n for e, n in zip(extra, nmr)]
                 total = functools.reduce(operator.add, terms, 0.0)
                 nmr[iid] -= 2
             if total > area_bound:
@@ -158,15 +158,11 @@ class _Pricing:
         """The upgraded design of a kept `outcome`, built on first use."""
         if outcome[3] is None:
             nmr, area, reliability, _ = outcome
-            own = self.binding.instances
-            table = self.instances = self.instances or {(i.id, i.nmr_factor): i for i in own}
+            assignment, schedule, own, latency = self.frame
             instances = tuple([
-                table.get(key) or table.setdefault(key, Instance(i.id, i.version, key[1]))
-                for i in own
-                for key in [(i.id, nmr[i.id])]
+                i if i.nmr_factor == n else _unit(i.version, n) for i, n in zip(own.instances, nmr)
             ])
-            assignment, schedule, latency = self.frame
-            binding = Binding(self.binding.node_to_instance, instances)
+            binding = Binding(own.node_to_instance, instances)
             outcome[3] = Design(assignment, schedule, binding, latency, area, reliability)
         return outcome[3]
 

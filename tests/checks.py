@@ -109,13 +109,13 @@ def validate_design(
     by_instance: dict[int, list[str]] = {}
     for nid, iid in design.binding.node_to_instance.items():
         by_instance.setdefault(iid, []).append(nid)
-    for inst in design.binding.instances:
-        for nid in by_instance.get(inst.id, []):
+    for iid, inst in enumerate(design.binding.instances):
+        for nid in by_instance.get(iid, []):
             assert design.assignment[nid].name == inst.version
         busy: set[int] = set()
-        for nid in by_instance.get(inst.id, []):
+        for nid in by_instance.get(iid, []):
             cells = set(range(starts[nid], starts[nid] + design.assignment[nid].delay))
-            assert not busy & cells, f"instance {inst.id} double-booked"
+            assert not busy & cells, f"instance {iid} double-booked"
             busy |= cells
 
     # Area and reliability recomputed from first principles.
@@ -127,7 +127,7 @@ def validate_design(
     product = 1.0
     for nid in dfg.node_ids:
         r = design.assignment[nid].reliability
-        n = design.binding.instance(design.binding.node_to_instance[nid]).nmr_factor
+        n = design.binding.instances[design.binding.node_to_instance[nid]].nmr_factor
         product *= nmr_reliability(r, n) if n > 1 else r
     assert math.isclose(product, design.reliability, rel_tol=1e-9)
 

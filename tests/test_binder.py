@@ -66,26 +66,27 @@ def test_total_area_empty_binding():
 
 
 def test_total_area_scales_with_nmr():
-    binding = Binding({}, (Instance(0, "Adder2", 3), Instance(1, "Adder2", 1)))
+    binding = Binding({}, (Instance("Adder2", 3), Instance("Adder2", 1)))
     assert total_area(binding, LIB) == 2 * 3 + 2
 
 
 def test_total_area_unknown_version():
-    binding = Binding({}, (Instance(0, "Widget"),))
+    binding = Binding({}, (Instance("Widget"),))
     with pytest.raises(ValidationError, match="Widget"):
         total_area(binding, LIB)
 
 
 def test_instance_rejects_even_nmr():
+    with pytest.raises(ValidationError, match="^Adder2: nmr_factor must be odd and >= 1$"):
+        Instance("Adder2", 2)
     with pytest.raises(ValidationError):
-        Instance(0, "Adder2", 2)
-    with pytest.raises(ValidationError):
-        with_nmr(Binding({}, (Instance(0, "Adder2"),)), {0: 4})
+        with_nmr(Binding({}, (Instance("Adder2"),)), {0: 4})
 
 
 def test_with_nmr_unknown_instance():
-    with pytest.raises(ValidationError, match="unknown instance"):
-        with_nmr(Binding({}, (Instance(0, "Adder2"),)), {3: 3})
+    for spec in ({3: 3}, {-1: 3}):  # past the end, and a negative id
+        with pytest.raises(ValidationError, match="unknown instance"):
+            with_nmr(Binding({}, (Instance("Adder2"),)), spec)
 
 
 def _random_case(rng: random.Random):
@@ -110,9 +111,9 @@ def test_no_overlap_invariant_on_random_schedules():
     for _ in range(40):
         dfg, asg, sched = _random_case(rng)
         binding = bind(dfg, sched, asg)
-        for inst in binding.instances:
+        for k, inst in enumerate(binding.instances):
             busy: set[int] = set()
-            for nid in [n for n, iid in binding.node_to_instance.items() if iid == inst.id]:
+            for nid in [n for n, iid in binding.node_to_instance.items() if iid == k]:
                 assert asg[nid].name == inst.version
                 cells = set(
                     range(sched.starts[nid], sched.starts[nid] + asg[nid].delay)
@@ -146,7 +147,7 @@ def test_area_monotone_under_upgrades():
         binding = bind(dfg, sched, asg)
         base = total_area(binding, LIB)
         if binding.instances:
-            upgraded = with_nmr(binding, {binding.instances[0].id: 3})
+            upgraded = with_nmr(binding, {0: 3})
             assert total_area(upgraded, LIB) > base
 
 
@@ -163,7 +164,7 @@ def _reference_bind(dfg, sched, asg):
             last_busy.append(0)
         mapping[nid] = iid
         last_busy[iid] = start + version.delay - 1
-    return Binding(mapping, tuple(Instance(i, name) for i, name in enumerate(names)))
+    return Binding(mapping, tuple(Instance(name) for name in names))
 
 
 @pytest.mark.parametrize("library", ["LIB", "WIDE_LIB"])

@@ -43,6 +43,16 @@ def test_ser_ratio_rejects_non_positive():
         ser_ratio(0.0, 1.0e-21, 1.0e-21)
     with pytest.raises(ValidationError):
         ser_ratio(1.0e-21, 1.0e-21, -1.0e-21)
+    for args in [(math.nan, 1, 1), (1, math.nan, 1), (1, 1, math.nan), (math.inf, 1, 1),
+                 (1, 1, math.inf)]:
+        with pytest.raises(ValidationError, match="finite positive inputs"):
+            ser_ratio(*args)
+
+
+def test_ser_ratio_is_inf_past_the_float_range():
+    # exp overflows in the first, its exponent is inf in the second.
+    assert ser_ratio(1, 1000, 0.001) == ser_ratio(1, 2, 1e-320) == math.inf
+    assert ser_ratio(1000, 1, 0.001) == 0.0
 
 
 def test_ser_ratio_transitivity():
@@ -58,8 +68,10 @@ def test_reliability_from_failure_rate():
     assert reliability_from_failure_rate(0.0, 5.0) == 1.0
     assert reliability_from_failure_rate(0.00100050, 1) == pytest.approx(0.999, abs=1e-6)
     assert reliability_from_failure_rate(0.0314906, 1) == pytest.approx(0.969, abs=1e-6)
-    with pytest.raises(ValidationError):
-        reliability_from_failure_rate(-1.0, 1.0)
+    for rate, t in [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (0.0, math.inf),
+                    (math.inf, 1.0), (1.0, -1.0)]:
+        with pytest.raises(ValidationError, match="non-negative and finite"):
+            reliability_from_failure_rate(rate, t)
 
 
 def test_calibrate_qs_closed_form():
@@ -79,8 +91,10 @@ def test_calibrate_qs_degenerate_inputs():
 
 def test_calibrate_qs_rejects_bad_inputs():
     # parse_qcrit refuses non-positive charges, so only the API reaches this check.
-    with pytest.raises(ValidationError, match="critical charges must be positive"):
-        calibrate_qs((0.0, 0.999), (Q_BRENTKUNG, 0.969))
+    for ref, other in [((0.0, 0.999), (Q_BRENTKUNG, 0.969)), ((math.nan, 0.9), (1, 0.99)),
+                       ((Q_RIPPLE, 0.999), (math.inf, 0.969))]:
+        with pytest.raises(ValidationError, match="critical charges must be positive"):
+            calibrate_qs(ref, other)
     for t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="time horizon"):
             calibrate_qs((Q_RIPPLE, 0.999), (Q_BRENTKUNG, 0.969), t)

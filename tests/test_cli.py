@@ -449,6 +449,36 @@ def test_design_json_round_trip(relsyn, tmp_path):
     assert reevaluated == pytest.approx(original, rel=1e-10)
 
 
+def _renumbered(design):
+    """`design` with instance id k renamed 100 + 3k and its instances listed in reverse."""
+    design["binding"] = {nid: 100 + 3 * iid for nid, iid in design["binding"].items()}
+    for inst in design["instances"]:
+        inst["id"] = 100 + 3 * inst["id"]
+    design["instances"].reverse()
+    return design
+
+
+def test_eval_design_reads_instance_ids_as_names(relsyn, tmp_path):
+    # A design file may number its instances in any order: eval maps them to positions.
+    code, out, _ = relsyn("synth", "--latency", "11", "--area", "16", "--method", "combined",
+                          "--format", "json")
+    assert code == 0
+    design = _renumbered(json.loads(out))
+    assert any(inst["nmr"] > 1 for inst in design["instances"])
+    design_path = tmp_path / "design.json"
+    design_path.write_text(json.dumps(design))
+    code, out2, err = relsyn("eval", "--design", str(design_path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out2)["reliability"] == json.loads(out)["reliability"]
+    # The double-booking names the file's id, not the instance's position.
+    nodes = list(design["binding"].items())
+    nid, iid = next((n, i) for k, (n, i) in enumerate(nodes) if i in dict(nodes[:k]).values())
+    _double_book(design)
+    design_path.write_text(json.dumps(design))
+    code, out2, err = relsyn("eval", "--design", str(design_path))
+    assert (code, out2, err) == (2, "", f"error: instance {iid} is double-booked at node {nid!r}\n")
+
+
 def _double_book(design):
     """Start a node with the first node that shares its instance."""
     first = {}
@@ -510,6 +540,7 @@ BAD_DESIGNS = {
         lambda d: d["schedule"].update(m1=d["schedule"]["m1"] + 0.9), "not an integer"
     ),
     "fractional-nmr": (lambda d: d["instances"][0].update(nmr=1.5), "not an integer"),
+    "even-nmr": (lambda d: d["instances"][0].update(nmr=2), "bad design JSON"),
     "string-area": (lambda d: d.update(area=str(d["area"])), "bad design JSON"),
     "bool-area": (lambda d: d.update(area=True), "bad design JSON"),
 }

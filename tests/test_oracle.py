@@ -201,7 +201,7 @@ def _oracle_line(dfg: Dfg, result) -> str:
         tuple(result.schedule.starts[nid] for nid in ids),
         result.schedule.latency,
         tuple(result.binding.node_to_instance[nid] for nid in ids),
-        tuple((i.id, i.version, i.nmr_factor) for i in result.binding.instances),
+        tuple((k, i.version, i.nmr_factor) for k, i in enumerate(result.binding.instances)),
         result.latency,
         repr(result.area),
         repr(result.reliability),

@@ -62,6 +62,19 @@ def test_evaluate_fir16_all_low_reliability():
     assert evaluate_reliability(fir, asg) == pytest.approx(0.48467, abs=2e-4)
 
 
+def test_evaluate_refuses_an_instance_id_outside_the_binding():
+    # Ids are positions: -1 would otherwise read the last instance.
+    dfg = _all_add_dfg(2)
+    asg = {nid: ADDER2 for nid in dfg.node_ids}
+    instances = (Instance("Adder2", 3), Instance("Adder2"))
+    assert evaluate_reliability(dfg, asg, Binding({"x0": 1, "x1": 0}, instances)) == (
+        pytest.approx(ADDER2.reliability * nmr_reliability(ADDER2.reliability, 3), rel=1e-12)
+    )
+    for iid in (-1, len(instances)):
+        with pytest.raises(ValidationError, match=f"^unknown instance id {iid}$"):
+            evaluate_reliability(dfg, asg, Binding({"x0": 0, "x1": iid}, instances))
+
+
 def test_evaluate_permutation_invariance_and_multiplicativity():
     rng = random.Random(53)
     for _ in range(20):
@@ -256,7 +269,7 @@ def _edge_design(node_to_instance, nmr=(1, 1, 1)):
     dfg = parse_dfg("node a add\nnode b add\nnode c add\nedge a b\n")
     fast, slow = EDGE_LIB.by_name("Fast"), EDGE_LIB.by_name("Slow")
     asg = {"a": fast, "b": slow, "c": fast}
-    instances = tuple(Instance(k, name, n) for k, (name, n) in enumerate(zip(EDGE_NAMES, nmr)))
+    instances = tuple(Instance(name, n) for name, n in zip(EDGE_NAMES, nmr))
     binding = Binding(node_to_instance, instances)
     return Design(
         asg, Schedule({"a": 1, "b": 2, "c": 2}, 3), binding, 3,
@@ -526,8 +539,8 @@ def _scan_greedy(design, library, area_bound):
     from the design alone: (nmr factor per instance id, area, reliability).
     An instance's gain per area adds its nodes' log steps one by one."""
     binding, assignment = design.binding, design.assignment
-    nmr = {inst.id: inst.nmr_factor for inst in binding.instances}
-    extra = {inst.id: 2 * library.by_name(inst.version).area for inst in binding.instances}
+    nmr = [inst.nmr_factor for inst in binding.instances]
+    extra = [2 * library.by_name(inst.version).area for inst in binding.instances]
 
     def gain(iid):
         total = 0.0
@@ -537,7 +550,7 @@ def _scan_greedy(design, library, area_bound):
             total += up - _log_vote(r, n) if up > -math.inf else -math.inf
         return total / extra[iid]
 
-    ratio, area = {iid: gain(iid) for iid in sorted(nmr)}, design.area
+    ratio, area = {iid: gain(iid) for iid in range(len(nmr))}, design.area
     while True:
         best, top = None, 0.0
         for iid in list(ratio):
@@ -580,7 +593,7 @@ def test_priced_upgrade_equals_a_fresh_greedy():
             kept.append(priced._nmr_pricing[library])
         # Each bound has one run, so every order keeps the same runs.
         assert all(sorted(p.runs, key=lambda run: run[0]) == kept[0].runs for p in kept)
-        instances = {(inst.id, inst.nmr_factor): inst for inst in design.binding.instances}
+        instances = {(k, inst.nmr_factor): inst for k, inst in enumerate(design.binding.instances)}
         for lo, hi, outcome in kept[-1].runs:
             ends = [lo, math.inf if hi is None else math.nextafter(hi, -math.inf)]
             upgraded = set()
@@ -590,13 +603,13 @@ def test_priced_upgrade_equals_a_fresh_greedy():
                 assert outcome[:3] == [nmr, area, reliability]
                 up = greedy_nmr_upgrade(priced, library, area_bound)
                 upgraded.add(id(up))
-                binding = with_nmr(design.binding, nmr)
+                binding = with_nmr(design.binding, dict(enumerate(nmr)))
                 built = Design(
                     design.assignment, design.schedule, binding, design.latency, area, reliability
                 )
                 assert design_to_json(up) == design_to_json(built)
-                for inst in up.binding.instances:
-                    key = inst.id, inst.nmr_factor
+                for k, inst in enumerate(up.binding.instances):
+                    key = k, inst.nmr_factor
                     shared += key in instances
                     assert instances.setdefault(key, inst) is inst
             assert len(upgraded) == 1
@@ -653,7 +666,8 @@ def _unpruned_baseline(dfg, library, bounds):
     if best is None:
         return None
     d, (nmr, area, reliability, _) = best
-    return Design(d.assignment, d.schedule, with_nmr(d.binding, nmr), d.latency, area, reliability)
+    binding = with_nmr(d.binding, dict(enumerate(nmr)))
+    return Design(d.assignment, d.schedule, binding, d.latency, area, reliability)
 
 
 def _design_text(result):
