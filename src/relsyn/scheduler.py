@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterable, Mapping
 
-from .model import Assignment, Dfg, check_assignment
+from .model import Assignment, Dfg, ValidationError, check_assignment
 
 
 SCALE = 1 << 22  # the density filter's fixed point: a window of width w adds SCALE // w
@@ -78,6 +78,8 @@ def _check_latency_bound(
 ) -> tuple[list[int], list[int]]:
     """Validate the assignment and the bound; return the delays and the
     earliest starts, by node position."""
+    if not isinstance(latency_bound, int):
+        raise ValidationError(f"latency bound must be an integer, got {latency_bound!r}")
     check_assignment(dfg, assignment)
     delay = [assignment[nid].delay for nid in dfg.node_ids]
     starts = _asap_starts(dfg, delay)
@@ -110,33 +112,47 @@ def _fold(
     cycle `first`; `lo`, `hi` and `delay` are indexed by node.
 
     Each of a node's w = hi-lo+1 candidate starts adds share[w-1] = 1/w
-    to every cycle of its execution interval.  Pass j adds it, one slice
+    to every cycle of its execution interval.  Pass j adds it, one cell
     at a time, to the cells the starts reach at offset j, so each cell
     gets one `+ share` per covering start, in a row, node after node:
     the same float sequence as a start-by-start accumulation.  A single
-    start adds its 1.0 by index.  Nodes that miss the row add nothing.
+    start adds share[0] by index.  Nodes that miss the row add nothing.
     """
     n = len(row)
     end = first + n
-    for u in [u for u in nodes if lo[u] < end and hi[u] + delay[u] > first]:
-        a, b, d = lo[u] - first, hi[u] - first, delay[u]
+    one = share[0]
+    for u in nodes:
+        lo_u = lo[u]
+        if lo_u >= end:
+            continue
+        hi_u, d = hi[u], delay[u]
+        if hi_u + d <= first:
+            continue
+        a = lo_u - first
+        if lo_u == hi_u:
+            if d == 2:
+                if a >= 0:
+                    row[a] += one
+                if a + 1 < n:
+                    row[a + 1] += one
+            else:
+                for i in range(a if a > 0 else 0, a + d if a + d < n else n):
+                    row[i] += one
+            continue
+        b = hi_u - first
         s = share[b - a]
-        if a == b:
-            for i in range(a if a > 0 else 0, a + d if a + d < n else n):
-                row[i] += s
-        elif d == 2:
+        if d == 2:
             # Cells a and b+1 see one start each, cells a+1..b see two.
             if a >= 0:
                 row[a] += s
             if b + 1 < n:
                 row[b + 1] += s
-            a = a + 1 if a >= 0 else 0
-            row[a : b + 1] = [c + s + s for c in row[a : b + 1]]
+            for i in range(a + 1 if a >= 0 else 0, b + 1 if b < n else n):
+                row[i] = row[i] + s + s
         else:
             for j in range(d):
-                i = a + j if a + j > 0 else 0
-                if i <= b + j:
-                    row[i : b + j + 1] = [c + s for c in row[i : b + j + 1]]
+                for i in range(a + j if a + j > 0 else 0, b + j + 1 if b + j < n else n):
+                    row[i] += s
 
 
 def _show(
@@ -167,11 +183,15 @@ def _slack(score: int, terms: int) -> int:
 
 
 def _open_span(scores: list[int], terms: int) -> tuple[int, int]:
-    """The first and last start whose F exceeds the least by at most its and the largest's slack."""
-    best = min(scores)
-    cap = best + _slack(best, terms) + _slack(max(scores), terms)
-    open_starts = [k for k, score in enumerate(scores) if score <= cap]
-    return open_starts[0], open_starts[-1]
+    """The first and last start whose F exceeds the least by at most twice
+    the slack of the largest F that `terms` terms can reach."""
+    cap = min(scores) + 2 * _slack(SCALE * terms, terms)
+    first, last = 0, len(scores) - 1
+    while scores[first] > cap:
+        first += 1
+    while scores[last] > cap:
+        last -= 1
+    return first, last
 
 
 def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Schedule:
@@ -205,12 +225,13 @@ def density_schedule(dfg: Dfg, assignment: Assignment, latency_bound: int) -> Sc
     most N roundings per term, so its score S has |S - E| <= gamma_N E <=
     2**-52 N E (Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 4.2), and |SCALE S - F| <= `_slack(F, N)`, rising in F, at any
-    scale.  So a start whose F tops the least, F_best, by more than the
-    slacks of F_best and of the largest F has SCALE S >= F - slack >
-    F_best + slack >= SCALE S_best, and only the starts of `_open_span`
-    can be the fold's pick: one decides the round, else float rounding,
-    not the exact density, may break their tie and the fold scores them
-    alone.  At 2**22 a class of 128 delay-2 windows scores in one int digit.
+    scale.  Every F is at most SCALE N, so no slack exceeds M =
+    `_slack(SCALE N, N)`, and a start whose F tops the least, F_best, by
+    more than 2M has SCALE S >= F - M > F_best + M >= SCALE S_best: only
+    the starts of `_open_span` can be the fold's pick.  One decides the
+    round, else float rounding, not the exact density, may break their
+    tie and the fold scores them alone.  At 2**22 a class of 128 delay-2
+    windows scores in one int digit.
     """
     delay, lo = _check_latency_bound(dfg, assignment, latency_bound)
     hi = _alap_starts(dfg, delay, latency_bound)

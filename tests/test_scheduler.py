@@ -8,9 +8,11 @@ import pytest
 
 from checks import WIDE_LIB, random_dfg, successors, tails
 from relsyn import scheduler
-from relsyn.model import Dfg, DfgNode, OpClass, builtin_benchmark, builtin_library, parse_dfg
+from relsyn.model import (
+    Dfg, DfgNode, OpClass, ValidationError, builtin_benchmark, builtin_library, parse_dfg,
+)
 from relsyn.scheduler import InfeasibleBoundError, alap, asap, density_schedule
-from relsyn.synthesizer import _heaviest_path
+from relsyn.synthesizer import _heaviest_path, initial_allocation
 
 LIB = builtin_library()
 ADDER1 = LIB.by_name("Adder1")
@@ -322,6 +324,108 @@ def test_infeasible_bound_messages():
     with pytest.raises(InfeasibleBoundError) as exc:
         density_schedule(dfg, asg, 5)
     assert str(exc.value) == "latency bound 5 below minimum achievable 6"
+
+
+def test_latency_bound_must_be_an_integer():
+    # fir16 schedules in 18 cycles with its most reliable versions.  A
+    # float bound is refused as Bounds refuses it, never turned into
+    # fractional starts; an integer below 18 keeps its own error.
+    fir = builtin_benchmark("fir16")
+    asg = initial_allocation(fir, LIB)
+    with pytest.raises(ValidationError, match="latency bound must be an integer"):
+        alap(fir, asg, 20.5)
+    with pytest.raises(ValidationError, match="latency bound must be an integer"):
+        density_schedule(fir, asg, 20.0)
+    for schedule in (alap, density_schedule):
+        with pytest.raises(InfeasibleBoundError) as exc:
+            schedule(fir, asg, 17)
+        assert str(exc.value) == "latency bound 17 below minimum achievable 18"
+        assert schedule(fir, asg, 20).latency <= 20
+
+
+def test_fold_equals_a_start_by_start_accumulation():
+    # Seeded rows, folded by `_fold` and by adding each node's share to
+    # each cell of each start's interval in turn: the rows agree bit for
+    # bit, on float shares 1/w and on the integer shares lcm // w the
+    # filter tests fold with (one-start nodes add share[0] there too).
+    rng = random.Random(36)
+    seen = set()
+    for case in range(3000):
+        n, first = rng.randint(1, 9), rng.randint(1, 12)
+        count = rng.randint(1, 12)
+        lo = [rng.randint(first - 6, first + n + 2) for _ in range(count)]
+        hi = [a + (0 if rng.random() < 0.4 else rng.randint(1, 6)) for a in lo]
+        delay = [rng.randint(1, 4) for _ in range(count)]
+        nodes = sorted(rng.sample(range(count), rng.randint(1, count)))
+        lcm = math.lcm(*range(1, 8))
+        for share in ([1.0 / (w + 1) for w in range(7)], [lcm // (w + 1) for w in range(7)]):
+            start = [rng.uniform(0, 4) if isinstance(share[0], float) else rng.randint(0, 99)
+                     for _ in range(n)]
+            row, want = list(start), list(start)
+            scheduler._fold(row, first, nodes, lo, hi, delay, share)
+            for u in nodes:
+                s = share[hi[u] - lo[u]]
+                for t in range(lo[u], hi[u] + 1):
+                    for c in range(t, t + delay[u]):
+                        if first <= c < first + n:
+                            want[c - first] = want[c - first] + s
+            assert row == want, (case, share[0])
+        for u in nodes:
+            d = delay[u]
+            if lo[u] >= first + n or hi[u] + d <= first:
+                seen.add("miss")
+                continue
+            kind = "wide" if hi[u] > lo[u] else "one"
+            seen.add((kind, d))
+            if lo[u] < first:
+                seen.add((kind, "left"))
+            if hi[u] + d > first + n:
+                seen.add((kind, "right"))
+    kinds = {(kind, x) for kind in ("one", "wide") for x in (1, 2, 3, 4, "left", "right")}
+    assert seen == {"miss"} | kinds
+
+
+def _reference_span(scores, terms):
+    """The reference rule for the open span: the starts whose F exceeds
+    the least by at most the slacks of the least and of the largest F."""
+    best = min(scores)
+    cap = best + scheduler._slack(best, terms) + scheduler._slack(max(scores), terms)
+    open_starts = [k for k, score in enumerate(scores) if score <= cap]
+    return open_starts[0], open_starts[-1]
+
+
+def _span_scores(rng, terms):
+    """Seeded fixed scores of at most SCALE * terms each, with some just
+    inside and just outside the least score's open span."""
+    top = scheduler.SCALE * terms
+    best = rng.randint(0, top - 3 * terms - 3)
+    margin = 2 * terms + 2
+    offsets = [0, margin, margin + 1, rng.randint(0, margin), rng.randint(margin + 1, 4 * margin)]
+    scores = [min(top, best + k) for k in offsets]
+    scores += [rng.randint(best, top) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(scores)
+    return scores
+
+
+def test_open_span_equals_the_reference_rule_below_two_to_the_fifteen_terms():
+    # Below 2**15 terms the slack of every score up to SCALE * terms is
+    # terms + 1, so one margin per term count gives the reference rule's span.
+    rng = random.Random(15)
+    for terms in range(1, 2**15):
+        scores = _span_scores(rng, terms)
+        assert scheduler._open_span(scores, terms) == _reference_span(scores, terms), terms
+
+
+@pytest.mark.parametrize("terms", [2**15, 2**20])
+def test_open_span_contains_the_reference_rule_beyond(terms):
+    # Above, the margin of the largest score a round can reach is no
+    # smaller than the reference rule's: the span may only grow.
+    rng = random.Random(terms)
+    for _ in range(2000):
+        scores = _span_scores(rng, terms)
+        first, last = scheduler._open_span(scores, terms)
+        ref_first, ref_last = _reference_span(scores, terms)
+        assert first <= ref_first and ref_last <= last
 
 
 def _filtered_rounds(monkeypatch, cases):
