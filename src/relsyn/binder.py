@@ -26,12 +26,12 @@ class Instance:
     nmr_factor: int = 1
 
     def __post_init__(self) -> None:
-        if self.nmr_factor < 1 or self.nmr_factor % 2 == 0:
+        if type(self.nmr_factor) is not int or self.nmr_factor < 1 or self.nmr_factor % 2 == 0:
             raise ValidationError(f"{self.version}: nmr_factor must be odd and >= 1")
 
 
-# One shared object per (version, N); call it with both arguments, so each has one key.
-_unit = functools.cache(Instance)
+# One shared object per (version, N), called with both arguments; typed: N 3.0 is not N 3.
+_unit = functools.lru_cache(maxsize=None, typed=True)(Instance)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,10 @@ def bind(dfg: Dfg, schedule: Schedule, assignment: Assignment) -> Binding:
     """
     check_assignment(dfg, assignment)
     ids = dfg.node_ids
-    starts = [schedule.starts[nid] for nid in ids]
+    try:
+        starts = [schedule.starts[nid] for nid in ids]
+    except KeyError as exc:
+        raise ValidationError(f"schedule missing node {exc.args[0]!r}") from None
     names: list[str] = []  # version name per instance id
     last_busy: list[int] = []  # last busy cycle per instance id
     ids_of: dict[str, list[int]] = {}  # per version name, its instance ids in ascending order
@@ -88,15 +91,11 @@ def total_area(binding: Binding, library: ResourceLibrary) -> float:
     return area
 
 
-def with_nmr(binding: Binding, nmr_spec: Mapping[int, int]) -> Binding:
-    """Return a copy of `binding` with redundancy factors applied (Instance checks each change)."""
-    instances = binding.instances
-    for iid in nmr_spec:
-        if not 0 <= iid < len(instances):
-            raise ValidationError(f"nmr spec references unknown instance {iid}")
-    instances = tuple(
-        inst if (n := nmr_spec.get(iid, inst.nmr_factor)) == inst.nmr_factor
-        else _unit(inst.version, n)
-        for iid, inst in enumerate(instances)
-    )
+def with_nmr(binding: Binding, nmr: list[int] | tuple[int, ...]) -> Binding:
+    """A copy of `binding` with N per instance position (Instance checks each change)."""
+    if not isinstance(nmr, (list, tuple)) or len(nmr) != len(binding.instances):
+        raise ValidationError(f"nmr must list {len(binding.instances)} factors, one per instance")
+    instances = tuple([
+        i if i.nmr_factor == n else _unit(i.version, n) for i, n in zip(binding.instances, nmr)
+    ])
     return Binding(binding.node_to_instance, instances)

@@ -391,7 +391,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.design:
         try:
             payload = json.loads(_read_file(args.design))
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        except (ValueError, RecursionError) as exc:  # an int past the digit limit; too deep
             raise InputError(f"bad design JSON {args.design}: {exc}") from exc
         reliability = _design_reliability(payload, dfg, library)
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -256,7 +257,7 @@ def nmr_reliability(reliability: float, n: int) -> float:
     for n = 1 that is r itself, returned unchanged.  From n = 1031 on, a term
     whose C(n, i) is beyond the float range comes from logs.
     """
-    if n < 1 or n % 2 == 0:
+    if type(n) is not int or n < 1 or n % 2 == 0:
         raise ValidationError("redundancy factor must be odd and >= 1")
     if not 0 <= reliability <= 1:
         raise ValidationError("reliability must be in [0, 1]")
@@ -292,21 +293,20 @@ def evaluate_reliability(
     """
     check_assignment(dfg, assignment)
     if binding is None:
-        return _reliability_product((assignment[nid].reliability, 1) for nid in dfg.node_ids)
+        return _reliability_product(_log_vote(assignment[n].reliability, 1) for n in dfg.node_ids)
     ids, instances = binding.node_to_instance, binding.instances
+    if missing := [nid for nid in dfg.node_ids if nid not in ids]:
+        raise ValidationError(f"binding missing node {missing[0]!r}")
     if bad := [ids[nid] for nid in dfg.node_ids if ids[nid] not in range(len(instances))]:
         raise ValidationError(f"unknown instance id {bad[0]}")
     return _reliability_product(
-        (assignment[nid].reliability, instances[ids[nid]].nmr_factor) for nid in dfg.node_ids
+        _log_vote(assignment[n].reliability, instances[ids[n]].nmr_factor) for n in dfg.node_ids
     )
 
 
-def _reliability_product(votes: Iterable[tuple[float, int]]) -> float:
-    """The product of the votes of (reliability, N), summed left to right in logs."""
-    log_total = 0.0
-    for r, n in votes:
-        log_total += _log_vote(r, n)
-    return math.exp(log_total)
+def _reliability_product(logs: Iterable[float]) -> float:
+    """exp of the nodes' vote logs, added left to right from 0.0, as nmr_reliability adds."""
+    return math.exp(functools.reduce(operator.add, logs, 0.0))
 
 
 # -- parsing ------------------------------------------------------------

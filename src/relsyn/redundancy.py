@@ -10,10 +10,10 @@ reliability of every node bound to it to the majority-voting value
 
 Each design keeps its greedy upgrade per library (`_Pricing`), so pricing
 it at many area bounds, as a sweep does, runs the greedy once per interval
-of bounds on which its fit tests all answer the same, and builds each
-run's upgraded design once, from interned instances.  The greedy takes
-the best gain per unit area first, from gains kept per (id, N).  The
-baseline prices its candidates best proven ceiling first
+of bounds on which its fit tests all answer the same, prices each run by
+the objective's log sum and builds its design once, by `binder.with_nmr`.
+The greedy takes the best gain per unit area first, from gains kept per
+(id, N).  The baseline prices its candidates best proven ceiling first
 (`_Pricing.ceiling`) until none can win, and builds the winner only.
 """
 
@@ -24,8 +24,8 @@ import heapq
 import math
 import operator
 
-from .binder import Binding, _unit
-from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote
+from .binder import with_nmr
+from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote, _reliability_product
 from .synthesizer import Memo, _candidate_at, _candidates, find_design
 
 
@@ -70,9 +70,9 @@ class _Pricing:
     on which every test it made answers the same: lo is the largest tested
     sum that fit, hi the smallest that did not (None if every test fit).  A
     bound inside a kept interval gets that run's outcome, and the intervals
-    are disjoint.  A run's design is built once, when first asked for: an
-    instance whose factor is unchanged is the design's, any other is
-    `binder._unit`'s one object per (version, N).
+    are disjoint.  A run's design is built once, when first asked for, by
+    `binder.with_nmr`: an instance whose factor is unchanged is the
+    design's, any other is `binder._unit`'s one object per (version, N).
     """
 
     def __init__(self, design: Design, library: ResourceLibrary) -> None:
@@ -148,9 +148,7 @@ class _Pricing:
             else:  # r < 0.5, no node, or a saturated vote
                 heapq.heappop(heap)
         logs = [_log_vote(r, nmr[iid]) for r, iid in self.votes]
-        # Node by node from 0.0, as model._reliability_product sums it.
-        log_total = functools.reduce(operator.add, map(logs.__getitem__, self.node_votes), 0.0)
-        outcome = [nmr, area, math.exp(log_total), None]
+        outcome = [nmr, area, _reliability_product(map(logs.__getitem__, self.node_votes)), None]
         self.runs.append((lo, hi, outcome))
         return outcome
 
@@ -158,11 +156,8 @@ class _Pricing:
         """The upgraded design of a kept `outcome`, built on first use."""
         if outcome[3] is None:
             nmr, area, reliability, _ = outcome
-            assignment, schedule, own, latency = self.frame
-            instances = tuple([
-                i if i.nmr_factor == n else _unit(i.version, n) for i, n in zip(own.instances, nmr)
-            ])
-            binding = Binding(own.node_to_instance, instances)
+            assignment, schedule, binding, latency = self.frame
+            binding = with_nmr(binding, nmr)
             outcome[3] = Design(assignment, schedule, binding, latency, area, reliability)
         return outcome[3]
 

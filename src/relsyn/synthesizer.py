@@ -44,7 +44,7 @@ from typing import Iterable, MutableMapping
 
 from .binder import bind, total_area
 from .model import Bounds, Design, Dfg, Infeasible, OpClass, ResourceLibrary
-from .model import ResourceVersion, _reliability_product
+from .model import ResourceVersion, _log_vote, _reliability_product
 from .scheduler import InfeasibleBoundError, _alap_starts, density_schedule
 
 
@@ -119,7 +119,7 @@ def _design_at(
                 binding=binding,
                 latency=schedule.latency,
                 area=total_area(binding, library),
-                reliability=_reliability_product((v.reliability, 1) for v in versions),
+                reliability=_reliability_product(_log_vote(v.reliability, 1) for v in versions),
             )
     return memo[names]
 
@@ -137,8 +137,8 @@ def _candidates(dfg: Dfg, library: ResourceLibrary, memo: Memo) -> tuple[list, l
         candidates = []
         for combo in itertools.product(*menus):  # None: a class with no node
             loads = [(v.area, len(p) * v.delay) for v, p in zip(combo, classes.values()) if p]
-            reliability = _reliability_product((combo[c].reliability, 1) for c in slots)
-            candidates.append((reliability, combo, loads, {}))
+            log = [v and _log_vote(v.reliability, 1) for v in combo]  # None: unread
+            candidates.append((_reliability_product(map(log.__getitem__, slots)), combo, loads, {}))
         memo["single-version"] = candidates, sorted(candidates, key=lambda c: -c[0])  # stable
     return memo["single-version"]
 
@@ -194,8 +194,7 @@ def _repair_latency(
     until the latency bound is met; the versions by node position and
     their asap latency, or Infeasible once no critical-path node can go
     any faster.  The asap latency is the total delay of a critical path."""
-    library.check_covers(dfg)
-    versions = _by_position(dfg, _preferred(library))
+    versions = list(initial_allocation(dfg, library).values())
     preds, succs, moves = dfg.pred_positions, dfg.succ_positions, _moves(library)
     # Each node's total delay on its heaviest path to a sink: 1 - its latest start at L 0.
     tail = [1 - start for start in _alap_starts(dfg, [v.delay for v in versions], 0)]

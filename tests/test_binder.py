@@ -61,6 +61,12 @@ def test_mixed_versions_never_share():
     assert total_area(binding, LIB) == 3  # one Adder1 + one Adder2
 
 
+def test_bind_refuses_a_schedule_that_misses_a_node():
+    dfg = parse_dfg("node a add\nnode b add\nedge a b\n")
+    with pytest.raises(ValidationError, match="^schedule missing node 'b'$"):
+        bind(dfg, Schedule({"a": 1}, 2), {"a": ADDER2, "b": ADDER2})
+
+
 def test_total_area_empty_binding():
     assert total_area(Binding({}, ()), LIB) == 0
 
@@ -77,16 +83,26 @@ def test_total_area_unknown_version():
 
 
 def test_instance_rejects_even_nmr():
-    with pytest.raises(ValidationError, match="^Adder2: nmr_factor must be odd and >= 1$"):
-        Instance("Adder2", 2)
-    with pytest.raises(ValidationError):
-        with_nmr(Binding({}, (Instance("Adder2"),)), {0: 4})
+    # As for cli._int, N is an int, not a float or a bool that equals one.
+    for n in (2, 5.5, 3.0, True, "3"):
+        with pytest.raises(ValidationError, match="^Adder2: nmr_factor must be odd and >= 1$"):
+            Instance("Adder2", n)
+    binding = Binding({}, (Instance("Adder2"),))
+    assert with_nmr(binding, [3]).instances == (Instance("Adder2", 3),)
+    for n in (4, 3.0, 5.5):  # 3.0 is refused also once N 3 is interned
+        with pytest.raises(ValidationError, match="^Adder2: nmr_factor must be odd and >= 1$"):
+            with_nmr(binding, [n])
 
 
 def test_with_nmr_unknown_instance():
-    for spec in ({3: 3}, {-1: 3}):  # past the end, and a negative id
-        with pytest.raises(ValidationError, match="unknown instance"):
-            with_nmr(Binding({}, (Instance("Adder2"),)), spec)
+    # One factor per instance position, in a list or tuple: an id-keyed
+    # dict of the old form, {3: 3} on one instance, would zip its key as N.
+    binding = Binding({}, (Instance("Adder2"), Instance("Adder1")))
+    for nmr in ([], [3], [3, 1, 1], {0: 3, 1: 1}, {3: 3}, "31", range(2)):
+        with pytest.raises(ValidationError, match="^nmr must list 2 factors, one per instance$"):
+            with_nmr(binding, nmr)
+    assert with_nmr(binding, (1, 3)).instances == (Instance("Adder2"), Instance("Adder1", 3))
+    assert with_nmr(binding, [1, 1]).instances[1] is binding.instances[1]
 
 
 def _random_case(rng: random.Random):
@@ -147,7 +163,7 @@ def test_area_monotone_under_upgrades():
         binding = bind(dfg, sched, asg)
         base = total_area(binding, LIB)
         if binding.instances:
-            upgraded = with_nmr(binding, {0: 3})
+            upgraded = with_nmr(binding, [3] + [1] * (len(binding.instances) - 1))
             assert total_area(upgraded, LIB) > base
 
 

@@ -586,6 +586,20 @@ def test_eval_design_on_a_huge_delay(relsyn, workspace, b_start, code, out, err)
     assert result == (code, out, err)
 
 
+def test_eval_design_with_an_int_past_the_digit_limit(relsyn, workspace):
+    # Written as text: json.dumps cannot print such an int on 3.11+, where
+    # json.loads refuses it; on 3.10 it parses, and the latency check refuses it.
+    design = {
+        "assignment": {"a": "Adder1"}, "schedule": {"a": 1}, "binding": {"a": 0},
+        "instances": [{"id": 0, "version": "Adder1", "nmr": 1}], "latency": 0, "area": 1,
+    }
+    text = json.dumps(design).replace('"latency": 0', '"latency": ' + "9" * 5000)
+    (workspace / "big.json").write_text(text)
+    code, out, err = relsyn("eval", "--design", "big.json", dfg="one.dfg")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
 # -- input errors: exit 2 and one `error:` line, never a traceback ----------
 
 SYNTH = ("synth", "--latency", "11", "--area", "12")

@@ -1,6 +1,7 @@
 """The package's runtime import graph is a DAG, no function imports, no
-module but `__init__` imports a name it never uses, and the log of a
-majority vote is taken in `model` only.
+module but `__init__` imports a name it never uses, the log of a
+majority vote is taken in `model` only, the objective's exp is taken
+there too, and instances are interned in `binder` only.
 
 Every `src/relsyn/*.py` module is parsed with `ast`; imports under
 `if TYPE_CHECKING:` are type-only and left out of the graph.
@@ -127,6 +128,40 @@ def test_vote_logs_come_from_model(name):
     for node in ast.walk(_parse(name)):
         if _calls(node, "log") and any(_calls(arg, "nmr_reliability") for arg in node.args):
             pytest.fail(f"{name} takes the log of nmr_reliability at line {node.lineno}")
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """Qualified names of the functions and classes (or `<module>`) whose own
+    code calls `name`."""
+    found, stack = set(), [(tree, "<module>")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            if _calls(child, name):
+                found.add(scope)
+            stack.append((child, inner))
+    return found
+
+
+def test_one_home_for_the_objective_and_for_interned_instances():
+    # model holds the objective's exp, oracle its own ground truth and
+    # charlib the soft-error model; elsewhere only _Pricing.ceiling, a
+    # bound, takes an exp.  Only binder's code names binder._unit.
+    callers = {
+        f"{name}.{scope}"
+        for name in ("scheduler", "binder", "synthesizer", "redundancy", "cli")
+        for scope in _callers(_parse(name), "exp")
+    }
+    assert callers == {"redundancy._Pricing.ceiling"}
+    for name in [m for m in MODULES if m != "binder"]:
+        tree = _parse(name)
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "_unit" not in names, f"{name} names binder._unit"
 
 
 def _bound_names(node) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 
 from checks import random_dfg, single_version_reference, validate_design
 from relsyn import redundancy
-from relsyn.binder import Binding, Instance, bind, total_area, with_nmr
+from relsyn.binder import Binding, Instance, bind, total_area
 from relsyn.cli import design_to_json
 from relsyn.model import (
     Dfg,
@@ -19,7 +19,6 @@ from relsyn.model import (
     ResourceVersion,
     ValidationError,
     _log_vote,
-    _reliability_product,
     builtin_benchmark,
     builtin_library,
     evaluate_reliability,
@@ -75,6 +74,13 @@ def test_evaluate_refuses_an_instance_id_outside_the_binding():
             evaluate_reliability(dfg, asg, Binding({"x0": 0, "x1": iid}, instances))
 
 
+def test_evaluate_refuses_a_binding_that_misses_a_node():
+    dfg = _all_add_dfg(2)
+    asg = {nid: ADDER2 for nid in dfg.node_ids}
+    with pytest.raises(ValidationError, match="^binding missing node 'x1'$"):
+        evaluate_reliability(dfg, asg, Binding({"x0": 0}, (Instance("Adder2"),)))
+
+
 def test_evaluate_permutation_invariance_and_multiplicativity():
     rng = random.Random(53)
     for _ in range(20):
@@ -113,8 +119,8 @@ def test_nmr_reliability_values():
 
 
 def test_nmr_reliability_rejects_bad_n():
-    for n in (0, -1, 2, 4):
-        with pytest.raises(ValidationError):
+    for n in (0, -1, 2, 4, 3.0, 5.5, True):  # an int, not a float or a bool
+        with pytest.raises(ValidationError, match="^redundancy factor must be odd and >= 1$"):
             nmr_reliability(0.9, n)
 
 
@@ -559,13 +565,19 @@ def _scan_greedy(design, library, area_bound):
             elif ratio[iid] > top:
                 best, top = iid, ratio[iid]
         if best is None:
-            return nmr, area, _reliability_product(
-                (assignment[nid].reliability, nmr[iid])
-                for nid, iid in binding.node_to_instance.items()
-            )
+            log_total = 0.0  # node by node, left to right from 0.0
+            for nid, iid in binding.node_to_instance.items():
+                log_total += _log_vote(assignment[nid].reliability, nmr[iid])
+            return nmr, area, math.exp(log_total)
         nmr[best] += 2
         area += extra[best]
         ratio[best] = gain(best)
+
+
+def _by_hand(binding, nmr):
+    """`binding` with factor nmr[k] on instance k, built without binder.with_nmr."""
+    instances = tuple(Instance(inst.version, n) for inst, n in zip(binding.instances, nmr))
+    return Binding(binding.node_to_instance, instances)
 
 
 def test_priced_upgrade_equals_a_fresh_greedy():
@@ -573,9 +585,10 @@ def test_priced_upgrade_equals_a_fresh_greedy():
     # which every fit test answers the same.  Whatever order the bounds
     # come in, a kept run must be what a greedy run of its own gets at that
     # bound, and what the plain scan gets, also at the ends of each kept
-    # interval.  Bounds inside one run share its design, built as with_nmr
-    # builds it, and an instance whose factor the greedy did not change, or
-    # met before at the same N, is the same object.
+    # interval.  Bounds inside one run share its design, equal to one whose
+    # binding is built by hand, one Instance(version, N) per position, and an
+    # instance whose factor the greedy did not change, or met before at the
+    # same N, is the same object.
     rng = random.Random(29)
     bounds = [2 + k / 2 for k in range(237)]
     assert bounds[-1] == 120
@@ -603,7 +616,7 @@ def test_priced_upgrade_equals_a_fresh_greedy():
                 assert outcome[:3] == [nmr, area, reliability]
                 up = greedy_nmr_upgrade(priced, library, area_bound)
                 upgraded.add(id(up))
-                binding = with_nmr(design.binding, dict(enumerate(nmr)))
+                binding = _by_hand(design.binding, nmr)
                 built = Design(
                     design.assignment, design.schedule, binding, design.latency, area, reliability
                 )
@@ -666,7 +679,7 @@ def _unpruned_baseline(dfg, library, bounds):
     if best is None:
         return None
     d, (nmr, area, reliability, _) = best
-    binding = with_nmr(d.binding, dict(enumerate(nmr)))
+    binding = _by_hand(d.binding, nmr)
     return Design(d.assignment, d.schedule, binding, d.latency, area, reliability)
 
 
