@@ -96,6 +96,7 @@ def with_nmr(binding: Binding, nmr: list[int] | tuple[int, ...]) -> Binding:
     if not isinstance(nmr, (list, tuple)) or len(nmr) != len(binding.instances):
         raise ValidationError(f"nmr must list {len(binding.instances)} factors, one per instance")
     instances = tuple([
-        i if i.nmr_factor == n else _unit(i.version, n) for i, n in zip(binding.instances, nmr)
+        i if i.nmr_factor == n and type(n) is int else _unit(i.version, n)
+        for i, n in zip(binding.instances, nmr)
     ])
     return Binding(binding.node_to_instance, instances)

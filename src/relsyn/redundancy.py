@@ -13,8 +13,8 @@ it at many area bounds, as a sweep does, runs the greedy once per interval
 of bounds on which its fit tests all answer the same, prices each run by
 the objective's log sum and builds its design once, by `binder.with_nmr`.
 The greedy takes the best gain per unit area first, from gains kept per
-(id, N).  The baseline prices its candidates best proven ceiling first
-(`_Pricing.ceiling`) until none can win, and builds the winner only.
+(id, N).  The baseline prices every candidate that fits, in enumeration
+order, and builds the winner only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import math
 import operator
 
 from .binder import with_nmr
-from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, _log_vote, _reliability_product
+from .model import Bounds, Design, Dfg, Infeasible, ResourceLibrary, ValidationError
+from .model import _log_vote, _reliability_product
 from .synthesizer import Memo, _candidate_at, _candidates, find_design
 
 
@@ -41,6 +42,8 @@ def greedy_nmr_upgrade(design: Design, library: ResourceLibrary, area_bound: flo
     Bounds that one greedy run answers get the same design: treat it as
     read-only.
     """
+    if math.isnan(area_bound):  # NaN would pass every fit test
+        raise ValidationError("area bound must not be NaN")
     pricing = _pricing(design, library)
     return pricing.design(pricing.price(area_bound))
 
@@ -64,23 +67,25 @@ class _Pricing:
     """The greedy upgrade of one design under one library, at any area bound.
 
     Each instance's extra area and node reliabilities are computed once, in
-    lists indexed by instance id, and its gain per unit area once per (id,
-    N).  The bound enters the greedy only through its fit tests, stepped
-    area > bound, so each run is kept with the interval [lo, hi) of bounds
-    on which every test it made answers the same: lo is the largest tested
-    sum that fit, hi the smallest that did not (None if every test fit).  A
-    bound inside a kept interval gets that run's outcome, and the intervals
-    are disjoint.  A run's design is built once, when first asked for, by
-    `binder.with_nmr`: an instance whose factor is unchanged is the
-    design's, any other is `binder._unit`'s one object per (version, N).
+    lists indexed by instance id (a version the library lacks is refused),
+    and its gain per unit area once per (id, N).  The bound enters the
+    greedy only through its fit tests, stepped area > bound, so each run is
+    kept with the interval [lo, hi) of bounds on which every test it made
+    answers the same: lo is the largest tested sum that fit, hi the smallest
+    that did not (None if every test fit).  A bound inside a kept interval
+    gets that run's outcome; the intervals are disjoint.  A run's design is
+    built once, on first use, by `binder.with_nmr`: an instance whose factor
+    is unchanged is the design's, any other is interned by `binder._unit`.
     """
 
     def __init__(self, design: Design, library: ResourceLibrary) -> None:
         binding, assignment = design.binding, design.assignment
         self.frame = assignment, design.schedule, binding, design.latency  # no Design: no cycle
-        self.area, self.reliability, self.votes = design.area, design.reliability, {}
+        self.area, self.votes = design.area, {}
         self.nmr = [inst.nmr_factor for inst in binding.instances]
         doubled, self.exact_from = _doubled(library)
+        if missing := [i.version for i in binding.instances if i.version not in doubled]:
+            raise ValidationError(f"unknown resource version {missing[0]!r}")
         self.extra = [doubled[inst.version] for inst in binding.instances]
         # Per instance, its nodes' reliabilities in node order as [r, count] runs;
         # per node in binding order, its index in `votes`, the distinct (r, instance id).
@@ -98,15 +103,6 @@ class _Pricing:
         self.heap = [(-g, iid) for iid, g in enumerate(per_area) if g > 0]
         heapq.heapify(self.heap)
         self.gains: dict[tuple[int, int], float] = {}
-        self.pairs = []  # `ceiling`'s: per instance, its r > 1/2 nodes' (gain per area, most gain)
-        for iid, runs in enumerate(self.reliabilities):
-            n, up, cap = self.nmr[iid], 0.0, 0.0
-            for r, count in runs:
-                if r > 0.5:  # a vote of r <= 1/2 never gains
-                    up, cap = up + count * _log_step(r, n), cap - count * _log_vote(r, n)
-            if up > 0:
-                self.pairs.append((up / self.extra[iid], cap))
-        self.pairs.sort(reverse=True)
         self.runs: list[tuple[float, float | None, list]] = []
 
     def _gain_per_area(self, iid: int, n: int) -> float:
@@ -161,20 +157,6 @@ class _Pricing:
             outcome[3] = Design(assignment, schedule, binding, latency, area, reliability)
         return outcome[3]
 
-    def ceiling(self, area_bound: float) -> float:
-        """A bound, up to float rounding, on `price(area_bound)`'s reliability
-        if the design fits: the fractional knapsack of `pairs` over the area
-        left, best ratio first.  For N = 2k+1, R(r, N+2) - R(r, N) = (2r-1)
-        C(N, k) (r(1-r))^(k+1) shrinks by 2(2k+3)/(k+2) r(1-r) < 1 a step: so
-        for r > 1/2 no log step exceeds the one before (R grows), r <= 1/2
-        never gains, and no node gains more than -log of its vote."""
-        slack, gain = area_bound - self.area, 0.0
-        for ratio, cap in self.pairs:
-            if cap >= ratio * slack:
-                return self.reliability * math.exp(gain + ratio * slack)
-            gain, slack = gain + cap, slack - cap / ratio
-        return self.reliability * math.exp(gain)
-
 
 def _pricing(design: Design, library: ResourceLibrary) -> _Pricing:
     pricings = design._nmr_pricing
@@ -196,12 +178,11 @@ def baseline_nmr_synth(
     l_d, a_d, memo = bounds.latency_bound, bounds.area_bound, {} if memo is None else memo
     candidates, best = _candidates(dfg, library, memo)[0], ((-math.inf,), None, None)
     designs = [d for c in candidates if (d := _candidate_at(dfg, library, c, l_d, memo))]
-    fits = [(_pricing(d, library), -i, d) for i, d in enumerate(designs) if d.area <= a_d]
-    for ceiling, o, p, d in sorted(((p.ceiling(a_d), o, p, d) for p, o, d in fits), reverse=True):
-        if ceiling < best[0][0] * (1 - 1e-9):  # 1e-9: rounding may pass a ceiling
-            break  # no candidate left can reach the best priced reliability
-        priced = p.price(a_d)  # keyed in the docstring's order:
-        best = max(best, ((priced[2], -priced[1], -d.latency, o), p, priced))
+    for d in designs:
+        if d.area <= a_d:  # the first best, keyed in the docstring's order:
+            priced = (p := _pricing(d, library)).price(a_d)
+            if (key := (priced[2], -priced[1], -d.latency)) > best[0]:
+                best = key, p, priced
     if best[1] is None:
         reason = "area" if designs else "latency"
         return Infeasible(reason, "no single-version combination meets both bounds")

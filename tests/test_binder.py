@@ -89,7 +89,8 @@ def test_instance_rejects_even_nmr():
             Instance("Adder2", n)
     binding = Binding({}, (Instance("Adder2"),))
     assert with_nmr(binding, [3]).instances == (Instance("Adder2", 3),)
-    for n in (4, 3.0, 5.5):  # 3.0 is refused also once N 3 is interned
+    # 3.0 is refused also once N 3 is interned, 1.0 and True also where N is 1
+    for n in (4, 3.0, 5.5, 1.0, True):
         with pytest.raises(ValidationError, match="^Adder2: nmr_factor must be odd and >= 1$"):
             with_nmr(binding, [n])
 

@@ -148,14 +148,14 @@ def _callers(tree: ast.AST, name: str) -> set[str]:
 
 def test_one_home_for_the_objective_and_for_interned_instances():
     # model holds the objective's exp, oracle its own ground truth and
-    # charlib the soft-error model; elsewhere only _Pricing.ceiling, a
-    # bound, takes an exp.  Only binder's code names binder._unit.
+    # charlib the soft-error model; no other module takes an exp.  Only
+    # binder's code names binder._unit.
     callers = {
         f"{name}.{scope}"
         for name in ("scheduler", "binder", "synthesizer", "redundancy", "cli")
         for scope in _callers(_parse(name), "exp")
     }
-    assert callers == {"redundancy._Pricing.ceiling"}
+    assert callers == set()
     for name in [m for m in MODULES if m != "binder"]:
         tree = _parse(name)
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
